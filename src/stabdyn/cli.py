@@ -26,7 +26,7 @@ from .groups import (FiniteGroup, cyclic_group, direct_product, dihedral_square,
                      trivial_group)
 from .seqs import (check_example1_residues, check_example2_markers,
                    example1_word, example2_word)
-from .sft import entropy, is_irreducible, parse_edge_shift, period
+from .sft import entropy, is_irreducible, parse_edge_shift, period, power_shift
 from .spectral import cyclic_partition, rational_eigs, smale
 from .verify import (check_wreath_rigidity, compare_rational_eigs,
                      entropy_ratio, verify_quotient_isos, verify_split_sequence)
@@ -221,7 +221,8 @@ def cmd_partition(args) -> int:
 
 def cmd_autos(args) -> int:
     sft, text, _ = _load_shift(args.input)
-    autos = enumerate_automorphisms(sft, args.power, args.radius, args.inv_radius)
+    autos = enumerate_automorphisms(power_shift(sft, args.power), args.radius,
+                                    args.inv_radius)
     args._hashes = {"input": _hash(text)}
     _emit(args, autos.to_document())
     return EXIT_OK
@@ -229,8 +230,7 @@ def cmd_autos(args) -> int:
 
 def cmd_verify_wreath(args) -> int:
     sft, text, _ = _load_shift(args.input)
-    report = verify_split_sequence(sft, args.n, args.m, args.radius,
-                                   args.inv_radius)
+    report = verify_split_sequence(sft, args.n, args.m, args.radius)
     args._hashes = {"input": _hash(text)}
     _emit(args, report.to_document())
     return EXIT_OK if report.passes else EXIT_VIOLATION
@@ -425,9 +425,6 @@ def build_parser() -> _Parser:
                        help="always emit the JSON document")
         p.add_argument("--quiet", action="store_true",
                        help="suppress stdout (exit code only)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded in the manifest (reserved for "
-                            "sampled sweeps)")
         p.add_argument("--manifest", help="write the run manifest to this path")
 
     p = sub.add_parser("analyze", help="period, eigenvalues, entropy, Smale piece")
@@ -449,9 +446,10 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("autos", help="radius-bounded automorphism stage")
+    p = sub.add_parser("autos", help="radius-bounded stage of Aut(sigma^power)")
     p.add_argument("input")
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=int, default=1,
+                   help="enumerate over the power-shift presentation of sigma^power")
     p.add_argument("--radius", type=int, default=0)
     p.add_argument("--inv-radius", dest="inv_radius", type=int, default=None)
     common(p)
@@ -462,7 +460,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--inv-radius", dest="inv_radius", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_verify_wreath)
 

@@ -1,10 +1,11 @@
 """Sliding block codes on edge shifts: evaluation, composition, canonical
-forms, invertibility, exhaustive enumeration of radius-bounded automorphisms,
-and the induced action on cyclic partitions.
+forms, invertibility, exhaustive enumeration of radius-bounded automorphisms
+of a presentation, and the induced action on cyclic partitions.
 
 A code is a total rule on the admissible (2r+1)-words of its domain, applied
-at every position.  Elements of Aut(sigma^n) that do not commute with sigma
-itself are represented as codes over the n-th power-shift presentation; the
+at every position.  Elements of Aut(sigma^n), including those that do not
+commute with sigma itself, are codes over the n-th power-shift presentation,
+so a stage of Aut(sigma^n) is enumerated over ``power_shift(sft, n)``; the
 ``WordMap`` helper builds such codes from point-map evaluators.
 """
 
@@ -17,19 +18,9 @@ from typing import Callable, Optional
 from .budgets import Budget, check, default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
                      ShiftMismatchError, WordError)
-from .sft import EdgeShift, Word, words_of_length
+from .sft import (EdgeShift, Word, derived_shift,
+                  strongly_connected_components)
 from .spectral import CyclicPartition
-
-# language cache keyed by the shift's matrix data (languages only depend on it)
-_LANG_CACHE: dict = {}
-
-
-def language(sft: EdgeShift, length: int) -> tuple:
-    key = (sft.states, sft.adjacency, length)
-    if key not in _LANG_CACHE:
-        _LANG_CACHE[key] = words_of_length(sft, length)
-    return _LANG_CACHE[key]
-
 
 class SlidingBlockCode:
     """A radius-r local rule from one edge shift to another."""
@@ -45,14 +36,14 @@ class SlidingBlockCode:
             self._validate()
 
     def _validate(self) -> None:
-        keys = language(self.domain, 2 * self.radius + 1)
+        keys = self.domain.language(2 * self.radius + 1)
         if set(self.rule) != set(keys):
             raise WordError("rule is not total on the admissible (2r+1)-words")
         symbols = set(self.codomain.alphabet)
         for out in self.rule.values():
             if out not in symbols:
                 raise WordError(f"output symbol {out!r} not in the codomain alphabet")
-        for w in language(self.domain, 2 * self.radius + 2):
+        for w in self.domain.language(2 * self.radius + 2):
             if not self.codomain.follows(self.rule[w[:-1]], self.rule[w[1:]]):
                 raise WordError("rule image of an admissible word is inadmissible")
 
@@ -149,7 +140,7 @@ def shift_code(sft: EdgeShift, k: int) -> SlidingBlockCode:
     r = abs(k)
     if r == 0:
         return identity_code(sft)
-    rule = {w: w[r + k] for w in language(sft, 2 * r + 1)}
+    rule = {w: w[r + k] for w in sft.language(2 * r + 1)}
     return SlidingBlockCode(sft, sft, r, rule, validate=False)
 
 
@@ -171,7 +162,7 @@ def compose(f: SlidingBlockCode, g: SlidingBlockCode) -> SlidingBlockCode:
         raise ShiftMismatchError("codomain of g differs from domain of f")
     r = f.radius + g.radius
     rule = {}
-    for w in language(g.domain, 2 * r + 1):
+    for w in g.domain.language(2 * r + 1):
         rule[w] = f.rule[g.apply(w)]
     return SlidingBlockCode(g.domain, f.codomain, r, rule, validate=False)
 
@@ -189,7 +180,7 @@ def commutes_with_power(code: SlidingBlockCode, n: int, length: Optional[int] = 
     length = length or (2 * code.radius + n + 1)
     if length < 2 * code.radius + n + 1:
         raise WordError("length too short to decide commutation")
-    for w in language(code.domain, length):
+    for w in code.domain.language(length):
         if code.apply(w[n:]) != code.apply(w)[n:]:
             return False
     return True
@@ -208,12 +199,12 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
     """
     r, R = code.radius, inv_radius
     table: dict = {}
-    for u in language(code.domain, 2 * (R + r) + 1):
+    for u in code.domain.language(2 * (R + r) + 1):
         v = code.apply(u)
         center = u[R + r]
         if table.setdefault(v, center) != center:
             return None
-    needed = language(code.codomain, 2 * R + 1)
+    needed = code.codomain.language(2 * R + 1)
     if set(table) != set(needed):
         return None  # not surjective at this window size
     try:
@@ -233,7 +224,7 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
 
 def _debruijn_pairs(sft: EdgeShift, width: int) -> list:
     """(left, right) key pairs realized by admissible (width+1)-words."""
-    return [(w[:-1], w[1:]) for w in language(sft, width + 1)]
+    return [(w[:-1], w[1:]) for w in sft.language(width + 1)]
 
 
 def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
@@ -247,7 +238,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
     """
     budget = budget or default_budget()
     width = 2 * radius + 1
-    keys = list(language(domain, width))
+    keys = list(domain.language(width))
     if not keys:
         return []
     key_index = {w: i for i, w in enumerate(keys)}
@@ -304,13 +295,13 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
     def _passes_quick_filters(candidate: SlidingBlockCode) -> bool:
         # necessary conditions for a conjugacy, cheap to test:
         # image words of length 3 cover the codomain language exactly,
-        images = {candidate.apply(u) for u in language(domain, width + 2)}
-        if images != set(language(codomain, 3)):
+        images = {candidate.apply(u) for u in domain.language(width + 2)}
+        if images != set(codomain.language(3)):
             return False
         # and no diamond: distinct equal-flank words with equal images
         flank = 2 * radius
         seen: dict = {}
-        for u in language(domain, width + 4):
+        for u in domain.language(width + 4):
             sig = (u[:flank], u[len(u) - flank:], candidate.apply(u))
             if seen.setdefault(sig, u) != u:
                 return False
@@ -323,8 +314,8 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
 
 def _disjoint_components(sft: EdgeShift) -> Optional[list]:
     """When the graph is a disjoint union of strongly connected pieces,
-    return per-component subshifts with symbol maps; otherwise None."""
-    from .sft import strongly_connected_components
+    return the per-component subshifts (step-1 derived presentations);
+    otherwise None."""
     comps = strongly_connected_components(sft)
     if len(comps) <= 1:
         return None
@@ -332,60 +323,45 @@ def _disjoint_components(sft: EdgeShift) -> Optional[list]:
     for e in sft.edges:
         if comp_of[e.tail] != comp_of[e.head]:
             return None  # transient edge: fall back to direct search
-    result = []
-    for comp in comps:
-        sub_adj = [[sft.adjacency[i][j] for j in comp] for i in comp]
-        sub = EdgeShift([sft.states[i] for i in comp], sub_adj,
-                        parent=sft, parent_paths={})
-        # map component symbols to parent symbols in matching canonical order
-        pos = {s: k for k, s in enumerate(comp)}
-        parent_syms: dict = {}
-        for e in sft.edges:
-            if comp_of[e.tail] == comps.index(comp):
-                parent_syms.setdefault((pos[e.tail], pos[e.head]), []).append(e.symbol)
-        mapping = {}
-        counters = {key: 0 for key in parent_syms}
-        for e in sub.edges:
-            key = (e.tail, e.head)
-            mapping[e.symbol] = (parent_syms[key][counters[key]],)
-            counters[key] += 1
-        sub.parent_paths = mapping
-        result.append(sub)
-    return result
+    return [derived_shift(sft, comp, 1) for comp in comps]
 
 
-def _lift_component_rule(sft: EdgeShift, comps: list, pi: tuple,
-                         codes: list, radius: int) -> dict:
-    """Assemble a global rule table from per-component codes comp_i -> comp_pi(i)."""
-    to_parent = [dict(sub.parent_paths) for sub in comps]
-    to_comp = [{v[0]: k for k, v in sub.parent_paths.items()} for sub in comps]
-    symbol_comp = {}
-    for i, sub in enumerate(comps):
-        for parent_sym in to_comp[i]:
-            symbol_comp[parent_sym] = i
-    rule = {}
-    for w in language(sft, 2 * radius + 1):
-        i = symbol_comp[w[0]]
-        local = tuple(to_comp[i][s] for s in w)
-        out_local = codes[i].rule[local]
-        rule[w] = to_parent[pi[i]][out_local][0]
-    return rule
+def _component_words(sft: EdgeShift, comps: list, radius: int) -> list:
+    """(word, component index, the word in that component) for every
+    admissible (2r+1)-word of a disjoint union of components."""
+    comp_of = {s: i for i, sub in enumerate(comps) for s in sub.provenance.states}
+    found = []
+    for w in sft.language(2 * radius + 1):
+        i = comp_of[sft.tail(w[0])]
+        found.append((w, i, comps[i].from_parent(w)))
+    return found
+
+
+def _lift_component_rule(words: list, symbols: list, pi: tuple, codes: list) -> dict:
+    """Assemble a global rule table from per-component codes comp_i -> comp_pi(i);
+    ``symbols[j]`` maps the symbols of component j to parent symbols."""
+    return {w: symbols[pi[i]][codes[i].rule[local]] for w, i, local in words}
 
 
 @dataclass(frozen=True)
 class AutomorphismSet:
-    """A radius-truncated, inverse-certified stage of Aut(sigma^n).
+    """A radius-truncated, inverse-certified stage of Aut(sigma^n), where n is
+    the step of the shift's provenance (1 for a shift that is not derived).
 
     Every member is a genuine automorphism (an explicit inverse of radius
     <= inv_radius is stored), but the set is only the radius-<= r slice of the
     group, not the whole group.
     """
     shift: EdgeShift
-    power: int
     radius: int
     inv_radius: int
     elements: tuple
     inverses: tuple
+
+    @property
+    def power(self) -> int:
+        """n for a stage of Aut(sigma^n): a power shift presents sigma^n."""
+        return 1 if self.shift.provenance is None else self.shift.provenance.step
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -409,14 +385,15 @@ class AutomorphismSet:
         }
 
 
-def enumerate_automorphisms(sft: EdgeShift, n: int, radius: int,
+def enumerate_automorphisms(sft: EdgeShift, radius: int,
                             inv_radius: Optional[int] = None,
                             budget: Optional[Budget] = None) -> AutomorphismSet:
-    """All radius-<= ``radius`` rules that preserve the language, commute with
-    sigma^n, and have an inverse of radius <= ``inv_radius`` (default 2r).
+    """All radius-<= ``radius`` rules that preserve the language and have an
+    inverse of radius <= ``inv_radius`` (default 2r).
 
-    The result is a certified subgroup stage of Aut(sigma^n), sorted
-    canonically; enumeration order never affects the output.
+    The result is a certified subgroup stage of the automorphism group of the
+    given presentation, sorted canonically; enumeration order never affects
+    the output.  For a stage of Aut(sigma^n), pass ``power_shift(sft, n)``.
     """
     if inv_radius is None:
         inv_radius = 2 * radius
@@ -432,6 +409,10 @@ def enumerate_automorphisms(sft: EdgeShift, n: int, radius: int,
             for j in range(k):
                 table[(i, j)] = enumerate_conjugacies(comps[i], comps[j],
                                                       radius, inv_radius, budget)
+        words = _component_words(sft, comps, radius)
+        inv_words = _component_words(sft, comps, inv_radius)
+        symbols = [{sym: sub.to_parent((sym,))[0] for sym in sub.alphabet}
+                   for sub in comps]
         for pi in itertools.permutations(range(k)):
             if any(not table[(i, pi[i])] for i in range(k)):
                 continue
@@ -440,38 +421,32 @@ def enumerate_automorphisms(sft: EdgeShift, n: int, radius: int,
             for i in range(k):
                 inv_pi[pi[i]] = i
             for combo in itertools.product(*choices):
-                rule = _lift_component_rule(sft, comps, pi, [c for c, _ in combo], radius)
+                rule = _lift_component_rule(words, symbols, pi, [c for c, _ in combo])
                 code = SlidingBlockCode(sft, sft, radius, rule, validate=False)
                 inv_rule = _lift_component_rule(
-                    sft, comps, tuple(inv_pi),
-                    [combo[inv_pi[j]][1] for j in range(k)], inv_radius)
+                    inv_words, symbols, inv_pi,
+                    [combo[inv_pi[j]][1] for j in range(k)])
                 inverse = SlidingBlockCode(sft, sft, inv_radius, inv_rule, validate=False)
                 pairs.append((code, inverse))
         pairs.sort(key=lambda pair: pair[0].sort_key())
-    kept = [(c, i) for c, i in pairs if commutes_with_power(c, n)]
-    elements = tuple(c for c, _ in kept)
-    inverses = tuple(i for _, i in kept)
-    return AutomorphismSet(sft, n, radius, inv_radius, elements, inverses)
+    elements = tuple(c for c, _ in pairs)
+    inverses = tuple(i for _, i in pairs)
+    return AutomorphismSet(sft, radius, inv_radius, elements, inverses)
 
 
 # -- action on cyclic partitions ---------------------------------------------------
 
 
 def _resolve_partition_shift(code_shift: EdgeShift, part: CyclicPartition):
-    """Return (base_shift, state_map, step) where state_map sends code-shift
-    state indices to partition-shift state indices and step is the number of
-    base-shift steps one code-shift symbol represents."""
+    """Return (state_map, step) where state_map sends code-shift state indices
+    to partition-shift state indices and step is the number of partition-shift
+    steps one code-shift symbol represents."""
     if code_shift.matrix_hash() == part.matrix_hash:
-        return code_shift, list(range(code_shift.n_states)), 1
-    parent = code_shift.parent
-    if parent is None or parent.matrix_hash() != part.matrix_hash:
+        return list(range(code_shift.n_states)), 1
+    prov = code_shift.provenance
+    if prov is None or prov.parent.matrix_hash() != part.matrix_hash:
         raise ShiftMismatchError("partition belongs to a different shift")
-    if not code_shift.parent_paths:
-        raise ShiftMismatchError("power presentation lacks its path dictionary")
-    step = len(next(iter(code_shift.parent_paths.values())))
-    name_index = {s: i for i, s in enumerate(parent.states)}
-    state_map = [name_index[s] for s in code_shift.states]
-    return parent, state_map, step
+    return list(prov.states), prov.step
 
 
 def partition_action(code: SlidingBlockCode, part: CyclicPartition) -> tuple:
@@ -480,7 +455,7 @@ def partition_action(code: SlidingBlockCode, part: CyclicPartition) -> tuple:
     is torn apart (a precondition violation)."""
     if code.domain != code.codomain:
         raise ShiftMismatchError("partition action needs an endomorphism")
-    base, state_map, step = _resolve_partition_shift(code.domain, part)
+    state_map, step = _resolve_partition_shift(code.domain, part)
     m = part.size
     if step != 1 and step % m != 0:
         raise ShiftMismatchError(
@@ -542,7 +517,7 @@ class WordMap:
         if r < self.left_loss or r < self.right_loss:
             raise WordError("radius smaller than the word map's losses")
         rule = {}
-        for w in language(self.domain, 2 * r + 1):
+        for w in self.domain.language(2 * r + 1):
             rule[w] = self.apply(w)[r - self.left_loss]
         return SlidingBlockCode(self.domain, self.codomain, r, rule)
 
@@ -556,7 +531,7 @@ def word_map_commutes_with_power(wm: WordMap, n: int, length: int) -> bool:
     phase maps checked against the wrong power."""
     if length < wm.left_loss + wm.right_loss + n + 1:
         raise WordError("length too short to decide commutation")
-    for w in language(wm.domain, length):
+    for w in wm.domain.language(length):
         if wm.apply(w)[n:] != wm.apply(w[n:]):
             return False
     return True

@@ -1,8 +1,11 @@
 """Edge shifts: subshifts of finite type presented by nonnegative integer
 adjacency matrices on a finite directed multigraph.
 
-Edges are the alphabet.  All values are immutable after construction and every
-operation is a pure function, so the module is safe for concurrent use.
+Edges are the alphabet.  A derived presentation (a power shift, a class
+restriction, a component) records its provenance: parent shift, parent states
+and step.  All values are immutable after construction and every operation is
+a pure function, so the module is safe for concurrent use; languages and path
+dictionaries are computed on first use and cached on the shift.
 """
 
 from __future__ import annotations
@@ -10,12 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import chain
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .budgets import Budget, check, default_budget
 from .errors import (EmptyShiftError, IterationCapError, ParseError,
-                     ReducibleShiftError)
+                     ReducibleShiftError, ShiftMismatchError, VerificationError)
 
 # Symbols for small alphabets stay single characters so words print compactly.
 _CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -36,6 +41,16 @@ class Edge:
     head: int
 
 
+@dataclass(frozen=True)
+class Provenance:
+    """Where a derived presentation comes from: its state k is the parent
+    state ``states[k]``, and each of its edges is a length-``step`` path of
+    ``parent`` between those states."""
+    parent: "EdgeShift"
+    states: tuple
+    step: int
+
+
 class EdgeShift:
     """An essential directed multigraph presenting an SFT.
 
@@ -43,15 +58,14 @@ class EdgeShift:
     edges from state i to state j.  The edge alphabet is derived from the
     adjacency in (tail, head, parallel-index) order.
 
-    ``parent``/``parent_paths`` are set when this shift presents a power or a
-    class restriction of another shift: each edge symbol then maps back to a
-    path (a word) of the parent shift.
+    ``provenance`` is set when this shift presents a power, a class
+    restriction or a component of another shift (see ``derived_shift``);
+    each edge symbol then maps back to a path (a word) of the parent shift.
     """
 
     def __init__(self, states: Sequence[str], adjacency: Sequence[Sequence[int]],
                  normalization_log: Sequence[str] = (),
-                 parent: Optional["EdgeShift"] = None,
-                 parent_paths: Optional[dict] = None):
+                 provenance: Optional[Provenance] = None):
         states = tuple(str(s) for s in states)
         n = len(states)
         if len(adjacency) != n or any(len(row) != n for row in adjacency):
@@ -65,8 +79,9 @@ class EdgeShift:
         self.states = states
         self.adjacency = tuple(tuple(int(a) for a in row) for row in adjacency)
         self.normalization_log = tuple(normalization_log)
-        self.parent = parent
-        self.parent_paths = dict(parent_paths) if parent_paths else None
+        self.provenance = provenance
+        self._path_tables = None
+        self._languages: dict = {}
 
         symbols = _edge_symbols(sum(a for row in self.adjacency for a in row))
         edges = []
@@ -84,6 +99,46 @@ class EdgeShift:
         for i in range(n):
             if not self.out_edges[i] or not self.in_edges[i]:
                 raise ParseError(f"state {states[i]!r} is not essential; normalize first")
+
+    # -- provenance and language ------------------------------------------
+
+    def _path_maps(self) -> tuple:
+        """(edge symbol -> parent path, parent path -> edge symbol), built on
+        first use.  Parallel edges take their paths in sorted word order."""
+        if self._path_tables is None:
+            prov = self.provenance
+            if prov is None:
+                raise ShiftMismatchError("shift has no parent presentation")
+            pos = {s: k for k, s in enumerate(prov.states)}
+            found = sorted((pos[tail], pos[head], word) for tail, word, head
+                           in _paths_from(prov.parent, prov.states, prov.step))
+            to_path = {sym: word for sym, (_, _, word) in zip(self.alphabet, found)}
+            to_edge = {word: sym for sym, word in to_path.items()}
+            self._path_tables = (to_path, to_edge)
+        return self._path_tables
+
+    @property
+    def parent_paths(self) -> Optional[Mapping]:
+        """Read-only map from each edge symbol to the parent path it encodes,
+        or None when this shift has no parent."""
+        return None if self.provenance is None else MappingProxyType(self._path_maps()[0])
+
+    def to_parent(self, word: Word) -> Word:
+        """The parent path that a word of this presentation encodes."""
+        return tuple(chain.from_iterable(map(self._path_maps()[0].__getitem__, word)))
+
+    def from_parent(self, path: Word) -> Word:
+        """The word of this presentation that encodes a parent path (a tuple)
+        whose length is a multiple of the step."""
+        edge_of = self._path_maps()[1]
+        step = self.provenance.step
+        return tuple(edge_of[path[i:i + step]] for i in range(0, len(path), step))
+
+    def language(self, length: int) -> tuple:
+        """``words_of_length(self, length)``, computed once per length."""
+        if length not in self._languages:
+            self._languages[length] = words_of_length(self, length)
+        return self._languages[length]
 
     # -- basic accessors -------------------------------------------------
 
@@ -219,14 +274,19 @@ def mat_mul(a, b):
 
 
 def mat_pow(a, n: int):
+    """a^n by binary powering, with no product by the identity and no square
+    beyond the highest bit of n (a^1 costs no multiplication)."""
     size = len(a)
-    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    result = None
     base = [list(r) for r in a]
     while n:
         if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = base if result is None else mat_mul(result, base)
         n >>= 1
+        if n:
+            base = mat_mul(base, base)
+    if result is None:
+        return [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     return result
 
 
@@ -434,51 +494,43 @@ def perron_root_by_charpoly(matrix, tol: float = 1e-13) -> float:
     return (lo + hi) / 2.0
 
 
-# -- power shifts ----------------------------------------------------------
+# -- derived presentations -------------------------------------------------
 
 
-def power_shift(sft: EdgeShift, n: int, include_paths: bool = True,
-                budget: Optional[Budget] = None) -> EdgeShift:
-    """Present (X, sigma^n): same states, edges are the length-n paths.
+def _paths_from(sft: EdgeShift, starts, length: int) -> list:
+    """Every path of ``length`` edges leaving a state in ``starts``, as
+    (tail state, word, head state), by frontier expansion."""
+    moves = [[(sym, sft.head(sym)) for sym in out] for out in sft.out_edges]
+    frontier = [(start, (), start) for start in starts]
+    for _ in range(length):
+        frontier = [(tail, word + (sym,), head)
+                    for tail, word, at in frontier for sym, head in moves[at]]
+    return frontier
 
-    When ``include_paths`` is set, each new edge carries the parent path it
-    encodes, so points of the power shift map back to points of the original.
-    """
+
+def derived_shift(parent: EdgeShift, states: Sequence[int], step: int) -> EdgeShift:
+    """Present (paths through ``states``, sigma^step): the states are the
+    given parent states, in order, and the edges are the parent's length-step
+    paths between them, so the adjacency is A^step restricted to ``states``.
+    Every such path must stay inside ``states``."""
+    states = tuple(states)
+    an = mat_pow(parent.adjacency, step)
+    chosen = set(states)
+    if any(an[i][j] for i in states for j in range(parent.n_states) if j not in chosen):
+        raise VerificationError(f"length-{step} path escaped the chosen states")
+    return EdgeShift([parent.states[i] for i in states],
+                     [[an[i][j] for j in states] for i in states],
+                     provenance=Provenance(parent, states, step))
+
+
+def power_shift(sft: EdgeShift, n: int, budget: Optional[Budget] = None) -> EdgeShift:
+    """Present (X, sigma^n): same states, edges are the length-n paths, each
+    mapping back to the parent path it encodes (``parent_paths``)."""
     if n < 1:
         raise ParseError("power must be >= 1")
     budget = budget or default_budget()
-    an = mat_pow([list(r) for r in sft.adjacency], n)
-    total = sum(sum(r) for r in an)
-    check(total, budget.path_count, "power shift path count")
-    if not include_paths:
-        return EdgeShift(sft.states, an, parent=sft, parent_paths=None)
-
-    # enumerate length-n paths grouped by (tail, head), lexicographic in symbols
-    paths_by_pair: dict = {}
-    for start in range(sft.n_states):
-        frontier = [((), start)]
-        for _ in range(n):
-            nxt = []
-            for word, at in frontier:
-                for sym in sft.out_edges[at]:
-                    nxt.append((word + (sym,), sft.head(sym)))
-            frontier = nxt
-        for word, end in frontier:
-            paths_by_pair.setdefault((start, end), []).append(word)
-    for key in paths_by_pair:
-        paths_by_pair[key].sort()
-        assert len(paths_by_pair[key]) == an[key[0]][key[1]]
-
-    result = EdgeShift(sft.states, an, parent=sft, parent_paths={})
-    # assign parent paths following the canonical edge enumeration order
-    mapping = {}
-    counters = {key: 0 for key in paths_by_pair}
-    for e in result.edges:
-        key = (e.tail, e.head)
-        mapping[e.symbol] = paths_by_pair[key][counters[key]]
-        counters[key] += 1
-    result.parent_paths = mapping
-    return result
+    check(word_count(sft, n), budget.path_count, "power shift path count")
+    return derived_shift(sft, range(sft.n_states), n)
 
 
 # -- language enumeration ---------------------------------------------------
@@ -512,14 +564,7 @@ def words_of_length(sft: EdgeShift, length: int,
         return ((),)
     budget = budget or default_budget()
     check(word_count(sft, length), budget.word_count, "word count")
-    frontier = [((sym,), sft.head(sym)) for sym in sft.alphabet]
-    for _ in range(length - 1):
-        nxt = []
-        for word, at in frontier:
-            for sym in sft.out_edges[at]:
-                nxt.append((word + (sym,), sft.head(sym)))
-        frontier = nxt
-    return tuple(sorted(w for w, _ in frontier))
+    return tuple(sorted(word for _, word, _ in _paths_from(sft, range(sft.n_states), length)))
 
 
 def words(sft: EdgeShift, max_length: int, budget: Optional[Budget] = None) -> LanguageTable:

@@ -17,8 +17,8 @@ from typing import Optional
 
 from .errors import (NoPowerDecompositionError, NoSuchEigenvalueError,
                      ReducibleShiftError, VerificationError)
-from .sft import (EdgeShift, bfs_levels, is_irreducible, is_mixing, period,
-                  power_shift)
+from .sft import (EdgeShift, bfs_levels, derived_shift, is_irreducible,
+                  is_mixing, period, power_shift)
 
 
 def divisors(n: int) -> tuple:
@@ -152,35 +152,7 @@ def class_restriction(sft: EdgeShift, part: CyclicPartition, power: int) -> Edge
     paths from class 0 return to class 0."""
     if power % part.size != 0:
         raise NoSuchEigenvalueError("power must be a multiple of the partition size")
-    class0 = sorted(part.classes[0])
-    index_of = {s: i for i, s in enumerate(class0)}
-    paths_by_pair: dict = {}
-    for start in class0:
-        frontier = [((), start)]
-        for _ in range(power):
-            nxt = []
-            for word, at in frontier:
-                for sym in sft.out_edges[at]:
-                    nxt.append((word + (sym,), sft.head(sym)))
-            frontier = nxt
-        for word, end in frontier:
-            if end not in index_of:
-                raise VerificationError("length-power path escaped class 0")
-            paths_by_pair.setdefault((index_of[start], index_of[end]), []).append(word)
-    k = len(class0)
-    adjacency = [[len(paths_by_pair.get((i, j), [])) for j in range(k)] for i in range(k)]
-    for key in paths_by_pair:
-        paths_by_pair[key].sort()
-    result = EdgeShift([sft.states[s] for s in class0], adjacency,
-                       parent=sft, parent_paths={})
-    mapping = {}
-    counters = {key: 0 for key in paths_by_pair}
-    for e in result.edges:
-        key = (e.tail, e.head)
-        mapping[e.symbol] = paths_by_pair[key][counters[key]]
-        counters[key] += 1
-    result.parent_paths = mapping
-    return result
+    return derived_shift(sft, sorted(part.classes[0]), power)
 
 
 def smale(sft: EdgeShift) -> SmaleDecomposition:
@@ -207,7 +179,7 @@ def is_power_transitive(sft: EdgeShift, n: int, verify: bool = False) -> bool:
         raise ValueError("power must be >= 1")
     answer = math.gcd(n, period(sft)) == 1
     if verify:
-        graph = is_irreducible(power_shift(sft, n, include_paths=False))
+        graph = is_irreducible(power_shift(sft, n))
         if graph != answer:
             raise VerificationError(
                 f"transitivity formula ({answer}) disagrees with connectivity ({graph})")

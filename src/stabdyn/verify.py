@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 
 from .budgets import Budget
 from .codes import (AutomorphismSet, SlidingBlockCode, WordMap, compose,
-                    enumerate_automorphisms, language, partition_action,
-                    shift_code)
+                    enumerate_automorphisms, partition_action, shift_code)
 from .errors import (NoSuchEigenvalueError, StabdynError, VerificationError,
                      ZeroEntropyError)
 from .groups import (FiniteGroup, all_perms, compose_perm, cyclic_group,
@@ -43,8 +42,6 @@ class SplitInstance:
     part: CyclicPartition
     power: EdgeShift             # Y: presentation of (X, sigma^N)
     component: EdgeShift         # Z: presentation of (X_m, sigma^N restricted)
-    block_of_path: dict
-    component_block_of_path: dict
 
     @staticmethod
     def build(base: EdgeShift, n: int, m: int) -> "SplitInstance":
@@ -55,36 +52,8 @@ class SplitInstance:
             raise StabdynError(f"sigma^{n} is not transitive (period {p})")
         stride = n * m
         part = cyclic_partition(base, m)
-        power = power_shift(base, stride)
-        component = class_restriction(base, part, stride)
-        return SplitInstance(
-            base, n, m, stride, part, power, component,
-            {path: sym for sym, path in power.parent_paths.items()},
-            {path: sym for sym, path in component.parent_paths.items()})
-
-    # path plumbing
-
-    def power_word_to_path(self, word) -> tuple:
-        out = []
-        for sym in word:
-            out.extend(self.power.parent_paths[sym])
-        return tuple(out)
-
-    def component_word_to_path(self, word) -> tuple:
-        out = []
-        for sym in word:
-            out.extend(self.component.parent_paths[sym])
-        return tuple(out)
-
-    def path_to_power_word(self, path) -> tuple:
-        k = self.stride
-        return tuple(self.block_of_path[tuple(path[i:i + k])]
-                     for i in range(0, len(path), k))
-
-    def path_to_component_word(self, path) -> tuple:
-        k = self.stride
-        return tuple(self.component_block_of_path[tuple(path[i:i + k])]
-                     for i in range(0, len(path), k))
+        return SplitInstance(base, n, m, stride, part, power_shift(base, stride),
+                             class_restriction(base, part, stride))
 
     def class_of_power_symbol(self, sym: str) -> int:
         return self.part.class_of_state(self.power.tail(sym))
@@ -99,14 +68,12 @@ class SplitInstance:
         stride = self.stride
 
         def fn(word):
-            path = self.power_word_to_path(word)
+            path = self.power.to_parent(word)
             c = self.class_of_power_symbol(word[0])
             delta = sigma[c] - c
-            out = []
-            for j in range(1, len(word) - 1):
-                out.append(self.block_of_path[path[j * stride + delta:
-                                                   (j + 1) * stride + delta]])
-            return tuple(out)
+            # blocks 1..L-2 of the path moved by delta
+            return self.power.from_parent(
+                path[stride + delta:(len(word) - 1) * stride + delta])
 
         return WordMap(self.power, self.power, 1, 1, fn).to_code()
 
@@ -138,26 +105,22 @@ class SplitInstance:
 
         def fn(word):
             L = len(word)
-            path = self.power_word_to_path(word)
+            path = self.power.to_parent(word)
             c = self.class_of_power_symbol(word[0])
             code = components[c]
             pad = code.radius
             # x = T^{-c} y: x[i] = y[i - c]; x-blocks 1..L-1 are available
             # (blocks 0..L-1 when c = 0)
             x_path = path[stride - c:] if c > 0 else path
-            x_word = self.path_to_component_word(
+            x_word = self.component.from_parent(
                 x_path[: (len(x_path) // stride) * stride])
-            u_blocks = code.apply(x_word)
+            u_path = self.component.to_parent(code.apply(x_word))
             first_u_block = (1 if c > 0 else 0) + pad
-            u_path = []
-            for b in u_blocks:
-                u_path.extend(self.component.parent_paths[b])
-            # z = T^c u: z-block J covers u-positions [J*stride+c, (J+1)*stride+c)
-            out = []
-            for j in range(1 + rho_rad, L - rho_rad - 1):
-                start = j * stride + c - first_u_block * stride
-                out.append(self.block_of_path[tuple(u_path[start:start + stride])])
-            return tuple(out)
+            # z = T^c u: z-block J covers u-positions [J*stride+c, (J+1)*stride+c);
+            # blocks 1+rho_rad..L-rho_rad-2 are emitted
+            shift = c - first_u_block * stride
+            return self.power.from_parent(
+                u_path[(1 + rho_rad) * stride + shift:(L - rho_rad - 1) * stride + shift])
 
         return WordMap(self.power, self.power, 1 + rho_rad, 1 + rho_rad, fn).to_code()
 
@@ -171,22 +134,16 @@ class SplitInstance:
 
         def fn(word):
             L = len(word)
-            path = self.component_word_to_path(word)
+            path = self.component.to_parent(word)
             # y = T^i x: y[j] = x[j + i]; y-blocks 0..L-2 available (uniformly)
             y_path = path[i:]
             usable = ((len(y_path)) // stride) * stride
-            y_word = self.path_to_power_word(y_path[:usable])
-            w_blocks = code.apply(y_word)  # y-blocks R..(L-2-R) when i>0
-            w_path = []
-            for b in w_blocks:
-                w_path.extend(self.power.parent_paths[b])
-            first_w_block = R
-            out = []
-            for j in range(R + 1, L - R - 1):
-                start = j * stride - i - first_w_block * stride
-                out.append(self.component_block_of_path[
-                    tuple(w_path[start:start + stride])])
-            return tuple(out)
+            y_word = self.power.from_parent(y_path[:usable])
+            w_path = self.power.to_parent(code.apply(y_word))  # y-blocks R..(L-2-R)
+            # blocks R+1..L-R-2 are emitted
+            shift = -i - R * stride
+            return self.component.from_parent(
+                w_path[(R + 1) * stride + shift:(L - R - 1) * stride + shift])
 
         return WordMap(self.component, self.component, R + 1, R + 1, fn).to_code()
 
@@ -248,30 +205,28 @@ class WreathDecompositionReport:
 
 def _effective_radius(shift: EdgeShift, requested: int, key_cap: int = 32) -> int:
     r = requested
-    while r > 0 and len(language(shift, 2 * r + 1)) > key_cap:
+    while r > 0 and len(shift.language(2 * r + 1)) > key_cap:
         r -= 1
     return r
 
 
 def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
-                          inv_radius: Optional[int] = None,
                           max_tuples: int = 48, max_pairs: int = 200,
                           max_kernel: int = 24,
                           budget: Optional[Budget] = None) -> WreathDecompositionReport:
     """Verify the split exact sequence
     1 -> Aut(s^{nm} on X_m)^m -> Aut(s^{nm}) -> Sym(m) -> 1 on the enumerated
     radius-bounded stage: pi.rho = id, ker pi = im psi, the conjugation
-    relation rho(s)^{-1} psi(g) rho(s) = psi(g o s), and homomorphism laws."""
+    relation rho(s)^{-1} psi(g) rho(s) = psi(g o s), and homomorphism laws.
+    Inverses are searched up to twice the effective radius; the report's
+    ``inv_radius`` is twice the requested radius."""
     inst = SplitInstance.build(sft, n, m)
     notes = []
     r_eff = _effective_radius(inst.power, radius)
     if r_eff != radius:
         notes.append(f"enumeration radius reduced from {radius} to {r_eff} "
                      f"(power-presentation language size)")
-    if inv_radius is None:
-        inv_radius = 2 * radius
-    inv_eff = max(2 * r_eff, r_eff)
-    autos = enumerate_automorphisms(inst.power, 1, r_eff, inv_eff, budget)
+    autos = enumerate_automorphisms(inst.power, r_eff, 2 * r_eff, budget)
     checks: list = []
 
     # pi on the enumerated stage
@@ -328,8 +283,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
 
     # component stage and psi tuples
     r_comp = _effective_radius(inst.component, max(radius, 1))
-    comp_autos = enumerate_automorphisms(inst.component, 1, r_comp,
-                                         2 * r_comp, budget)
+    comp_autos = enumerate_automorphisms(inst.component, r_comp, 2 * r_comp, budget)
     tuples = list(itertools.islice(
         itertools.product(range(len(comp_autos.elements)), repeat=m), max_tuples))
 
@@ -422,7 +376,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
     psi_table = {tup: code.to_document() for tup, code in psi_of.items()}
     return WreathDecompositionReport(
         matrix_hash=sft.matrix_hash(), n=n, m=m, radius=radius,
-        inv_radius=inv_radius, effective_radius=r_eff,
+        inv_radius=2 * radius, effective_radius=r_eff,
         automorphism_count=len(autos.elements), kernel_size=len(kernel),
         image_size=len(image), checks=checks, pi_table=pi_table,
         rho_table=rho_table, psi_table=psi_table, notes=notes)
@@ -541,9 +495,9 @@ def verify_quotient_isos(sft: EdgeShift, m: int, radius: int,
     if inv_radius is None:
         inv_radius = 2 * radius
     dec = smale(sft)
-    lhs = enumerate_automorphisms(sft, 1, radius, inv_radius, budget)
+    lhs = enumerate_automorphisms(sft, radius, inv_radius, budget)
     r_comp = _effective_radius(dec.component_shift, max(radius, 1))
-    rhs = enumerate_automorphisms(dec.component_shift, 1, r_comp, 2 * r_comp, budget)
+    rhs = enumerate_automorphisms(dec.component_shift, r_comp, 2 * r_comp, budget)
 
     lhs_mod_shift = _quotient_group(lhs, 1)
     lhs_mod_power = _quotient_group(lhs, m)
@@ -669,14 +623,6 @@ class EntropyRatioReport:
         }
 
 
-def _convergents(x: float, max_denominator: int):
-    frac = Fraction(x).limit_denominator(max_denominator)
-    yield frac
-    # also scan small denominators directly for robustness near ties
-    for q in range(1, max_denominator + 1):
-        yield Fraction(round(x * q), q)
-
-
 def entropy_ratio(x: EdgeShift, y: EdgeShift, max_denominator: int = 50,
                   tol: float = 1e-9) -> EntropyRatioReport:
     """Best rational approximation of h(x)/h(y) with bounded denominator.
@@ -689,8 +635,8 @@ def entropy_ratio(x: EdgeShift, y: EdgeShift, max_denominator: int = 50,
     """
     if tol < 1e-12:
         raise StabdynError("tolerance below numeric resolution")
-    hx = entropy(x).log_value
-    hy = entropy(y).log_value
+    ent_x, ent_y = entropy(x), entropy(y)
+    hx, hy = ent_x.log_value, ent_y.log_value
     if hx <= 0.0 or hy <= 0.0:
         raise ZeroEntropyError("entropy ratio needs positive entropies")
     for shift, h in ((x, hx), (y, hy)):
@@ -699,18 +645,12 @@ def entropy_ratio(x: EdgeShift, y: EdgeShift, max_denominator: int = 50,
         if abs(comp_h - dec.period * h) > 1e-9:
             raise VerificationError("Smale component entropy mismatch")
     ratio = hx / hy
-    best = None
-    for frac in _convergents(ratio, max_denominator):
-        if frac.denominator > max_denominator or frac.denominator == 0:
-            continue
-        err = abs(ratio - float(frac))
-        if best is None or err < best[0]:
-            best = (err, frac)
-    err, frac = best
+    # the closest fraction with denominator <= max_denominator
+    frac = Fraction(ratio).limit_denominator(max_denominator)
+    err = abs(ratio - float(frac))
     verdict = "rational-within-tolerance" if err <= tol else "inconclusive"
     exact = None
-    lam_x = entropy(x).perron_value
-    lam_y = entropy(y).perron_value
+    lam_x, lam_y = ent_x.perron_value, ent_y.perron_value
     if abs(lam_x - round(lam_x)) < 1e-9 and abs(lam_y - round(lam_y)) < 1e-9 \
             and verdict == "rational-within-tolerance" and frac.numerator > 0:
         exact = (round(lam_x) ** frac.denominator == round(lam_y) ** frac.numerator)

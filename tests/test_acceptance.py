@@ -11,8 +11,7 @@ import math
 import random
 import time
 
-from stabdyn.codes import (compose, enumerate_automorphisms, identity_code,
-                           language)
+from stabdyn.codes import compose, enumerate_automorphisms, identity_code
 from stabdyn.groups import (compose_perm, cyclic_group, direct_product,
                             identity_perm, is_isomorphic, klein_group,
                             klein_subset_sym4, symmetric_group)
@@ -183,7 +182,7 @@ def test_acceptance_08_power_laws():
         for name, sft, p in catalog():
             h = entropy(sft).log_value
             for n in range(1, 13):
-                ps = power_shift(sft, n, include_paths=False)
+                ps = power_shift(sft, n)
                 assert abs(entropy(ps).log_value - n * h) < 1e-9, (name, n)
                 formula = is_power_transitive(sft, n)
                 assert formula == (math.gcd(n, p) == 1), (name, n)
@@ -206,12 +205,12 @@ def test_acceptance_09_example_sequences():
 
 def test_acceptance_10_automorphism_ground_truth():
     with _Timer(10, "automorphism-ground-truth", 30):
-        full2 = enumerate_automorphisms(full_shift(2), 1, 0, 0)
+        full2 = enumerate_automorphisms(full_shift(2), 0, 0)
         assert len(full2) == 2
-        gm = enumerate_automorphisms(golden_mean(), 1, 0, 0)
+        gm = enumerate_automorphisms(golden_mean(), 0, 0)
         assert len(gm) == 1
         for autos in [full2, gm,
-                      enumerate_automorphisms(doubled_loop_period2(), 1, 1)]:
+                      enumerate_automorphisms(doubled_loop_period2(), 1)]:
             assert identity_code(autos.shift) in autos.elements
             for code, inv in zip(autos.elements, autos.inverses):
                 assert compose(code, inv).is_identity()

@@ -51,7 +51,7 @@ def test_group_order_budget():
 def test_enum_node_budget():
     tiny = Budget(enum_nodes=3)
     with pytest.raises(BudgetExceededError):
-        enumerate_automorphisms(full_shift(2), 1, 1, budget=tiny)
+        enumerate_automorphisms(full_shift(2), 1, budget=tiny)
 
 
 def test_sym_normal_budget():

@@ -53,12 +53,32 @@ def test_eigs_and_partition(capsys):
     assert doc["classes"] == [["0"], ["1"]]
 
 
+CYCLE3 = "0 1 0 / 0 0 1 / 1 0 0"
+
+
 def test_autos_counts(capsys):
-    for matrix, power, expected in [("2", 1, 2), ("2", 2, 2), ("1 1 / 1 0", 1, 1)]:
+    # --power n enumerates over the n-th power presentation: sigma^2 of the
+    # full 2-shift is the full 4-shift (24 symbol bijections), and sigma^3 of
+    # the 3-cycle is three disjoint loops (3! component permutations)
+    for matrix, power, radius, expected in [
+            ("2", 1, 0, 2), ("2", 2, 0, 24), ("1 1 / 1 0", 1, 0, 1),
+            (CYCLE3, 1, 1, 3), (CYCLE3, 2, 1, 3), (CYCLE3, 3, 1, 6)]:
         code, out, _ = run(capsys, ["autos", matrix, "--power", str(power),
-                                    "--radius", "0", "--json"])
+                                    "--radius", str(radius), "--json"])
         assert code == 0
-        assert json.loads(out)["count"] == expected
+        doc = json.loads(out)
+        assert (doc["count"], doc["power"]) == (expected, power)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-wreath", "0 2 / 1 0", "--n", "1", "--m", "2", "--inv-radius", "2"],
+    ["eigs", "2", "--seed", "0"],
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_wreath_keystone(capsys):

@@ -12,7 +12,7 @@ from stabdyn.errors import (ImageSplitsClassesError, ShiftMismatchError,
 from stabdyn.codes import (AutomorphismSet, SlidingBlockCode, WordMap,
                            apply_code, commutes_with_power, compose,
                            enumerate_automorphisms, find_inverse,
-                           identity_code, language, partition_action,
+                           identity_code, partition_action,
                            rotation_index, shift_code, symbol_map_code,
                            word_map_commutes_with_power, word_map_from_code)
 from stabdyn.sft import full_shift, power_shift
@@ -49,7 +49,7 @@ def test_apply_shift_by_one():
     # while the radius-1 rule selecting the window center is the identity
     # (its apply trims to the middle)
     padded_id = SlidingBlockCode(full_shift(2), full_shift(2), 1,
-                                 {w: w[1] for w in language(full_shift(2), 3)})
+                                 {w: w[1] for w in full_shift(2).language(3)})
     assert apply_code(padded_id, word("0110")) == word("11")
     assert padded_id.canonical() == identity_code(full_shift(2))
 
@@ -102,7 +102,7 @@ def test_canonical_equality_is_chl_closure():
     sft = full_shift(2)
     f = flip_code(sft)
     padded = SlidingBlockCode(sft, sft, 2, {w: {"0": "1", "1": "0"}[w[2]]
-                                            for w in language(sft, 5)})
+                                            for w in sft.language(5)})
     assert padded.canonical_radius == 0
     assert padded == f
 
@@ -156,7 +156,7 @@ def test_find_inverse_rejects_xor():
     # x_i -> x_i + x_{i+1} mod 2 is onto but two-to-one; no diamonds exist,
     # so only center recovery can reject it
     sft = full_shift(2)
-    rule = {w: str((int(w[1]) + int(w[2])) % 2) for w in language(sft, 3)}
+    rule = {w: str((int(w[1]) + int(w[2])) % 2) for w in sft.language(3)}
     xor = SlidingBlockCode(sft, sft, 1, rule)
     for R in range(0, 4):
         assert find_inverse(xor, R) is None
@@ -165,33 +165,35 @@ def test_find_inverse_rejects_xor():
 # -- enumeration ---------------------------------------------------------------------
 
 def test_enumerate_full_two_radius0():
-    autos = enumerate_automorphisms(full_shift(2), 1, 0, 0)
+    autos = enumerate_automorphisms(full_shift(2), 0, 0)
     assert len(autos) == 2
     assert identity_code(full_shift(2)) in autos.elements
     assert flip_code(full_shift(2)) in autos.elements
 
 
 def test_enumerate_full_two_power_two_radius0():
-    # radius-0 rules cannot distinguish the shift from its square
-    autos = enumerate_automorphisms(full_shift(2), 2, 0, 0)
-    assert len(autos) == 2
+    # sigma^2 of the full 2-shift is the full 4-shift: every bijection of its
+    # four symbols is a radius-0 automorphism
+    autos = enumerate_automorphisms(power_shift(full_shift(2), 2), 0, 0)
+    assert len(autos) == 24
+    assert autos.power == 2
 
 
 def test_enumerate_golden_mean_radius0():
-    autos = enumerate_automorphisms(golden_mean(), 1, 0, 0)
+    autos = enumerate_automorphisms(golden_mean(), 0, 0)
     assert len(autos) == 1
     assert autos.elements[0].is_identity()
 
 
 def test_enumerate_full_three_radius0():
     # all six symbol bijections are automorphisms of the full 3-shift
-    autos = enumerate_automorphisms(full_shift(3), 1, 0, 0)
+    autos = enumerate_automorphisms(full_shift(3), 0, 0)
     assert len(autos) == 6
 
 
 def test_enumerate_full_two_radius1_is_reversible_eca_census():
     # the reversible elementary CA: shifts and complement compositions
-    autos = enumerate_automorphisms(full_shift(2), 1, 1)
+    autos = enumerate_automorphisms(full_shift(2), 1)
     assert len(autos) == 6
     expected = set()
     f2 = full_shift(2)
@@ -202,14 +204,14 @@ def test_enumerate_full_two_radius1_is_reversible_eca_census():
 
 
 def test_enumerate_golden_mean_radius1_shifts_only():
-    autos = enumerate_automorphisms(golden_mean(), 1, 1)
+    autos = enumerate_automorphisms(golden_mean(), 1)
     gm = golden_mean()
     assert set(autos.elements) == {shift_code(gm, -1), identity_code(gm),
                                    shift_code(gm, 1)}
 
 
 def test_enumerate_doubled_cycle_radius0_side_swaps():
-    autos = enumerate_automorphisms(doubled_cycle_period2(), 1, 0, 0)
+    autos = enumerate_automorphisms(doubled_cycle_period2(), 0, 0)
     assert len(autos) == 8
 
 
@@ -217,7 +219,7 @@ def test_enumerate_power_presentation_components():
     # sigma^2 automorphisms of the period-2 doubled-loop graph, enumerated on
     # the power presentation: two full-2 components, radius 1 each
     y = power_shift(doubled_loop_period2(), 2)
-    autos = enumerate_automorphisms(y, 1, 1)
+    autos = enumerate_automorphisms(y, 1)
     assert len(autos) == 72  # 2 component permutations x 6 x 6
 
 
@@ -231,7 +233,7 @@ def test_enumerated_sets_satisfy_group_laws():
         (doubled_cycle_period3(), 1, 1),
     ]
     for sft, n, r in cases:
-        autos = enumerate_automorphisms(sft, n, r)
+        autos = enumerate_automorphisms(sft, r)
         ident = identity_code(sft)
         assert ident in autos.elements
         for code, inv in zip(autos.elements, autos.inverses):
@@ -253,22 +255,22 @@ def test_enumerated_sets_satisfy_group_laws():
 def test_enumerated_codes_preserve_admissibility():
     for sft, r in [(full_shift(2), 1), (golden_mean(), 1),
                    (doubled_cycle_period3(), 1)]:
-        autos = enumerate_automorphisms(sft, 1, r)
+        autos = enumerate_automorphisms(sft, r)
         for code in autos.elements:
             for length in range(2 * r + 1, 2 * r + 6):
-                for w in language(sft, length):
+                for w in sft.language(length):
                     assert sft.is_admissible(code.apply(w))
 
 
 def test_enumeration_is_deterministic():
-    a = enumerate_automorphisms(full_shift(2), 1, 1)
-    b = enumerate_automorphisms(full_shift(2), 1, 1)
+    a = enumerate_automorphisms(full_shift(2), 1)
+    b = enumerate_automorphisms(full_shift(2), 1)
     assert [c.canonical_key() for c in a.elements] == \
         [c.canonical_key() for c in b.elements]
 
 
 def test_automorphism_set_document():
-    autos = enumerate_automorphisms(full_shift(2), 1, 0, 0)
+    autos = enumerate_automorphisms(full_shift(2), 0, 0)
     doc = autos.to_document()
     assert doc["count"] == 2 and doc["schema_version"] == 1
 
@@ -291,7 +293,7 @@ def test_partition_action_class_swap():
     sft = doubled_cycle_period2()
     part = cyclic_partition(sft, 2)
     swap = None
-    for code in enumerate_automorphisms(sft, 1, 0, 0).elements:
+    for code in enumerate_automorphisms(sft, 0, 0).elements:
         if partition_action(code, part) == (1, 0):
             swap = code
             break
@@ -301,7 +303,7 @@ def test_partition_action_class_swap():
 def test_partition_action_homomorphism():
     sft = doubled_cycle_period2()
     part = cyclic_partition(sft, 2)
-    autos = enumerate_automorphisms(sft, 1, 0, 0)
+    autos = enumerate_automorphisms(sft, 0, 0)
     for f in autos.elements:
         pf = partition_action(f, part)
         for g in autos.elements:
@@ -349,6 +351,6 @@ def test_partition_action_on_power_presentation():
     base = doubled_loop_period2()
     part = cyclic_partition(base, 2)
     y = power_shift(base, 2)
-    autos = enumerate_automorphisms(y, 1, 1)
+    autos = enumerate_automorphisms(y, 1)
     actions = {partition_action(code, part) for code in autos.elements}
     assert actions == {(0, 1), (1, 0)}

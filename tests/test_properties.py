@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from stabdyn.codes import compose, find_inverse, language, shift_code
+from stabdyn.codes import compose, find_inverse, shift_code
 from stabdyn.groups import cyclic_group, symmetric_group
 from stabdyn.sft import full_shift, make_edge_shift, word_count, words_of_length
 from stabdyn.wreath import (WreathContext, wr_comm, wr_comm_definitional,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,8 @@ from stabdyn.sft import (EdgeShift, entropy, full_shift, is_irreducible,
                          period, period_by_cycles, perron_root_by_charpoly,
                          power_shift, state_words, strongly_connected_components,
                          word_count, words, words_of_length)
+
+from stabdyn.spectral import class_restriction, cyclic_partition, divisors
 
 from conftest import (cycle_graph, doubled_cycle_period3, golden_mean)
 
@@ -197,6 +200,45 @@ def test_power_shift_paths_are_admissible_parent_words():
         assert sft.head(path[-1]) == p.head(sym)
 
 
+def _check_provenance(sft, derived, chosen, step):
+    """The derived presentation on parent states ``chosen`` at ``step``:
+    adjacency counts the parent's length-step paths (the restricted A^step),
+    its paths are exactly those paths, and words round-trip."""
+    assert derived.provenance.parent is sft
+    assert derived.provenance.states == tuple(chosen)
+    assert derived.provenance.step == step
+    counts = Counter((sft.tail(w[0]), sft.head(w[-1])) for w in sft.language(step))
+    assert derived.adjacency == tuple(tuple(counts[(i, j)] for j in chosen)
+                                      for i in chosen)
+    for sym, path in derived.parent_paths.items():
+        assert len(path) == step and sft.is_admissible(path)
+        assert chosen[derived.tail(sym)] == sft.tail(path[0])
+        assert chosen[derived.head(sym)] == sft.head(path[-1])
+    assert len(set(derived.parent_paths.values())) == len(derived.alphabet)
+    by_pair: dict = {}
+    for sym in derived.alphabet:  # parallel edges take their paths in word order
+        by_pair.setdefault((derived.tail(sym), derived.head(sym)), []).append(
+            derived.parent_paths[sym])
+    assert all(paths == sorted(paths) for paths in by_pair.values())
+    for w in derived.language(2):
+        assert derived.from_parent(derived.to_parent(w)) == w
+    with pytest.raises(AttributeError):
+        derived.parent_paths = {}
+    with pytest.raises(TypeError):
+        derived.parent_paths[derived.alphabet[0]] = ()
+
+
+def test_derived_presentations_provenance(graph_catalog):
+    for name, sft, p in graph_catalog:
+        for step in range(1, 5):
+            _check_provenance(sft, power_shift(sft, step), range(sft.n_states), step)
+            for m in divisors(p):
+                part = cyclic_partition(sft, m)
+                chosen = sorted(part.classes[0])
+                _check_provenance(sft, class_restriction(sft, part, m * step),
+                                  chosen, m * step)
+
+
 def test_power_shift_rejects_zero():
     with pytest.raises(ParseError):
         power_shift(full_shift(2), 0)
@@ -206,7 +248,7 @@ def test_entropy_of_power_scales(graph_catalog):
     for name, sft, _ in graph_catalog:
         h = entropy(sft).log_value
         for n in range(1, 7):
-            p = power_shift(sft, n, include_paths=False)
+            p = power_shift(sft, n)
             assert abs(entropy(p).log_value - n * h) < 1e-9, (name, n)
 
 
@@ -216,7 +258,7 @@ def test_period_of_power_components(graph_catalog):
     for name, sft, p in graph_catalog:
         for n in range(1, 13):
             expected = p // math.gcd(n, p)
-            ps = power_shift(sft, n, include_paths=False)
+            ps = power_shift(sft, n)
             for comp in strongly_connected_components(ps):
                 sub = [[ps.adjacency[i][j] for j in comp] for i in comp]
                 restricted = make_edge_shift([str(i) for i in comp], sub)
