@@ -3,7 +3,7 @@ forms, invertibility, exhaustive enumeration of radius-bounded automorphisms
 of a presentation, and the induced action on cyclic partitions.
 
 A code is a total rule on the admissible (2r+1)-words of its domain, applied
-at every position.  Elements of Aut(sigma^n), including those that do not
+at every position; ``images`` applies it to a whole language by gather.  Elements of Aut(sigma^n), including those that do not
 commute with sigma itself, are codes over the n-th power-shift presentation,
 so a stage of Aut(sigma^n) is enumerated over ``power_shift(sft, n)``; the
 ``WordMap`` helper builds such codes from point-map evaluators.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .budgets import Budget, check, default_budget
@@ -156,14 +157,32 @@ def apply_code(code: SlidingBlockCode, word: Word) -> Word:
     return code.apply(word)
 
 
+def images(code: SlidingBlockCode, length: int) -> list:
+    """``[code.apply(w) for w in code.domain.language(length)]``, as a gather:
+    the rule is looked up once per (2r+1)-word, each output offset takes its
+    column of ``subwindow_ids``, and the columns are zipped into image words."""
+    width = 2 * code.radius + 1
+    if length < width:
+        raise WordError(f"length {length} shorter than window {width}")
+    outputs = list(map(code.rule.__getitem__, code.domain.language(width)))
+    return list(zip(*[_gather(outputs, column)
+                      for column in code.domain.subwindow_ids(length, width)]))
+
+
+def _gather(values: list, ids: tuple) -> tuple:
+    """``tuple(values[i] for i in ids)``."""
+    return itemgetter(*ids)(values) if len(ids) > 1 else tuple(values[i] for i in ids)
+
+
 def compose(f: SlidingBlockCode, g: SlidingBlockCode) -> SlidingBlockCode:
-    """f after g.  Radius adds; use ``canonical()`` to shrink."""
+    """f after g, with radius r_f + r_g: the rule sends each (2r+1)-word w
+    to f's output on g's image of w (``images``).  Use ``canonical()`` to
+    shrink the radius."""
     if g.codomain != f.domain:
         raise ShiftMismatchError("codomain of g differs from domain of f")
     r = f.radius + g.radius
-    rule = {}
-    for w in g.domain.language(2 * r + 1):
-        rule[w] = f.rule[g.apply(w)]
+    rule = dict(zip(g.domain.language(2 * r + 1),
+                    map(f.rule.__getitem__, images(g, 2 * r + 1))))
     return SlidingBlockCode(g.domain, f.codomain, r, rule, validate=False)
 
 
@@ -198,9 +217,9 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
     not surjective.  The candidate is then verified on both sides.
     """
     r, R = code.radius, inv_radius
+    length = 2 * (R + r) + 1
     table: dict = {}
-    for u in code.domain.language(2 * (R + r) + 1):
-        v = code.apply(u)
+    for u, v in zip(code.domain.language(length), images(code, length)):
         center = u[R + r]
         if table.setdefault(v, center) != center:
             return None
@@ -292,20 +311,19 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
                 used.pop(symbol, None)
             out[pos] = None
 
+    # the quick filters' fixed data: the codomain's 3-words and the flank
+    # pair (first and last 2r symbols) of every (2r+5)-word of the domain
+    codomain_triples = set(codomain.language(3))
+    flank = 2 * radius
+    flanks = [(u[:flank], u[len(u) - flank:]) for u in domain.language(width + 4)]
+
     def _passes_quick_filters(candidate: SlidingBlockCode) -> bool:
         # necessary conditions for a conjugacy, cheap to test:
         # image words of length 3 cover the codomain language exactly,
-        images = {candidate.apply(u) for u in domain.language(width + 2)}
-        if images != set(codomain.language(3)):
+        if set(images(candidate, width + 2)) != codomain_triples:
             return False
         # and no diamond: distinct equal-flank words with equal images
-        flank = 2 * radius
-        seen: dict = {}
-        for u in domain.language(width + 4):
-            sig = (u[:flank], u[len(u) - flank:], candidate.apply(u))
-            if seen.setdefault(sig, u) != u:
-                return False
-        return True
+        return len(set(zip(flanks, images(candidate, width + 4)))) == len(flanks)
 
     assign(0)
     found.sort(key=lambda pair: pair[0].sort_key())

@@ -184,12 +184,16 @@ _SCHEME2_NOTE = ("recursion index pinned by the length law len(A_n) = 3^(n+1): "
 
 def check_example2_markers(n: int, depth: Optional[int] = None,
                            budget: Optional[Budget] = None) -> ResidueReport:
-    """Occurrences of b_n in the scheme-2 word share a residue mod 3^n, and
-    every marker-symbol position lies on the A_0 grid or inside a marker."""
+    """Occurrences of b_n in the scheme-2 word, scanned to ``depth``
+    (default: len(A_{n+2})), share a residue mod 3^n, and every marker-symbol
+    position lies on the A_0 grid or inside a marker."""
     if n < 1:
         raise ValueError("marker level must be >= 1")
     level = n + 2
     word = example2_word(level, budget)
+    while depth is not None and len(word) < depth:
+        level += 1
+        word = example2_word(level, budget)
     if depth is not None:
         word = word[:depth]
     report = marker_residues(word, example2_marker(n), 3 ** n,

@@ -4,8 +4,9 @@ adjacency matrices on a finite directed multigraph.
 Edges are the alphabet.  A derived presentation (a power shift, a class
 restriction, a component) records its provenance: parent shift, parent states
 and step.  All values are immutable after construction and every operation is
-a pure function, so the module is safe for concurrent use; languages and path
-dictionaries are computed on first use and cached on the shift.
+a pure function, so the module is safe for concurrent use; languages, their
+sub-window index tables and path dictionaries are computed on first use and
+cached on the shift.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ class EdgeShift:
         self.provenance = provenance
         self._path_tables = None
         self._languages: dict = {}
+        self._subwindows: dict = {}
 
         symbols = _edge_symbols(sum(a for row in self.adjacency for a in row))
         edges = []
@@ -139,6 +141,21 @@ class EdgeShift:
         if length not in self._languages:
             self._languages[length] = words_of_length(self, length)
         return self._languages[length]
+
+    def subwindow_ids(self, width: int, sub: int) -> tuple:
+        """One column per offset k in [0, width - sub]: column k lists, for
+        every word w of ``language(width)`` in order, the index of w[k:k+sub]
+        in ``language(sub)``.  Computed once per (width, sub)."""
+        key = (width, sub)
+        if key not in self._subwindows:
+            if not 0 < sub <= width:
+                raise ParseError(f"sub-window {sub} does not fit in width {width}")
+            index = {w: i for i, w in enumerate(self.language(sub))}
+            words = self.language(width)
+            self._subwindows[key] = tuple(
+                tuple([index[w[k:k + sub]] for w in words])
+                for k in range(width - sub + 1))
+        return self._subwindows[key]
 
     # -- basic accessors -------------------------------------------------
 

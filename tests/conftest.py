@@ -103,6 +103,11 @@ def catalog():
     ]
 
 
+# catalog graphs whose radius-1 automorphism stage takes seconds to enumerate
+# (full3 more than a minute); quick tests take their radius-0 stage instead
+SLOW_STAGES = ("full3", "doubled_cycle_p2")
+
+
 @pytest.fixture(scope="session")
 def graph_catalog():
     return catalog()

@@ -140,6 +140,10 @@ def test_example2_word_and_check(capsys):
                                 "--json"])
     assert code == 0
     assert json.loads(out)["residue_check"]["passes"] is True
+    code, out, _ = run(capsys, ["example2", "--level", "1", "--check-n", "1",
+                                "--depth", "100000", "--json"])
+    assert code == 0
+    assert json.loads(out)["residue_check"]["depth"] == 100000
 
 
 def test_wreath_calc(tmp_path, capsys):

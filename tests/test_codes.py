@@ -12,13 +12,13 @@ from stabdyn.errors import (ImageSplitsClassesError, ShiftMismatchError,
 from stabdyn.codes import (AutomorphismSet, SlidingBlockCode, WordMap,
                            apply_code, commutes_with_power, compose,
                            enumerate_automorphisms, find_inverse,
-                           identity_code, partition_action,
+                           identity_code, images, partition_action,
                            rotation_index, shift_code, symbol_map_code,
                            word_map_commutes_with_power, word_map_from_code)
 from stabdyn.sft import full_shift, power_shift
 from stabdyn.spectral import cyclic_partition
 
-from conftest import (cycle_graph, doubled_cycle_period2,
+from conftest import (SLOW_STAGES, cycle_graph, doubled_cycle_period2,
                       doubled_cycle_period3, doubled_loop_period2, golden_mean)
 
 
@@ -90,6 +90,36 @@ def test_compose_shift_with_inverse_cancels():
     si = shift_code(full_shift(2), -1)
     assert compose(s, si).is_identity()
     assert compose(si, s).is_identity()
+
+
+def _sample_codes(name, sft):
+    """The radius-1 stage of ``sft`` (radius 0 for the slow stages) plus
+    products of its last members, whose rules are wider than their
+    canonical form."""
+    stage = list(enumerate_automorphisms(sft, 0 if name in SLOW_STAGES else 1).elements)
+    return stage + [compose(a, b) for a in stage[-2:] for b in stage[-2:]]
+
+
+def test_images_is_apply_on_every_word(graph_catalog):
+    for name, sft, _ in graph_catalog:
+        for code in _sample_codes(name, sft):
+            width = 2 * code.radius + 1
+            for length in range(width, width + 4):
+                assert images(code, length) == \
+                    [code.apply(w) for w in sft.language(length)], name
+    with pytest.raises(WordError):
+        images(shift_code(full_shift(2), 1), 2)
+
+
+def test_compose_is_the_per_word_definition(graph_catalog):
+    for name, sft, _ in graph_catalog:
+        codes = _sample_codes(name, sft)
+        for f in codes[:4]:
+            for g in codes[-4:]:
+                h = compose(f, g)
+                assert h.radius == f.radius + g.radius
+                assert h.rule == {w: f.rule[g.apply(w)]
+                                  for w in sft.language(2 * h.radius + 1)}, name
 
 
 def test_compose_rejects_mismatched_shifts():

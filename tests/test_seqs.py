@@ -125,6 +125,14 @@ def test_example2_structure_covers_marker_symbols():
         assert word[p:p + 3] == "aaa"
 
 
+def test_example2_scans_to_the_requested_depth():
+    # depths past len(A_{n+2}) grow the level instead of being capped
+    for n, depth in ((1, 100000), (2, 50), (1, 81), (1, 82)):
+        report = check_example2_markers(n, depth)
+        assert report.depth == depth
+        assert report.passes
+
+
 def test_example2_adversarial_control_fails():
     # shuffling a marker into a shifted slot mixes the residues
     word = example2_word(3)

@@ -7,16 +7,19 @@ import math
 
 import pytest
 
-from stabdyn.codes import word_map_commutes_with_power
+from stabdyn.codes import (AutomorphismSet, compose, enumerate_automorphisms,
+                           shift_code, word_map_commutes_with_power)
 from stabdyn.errors import ZeroEntropyError
 from stabdyn.groups import cyclic_group, klein_group
-from stabdyn.sft import full_shift
-from stabdyn.verify import (SplitInstance, check_wreath_rigidity,
-                            compare_rational_eigs, entropy_ratio,
-                            verify_quotient_isos, verify_split_sequence)
+from stabdyn.sft import full_shift, parse_edge_shift, power_shift
+from stabdyn.verify import (SplitInstance, _quotient_group, _stage_escape,
+                            check_wreath_rigidity, compare_rational_eigs,
+                            entropy_ratio, shifted_key, verify_quotient_isos,
+                            verify_split_sequence)
 
-from conftest import (cycle_graph, doubled_cycle_period3,
-                      doubled_loop_period2, golden_mean, split_matrix)
+from conftest import (SLOW_STAGES, catalog, cycle_graph,
+                      doubled_cycle_period3, doubled_loop_period2,
+                      golden_mean, split_matrix)
 
 SPLIT_MATRIX = split_matrix()
 
@@ -75,6 +78,55 @@ def test_rho_is_a_phase_map_not_a_shift_commuting_code():
 
 
 # -- quotient isomorphisms ---------------------------------------------------------
+
+def test_truncated_stage_makes_order_exactness_not_applicable():
+    # the radius-1 stage of Aut(T) for this period-2 graph is not closed: the
+    # order count 68 != 36 * 2 is a truncation, not a theorem violation
+    report = verify_split_sequence(parse_edge_shift("0 1 1 / 1 0 0 / 1 0 0"),
+                                   1, 2, 1)
+    check = {c.name: c for c in report.checks}["order_exactness"]
+    assert check.passed and report.passes
+    assert check.detail.startswith("not applicable on a truncated stage: element ")
+    assert "|A|=68, |ker|=36, |im|=2" in check.detail
+
+
+def test_stage_escape_finds_products_outside_the_stage():
+    assert _stage_escape(enumerate_automorphisms(full_shift(2), 0)) is None
+    assert _stage_escape(enumerate_automorphisms(cycle_graph(3), 1)) is None
+    i, j, radius = _stage_escape(enumerate_automorphisms(full_shift(2), 1))
+    assert radius == 2  # two radius-1 shifts compose to radius 2
+
+
+def _shifted_key_cases():
+    """(name, stage): every catalog shift at radius 1 (radius 0 for the slow
+    stages), plus two power shifts: sigma^3 = id on the 3-cycle, and a
+    disconnected power."""
+    cases = [(name, sft, 0 if name in SLOW_STAGES else 1)
+             for name, sft, _ in catalog()]
+    cases += [("cycle3^3", power_shift(cycle_graph(3), 3), 1),
+              ("doubled_loop_p2^2", power_shift(doubled_loop_period2(), 2), 1)]
+    return [(name, enumerate_automorphisms(sft, radius)) for name, sft, radius in cases]
+
+
+def test_shifted_key_is_the_composed_canonical_key():
+    for name, autos in _shifted_key_cases():
+        sft = autos.shift
+        rho = max(code.canonical_radius for code in autos.elements)
+        scan = 2 * autos.radius + autos.inv_radius + 1
+        # every element, except every sixth of the 72 of doubled_loop_p2^2
+        stage = list(autos.elements)[::max(1, len(autos) // 12)]
+        products = [compose(a, b) for a in stage[-2:] for b in stage[-2:]]
+        for code in stage + products:
+            for j in range(-scan, scan + 1):
+                key = compose(shift_code(sft, j), code).canonical_key()
+                expected = key if key[0] <= rho else None
+                assert shifted_key(code, j, rho) == expected, (name, j)
+
+
+def test_quotient_of_an_empty_stage_is_none():
+    empty = AutomorphismSet(full_shift(2), 1, 2, (), ())
+    assert _quotient_group(empty, 1) is None
+
 
 def test_quotients_full_two_shift_m1():
     report = verify_quotient_isos(full_shift(2), 1, 0)
