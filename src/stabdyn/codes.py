@@ -3,10 +3,13 @@ forms, invertibility, exhaustive enumeration of radius-bounded automorphisms
 of a presentation, and the induced action on cyclic partitions.
 
 A code is a total rule on the admissible (2r+1)-words of its domain, applied
-at every position; ``images`` applies it to a whole language by gather.  Elements of Aut(sigma^n), including those that do not
-commute with sigma itself, are codes over the n-th power-shift presentation,
-so a stage of Aut(sigma^n) is enumerated over ``power_shift(sft, n)``; the
-``WordMap`` helper builds such codes from point-map evaluators.
+at every position; ``images`` applies it to a whole language by gather, and
+``factor_key`` gives its canonical form.  Elements of Aut(sigma^n), including
+those that do not commute with sigma itself, are codes over the n-th
+power-shift presentation, so a stage of Aut(sigma^n) is enumerated over
+``power_shift(sft, n)`` and new elements are built by ``compose``.  The
+``WordMap`` helper evaluates point maps on finite words and tabulates them
+as codes.
 """
 
 from __future__ import annotations
@@ -63,25 +66,10 @@ class SlidingBlockCode:
     # -- canonical form ----------------------------------------------------
 
     def canonical_key(self):
-        """(minimal radius, sorted canonical rule items).  The rule factors
-        through the centered (2r*+1)-subword; equality of canonical keys is
-        equality as maps on the shift space."""
+        """(minimal radius, canonical rule items), by ``factor_key``;
+        equality of canonical keys is equality as maps on the shift space."""
         if self._canonical_key is None:
-            r = self.radius
-            best = None
-            for r2 in range(r + 1):
-                groups: dict = {}
-                ok = True
-                for w, out in self.rule.items():
-                    center = w[r - r2:r + r2 + 1]
-                    if groups.setdefault(center, out) != out:
-                        ok = False
-                        break
-                if ok:
-                    best = (r2, tuple(sorted(groups.items())))
-                    break
-            assert best is not None  # r2 = r always factors
-            self._canonical_key = best
+            self._canonical_key = factor_key(self.domain, self.radius, _outputs(self))
         return self._canonical_key
 
     def canonical(self) -> "SlidingBlockCode":
@@ -103,10 +91,6 @@ class SlidingBlockCode:
 
     def __hash__(self) -> int:
         return hash((self.domain, self.codomain, self.canonical_key()))
-
-    def sort_key(self):
-        r2, items = self.canonical_key()
-        return (r2, items)
 
     def is_identity(self) -> bool:
         if self.domain != self.codomain:
@@ -157,6 +141,11 @@ def apply_code(code: SlidingBlockCode, word: Word) -> Word:
     return code.apply(word)
 
 
+def _outputs(code: SlidingBlockCode) -> list:
+    """The rule's outputs, in the order of ``domain.language(2r+1)``."""
+    return list(map(code.rule.__getitem__, code.domain.language(2 * code.radius + 1)))
+
+
 def images(code: SlidingBlockCode, length: int) -> list:
     """``[code.apply(w) for w in code.domain.language(length)]``, as a gather:
     the rule is looked up once per (2r+1)-word, each output offset takes its
@@ -164,7 +153,7 @@ def images(code: SlidingBlockCode, length: int) -> list:
     width = 2 * code.radius + 1
     if length < width:
         raise WordError(f"length {length} shorter than window {width}")
-    outputs = list(map(code.rule.__getitem__, code.domain.language(width)))
+    outputs = _outputs(code)
     return list(zip(*[_gather(outputs, column)
                       for column in code.domain.subwindow_ids(length, width)]))
 
@@ -172,6 +161,31 @@ def images(code: SlidingBlockCode, length: int) -> list:
 def _gather(values: list, ids: tuple) -> tuple:
     """``tuple(values[i] for i in ids)``."""
     return itemgetter(*ids)(values) if len(ids) > 1 else tuple(values[i] for i in ids)
+
+
+def regroup(ids, values, size: int) -> Optional[list]:
+    """The list t with t[ids[k]] = values[k] for every k, or None when one
+    index gets two different values.  Every index in range(size) occurs."""
+    pairs = set(zip(ids, values))
+    table = dict(pairs)
+    if len(table) != len(pairs):
+        return None
+    return [table[i] for i in range(size)]
+
+
+def factor_key(sft: EdgeShift, radius: int, outputs: list) -> tuple:
+    """The canonical key of the radius-``radius`` rule over ``sft`` whose
+    output on the k-th word of ``sft.language(2*radius+1)`` is outputs[k]:
+    (r2, items) for the least r2 such that the rule factors through the
+    centred (2*r2+1)-subword, with the factored rule's (word, output) items
+    in language order."""
+    width = 2 * radius + 1
+    for r2 in range(radius + 1):
+        sub = sft.language(2 * r2 + 1)
+        rule = regroup(sft.subwindow_ids(width, 2 * r2 + 1)[radius - r2], outputs, len(sub))
+        if rule is not None:
+            return r2, tuple(zip(sub, rule))
+    raise AssertionError("a rule factors through its own radius")
 
 
 def compose(f: SlidingBlockCode, g: SlidingBlockCode) -> SlidingBlockCode:
@@ -186,20 +200,16 @@ def compose(f: SlidingBlockCode, g: SlidingBlockCode) -> SlidingBlockCode:
     return SlidingBlockCode(g.domain, f.codomain, r, rule, validate=False)
 
 
-def commutes_with_power(code: SlidingBlockCode, n: int, length: Optional[int] = None) -> bool:
+def commutes_with_power(code: SlidingBlockCode, n: int) -> bool:
     """Word-level check that code . sigma^n = sigma^n . code.
 
     Both sides are block maps of window 2r+n+1, so agreement on all admissible
     words of that length decides equality.  Any total positional rule passes;
-    the check earns its keep on word maps built from phase constructions (see
-    ``word_map_commutes_with_power``).
+    the check that can fail is ``word_map_commutes_with_power``, on point maps.
     """
     if n < 1:
         raise ValueError("power must be >= 1")
-    length = length or (2 * code.radius + n + 1)
-    if length < 2 * code.radius + n + 1:
-        raise WordError("length too short to decide commutation")
-    for w in code.domain.language(length):
+    for w in code.domain.language(2 * code.radius + n + 1):
         if code.apply(w[n:]) != code.apply(w)[n:]:
             return False
     return True
@@ -326,7 +336,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
         return len(set(zip(flanks, images(candidate, width + 4)))) == len(flanks)
 
     assign(0)
-    found.sort(key=lambda pair: pair[0].sort_key())
+    found.sort(key=lambda pair: pair[0].canonical_key())
     return found
 
 
@@ -384,12 +394,6 @@ class AutomorphismSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def inverse_of(self, code: SlidingBlockCode) -> SlidingBlockCode:
-        return self.inverses[self.elements.index(code)]
-
-    def contains(self, code: SlidingBlockCode) -> bool:
-        return code in self.elements
-
     def to_document(self) -> dict:
         return {
             "schema_version": 1,
@@ -446,7 +450,7 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int,
                     [combo[inv_pi[j]][1] for j in range(k)])
                 inverse = SlidingBlockCode(sft, sft, inv_radius, inv_rule, validate=False)
                 pairs.append((code, inverse))
-        pairs.sort(key=lambda pair: pair[0].sort_key())
+        pairs.sort(key=lambda pair: pair[0].canonical_key())
     elements = tuple(c for c, _ in pairs)
     inverses = tuple(i for _, i in pairs)
     return AutomorphismSet(sft, radius, inv_radius, elements, inverses)
@@ -459,10 +463,10 @@ def _resolve_partition_shift(code_shift: EdgeShift, part: CyclicPartition):
     """Return (state_map, step) where state_map sends code-shift state indices
     to partition-shift state indices and step is the number of partition-shift
     steps one code-shift symbol represents."""
-    if code_shift.matrix_hash() == part.matrix_hash:
+    if code_shift == part.shift:
         return list(range(code_shift.n_states)), 1
     prov = code_shift.provenance
-    if prov is None or prov.parent.matrix_hash() != part.matrix_hash:
+    if prov is None or prov.parent != part.shift:
         raise ShiftMismatchError("partition belongs to a different shift")
     return list(prov.states), prov.step
 
@@ -506,7 +510,7 @@ def rotation_index(code: SlidingBlockCode, part: CyclicPartition) -> int:
     return j
 
 
-# -- word maps: phase constructions evaluated on finite words -----------------------
+# -- word maps: point maps evaluated on finite words ----------------------------
 
 
 @dataclass

@@ -8,6 +8,7 @@ than degrade to probabilistic methods.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Optional, Sequence
 
 from .budgets import Budget, check, default_budget
@@ -320,10 +321,10 @@ _SYM_CACHE: dict = {}
 
 def symmetric_group(n: int, budget: Optional[Budget] = None) -> FiniteGroup:
     budget = budget or default_budget()
+    check(math.factorial(n), budget.group_order, "symmetric group order")
     if n in _SYM_CACHE:
         return _SYM_CACHE[n]
     perms = all_perms(n)
-    check(len(perms), budget.group_order, "symmetric group order")
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[compose_perm(p, q)] for q in perms] for p in perms]
     names = [perm_name(p) for p in perms]

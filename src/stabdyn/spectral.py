@@ -44,8 +44,12 @@ class CyclicPartition:
     """
     size: int
     classes: tuple  # tuple of frozenset of state indices
-    matrix_hash: str
+    shift: EdgeShift
     base_class_index: int = 0
+
+    @property
+    def matrix_hash(self) -> str:
+        return self.shift.matrix_hash()
 
     def class_of_state(self, state: int) -> int:
         for k, cls in enumerate(self.classes):
@@ -71,7 +75,7 @@ def cyclic_partition(sft: EdgeShift, m: int) -> CyclicPartition:
     levels = bfs_levels(sft, 0)
     classes = tuple(frozenset(v for v in range(sft.n_states) if levels[v] % m == k)
                     for k in range(m))
-    part = CyclicPartition(m, classes, sft.matrix_hash())
+    part = CyclicPartition(m, classes, sft)
     _validate_partition(sft, part)
     return part
 
@@ -101,7 +105,7 @@ def coarsen_partition(part: CyclicPartition, p: int) -> CyclicPartition:
         raise NoSuchEigenvalueError(f"{p} does not divide partition size {m}")
     classes = tuple(frozenset().union(*(part.classes[j] for j in range(k, m, p)))
                     for k in range(p))
-    return CyclicPartition(p, classes, part.matrix_hash)
+    return CyclicPartition(p, classes, part.shift)
 
 
 def exhaustive_partition_search(sft: EdgeShift, m: int) -> Optional[tuple]:

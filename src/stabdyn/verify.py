@@ -4,8 +4,10 @@ isomorphisms, wreath rigidity sweeps, eigenvalue comparison, and entropy
 ratios.
 
 Automorphisms of sigma^{nm} are enumerated over the power-shift presentation,
-where they are ordinary sliding block codes; the section rho and the base
-embedding psi are built explicitly as phase word maps and converted to codes.
+where they are ordinary sliding block codes.  The section rho, the base
+embedding psi and the component restrictions are codes over that
+presentation too, assembled piece by piece from the phase codes T^d and
+composition (``SplitInstance``).
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .budgets import Budget
-from .codes import (AutomorphismSet, SlidingBlockCode, WordMap, compose,
-                    enumerate_automorphisms, partition_action)
+from .codes import (AutomorphismSet, SlidingBlockCode, compose,
+                    enumerate_automorphisms, factor_key, partition_action,
+                    regroup)
 from .errors import (NoSuchEigenvalueError, StabdynError, VerificationError,
                      ZeroEntropyError)
 from .groups import (FiniteGroup, all_perms, compose_perm, cyclic_group,
@@ -34,7 +37,15 @@ from .wreath import wreath_group
 
 @dataclass
 class SplitInstance:
-    """Shared geometry for one (shift, n, m) split-sequence verification."""
+    """Shared geometry for one (shift, n, m) split-sequence verification.
+
+    The power presentation Y of (X, T^N), N = n*m, is the disjoint union of
+    the pieces Y_c, the edges that leave class-c states; T^d moves Y_c onto
+    Y_{c+d}.  The component presentation Z is Y_0 under its own edge names.
+    Every code built here acts piecewise: T^d is ``phase(d)``, the only code
+    read off parent paths, and rho, psi and the component restrictions are
+    assembled from phases and the given codes by ``compose``.
+    """
     base: EdgeShift
     n: int
     m: int
@@ -42,6 +53,10 @@ class SplitInstance:
     part: CyclicPartition
     power: EdgeShift             # Y: presentation of (X, sigma^N)
     component: EdgeShift         # Z: presentation of (X_m, sigma^N restricted)
+    piece: dict                  # Y symbol -> the class c of its piece Y_c
+    to_power: dict               # Z symbol -> the Y_0 symbol of the same path
+    to_component: dict           # the inverse of to_power
+    _phases: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def build(base: EdgeShift, n: int, m: int) -> "SplitInstance":
@@ -52,100 +67,72 @@ class SplitInstance:
             raise StabdynError(f"sigma^{n} is not transitive (period {p})")
         stride = n * m
         part = cyclic_partition(base, m)
-        return SplitInstance(base, n, m, stride, part, power_shift(base, stride),
-                             class_restriction(base, part, stride))
+        power = power_shift(base, stride)
+        component = class_restriction(base, part, stride)
+        piece = {sym: part.class_of_state(power.tail(sym)) for sym in power.alphabet}
+        to_power = {sym: power.from_parent(component.to_parent((sym,)))[0]
+                    for sym in component.alphabet}
+        to_component = {y: z for z, y in to_power.items()}
+        return SplitInstance(base, n, m, stride, part, power, component,
+                             piece, to_power, to_component)
 
-    def class_of_power_symbol(self, sym: str) -> int:
-        return self.part.class_of_state(self.power.tail(sym))
+    def phase(self, d: int) -> SlidingBlockCode:
+        """T^d (|d| <= N) as a code over Y, canonical: a 3-word's output is
+        the length-N stretch of its parent path that starts at offset N + d."""
+        if abs(d) > self.stride:
+            raise StabdynError(f"phase {d} exceeds one block of {self.stride}")
+        if d not in self._phases:
+            power, N = self.power, self.stride
+            rule = {w: power.from_parent(power.to_parent(w)[N + d:2 * N + d])[0]
+                    for w in power.language(3)}
+            self._phases[d] = SlidingBlockCode(power, power, 1, rule).canonical()
+        return self._phases[d]
 
-    # -- the section rho -------------------------------------------------
+    def _conjugate(self, code: SlidingBlockCode, d: int) -> SlidingBlockCode:
+        """T^d . code . T^-d, canonical."""
+        return compose(self.phase(d), compose(code, self.phase(-d))).canonical()
+
+    def _assemble(self, pieces: Sequence[SlidingBlockCode]) -> SlidingBlockCode:
+        """The code over Y that acts on each piece Y_c as pieces[c] does."""
+        radius = max(code.radius for code in pieces)
+        rule = {}
+        for w in self.power.language(2 * radius + 1):
+            code = pieces[self.piece[w[0]]]
+            rule[w] = code.rule[w[radius - code.radius:radius + code.radius + 1]]
+        return SlidingBlockCode(self.power, self.power, radius, rule, validate=False)
+
+    def _lift(self, code: SlidingBlockCode) -> SlidingBlockCode:
+        """A code over Z as a code over Y: itself on Y_0, the identity on the
+        other pieces."""
+        to_power, r = self.to_power, code.radius
+        rule = {w: w[r] for w in self.power.language(2 * r + 1)}
+        rule.update((tuple(map(to_power.__getitem__, w)), to_power[out])
+                    for w, out in code.rule.items())
+        return SlidingBlockCode(self.power, self.power, r, rule, validate=False)
 
     def rho(self, sigma: tuple) -> SlidingBlockCode:
-        """rho(sigma): T^i x -> T^{sigma(i)} x for x in the class-0 piece,
-        realized as a radius-1 code over the power presentation."""
+        """rho(sigma): T^i x -> T^{sigma(i)} x for x in the class-0 piece, so
+        T^{sigma(c) - c} on Y_c."""
         if len(sigma) != self.m:
             raise StabdynError("permutation size differs from the partition size")
-        stride = self.stride
-
-        def fn(word):
-            path = self.power.to_parent(word)
-            c = self.class_of_power_symbol(word[0])
-            delta = sigma[c] - c
-            # blocks 1..L-2 of the path moved by delta
-            return self.power.from_parent(
-                path[stride + delta:(len(word) - 1) * stride + delta])
-
-        return WordMap(self.power, self.power, 1, 1, fn).to_code()
-
-    def rho_point_map_on_base(self, sigma: tuple) -> WordMap:
-        """The same map as a word map over the base presentation (used to show
-        it does not commute with sigma itself unless sigma is trivial)."""
-        loss = max(1, self.m - 1)
-
-        def fn(word):
-            c = self.part.class_of_state(self.base.tail(word[0]))
-            delta = sigma[c] - c
-            return tuple(word[j + delta] for j in range(loss, len(word) - loss))
-
-        return WordMap(self.base, self.base, loss, loss, fn)
-
-    # -- the base embedding psi -------------------------------------------
+        return self._assemble([self.phase(s - c) for c, s in enumerate(sigma)])
 
     def psi(self, components: Sequence[SlidingBlockCode]) -> SlidingBlockCode:
         """psi(g_0..g_{m-1}): T^i x -> T^i g_i(x) for x in the class-0 piece,
-        assembled as a code over the power presentation."""
+        so T^c g_c T^-c on Y_c."""
         if len(components) != self.m:
             raise StabdynError("need one component automorphism per class")
-        if self.m == 1:
-            # the sequence degenerates: the component presentation equals the
-            # power presentation and psi is the identity embedding
-            return components[0]
-        rho_rad = max(c.radius for c in components)
-        stride = self.stride
-
-        def fn(word):
-            L = len(word)
-            path = self.power.to_parent(word)
-            c = self.class_of_power_symbol(word[0])
-            code = components[c]
-            pad = code.radius
-            # x = T^{-c} y: x[i] = y[i - c]; x-blocks 1..L-1 are available
-            # (blocks 0..L-1 when c = 0)
-            x_path = path[stride - c:] if c > 0 else path
-            x_word = self.component.from_parent(
-                x_path[: (len(x_path) // stride) * stride])
-            u_path = self.component.to_parent(code.apply(x_word))
-            first_u_block = (1 if c > 0 else 0) + pad
-            # z = T^c u: z-block J covers u-positions [J*stride+c, (J+1)*stride+c);
-            # blocks 1+rho_rad..L-rho_rad-2 are emitted
-            shift = c - first_u_block * stride
-            return self.power.from_parent(
-                u_path[(1 + rho_rad) * stride + shift:(L - rho_rad - 1) * stride + shift])
-
-        return WordMap(self.power, self.power, 1 + rho_rad, 1 + rho_rad, fn).to_code()
+        return self._assemble([self._conjugate(self._lift(g), c)
+                               for c, g in enumerate(components)])
 
     def restrict_to_component(self, code: SlidingBlockCode, i: int) -> SlidingBlockCode:
-        """g_i(x) = T^{-i} g(T^i x) on the class-0 piece, as a code over the
-        component presentation.  Requires pi(code) to fix class i."""
-        if self.m == 1:
-            return code
-        stride = self.stride
-        R = code.radius
-
-        def fn(word):
-            L = len(word)
-            path = self.component.to_parent(word)
-            # y = T^i x: y[j] = x[j + i]; y-blocks 0..L-2 available (uniformly)
-            y_path = path[i:]
-            usable = ((len(y_path)) // stride) * stride
-            y_word = self.power.from_parent(y_path[:usable])
-            w_path = self.power.to_parent(code.apply(y_word))  # y-blocks R..(L-2-R)
-            # blocks R+1..L-R-2 are emitted
-            shift = -i - R * stride
-            return self.component.from_parent(
-                w_path[(R + 1) * stride + shift:(L - R - 1) * stride + shift])
-
-        return WordMap(self.component, self.component, R + 1, R + 1, fn).to_code()
+        """g_i = T^-i code T^i on Y_0, as a code over Z.  Requires pi(code)
+        to fix class i."""
+        f = self._conjugate(code, -i)
+        to_power, r = self.to_power, f.radius
+        rule = {w: self.to_component[f.rule[tuple(map(to_power.__getitem__, w))]]
+                for w in self.component.language(2 * r + 1)}
+        return SlidingBlockCode(self.component, self.component, r, rule, validate=False)
 
 
 # -- reports ----------------------------------------------------------------------
@@ -434,16 +421,6 @@ class QuotientReport:
         }
 
 
-def _regroup(ids, values, size: int) -> Optional[list]:
-    """The list t with t[ids[k]] = values[k] for every k, or None when one
-    index gets two different values.  Every index in range(size) occurs."""
-    pairs = set(zip(ids, values))
-    table = dict(pairs)
-    if len(table) != len(pairs):
-        return None
-    return [table[i] for i in range(size)]
-
-
 def shifted_key(code: SlidingBlockCode, j: int, rho: int):
     """The canonical key of sigma^j . code (``compose(shift_code(sft, j),
     code).canonical_key()``) when its canonical radius is <= rho, else None.
@@ -452,26 +429,18 @@ def shifted_key(code: SlidingBlockCode, j: int, rho: int):
     canonical radius-r rule.  It factors through the centred rho-window iff
     it does so on every admissible word spanning both windows: every such word
     of an essential graph extends to a point, so the test is exact.  The
-    minimal radius r2 <= rho is then found on the rho-words.
+    minimal radius r2 <= rho is then found on the rho-words (``factor_key``).
     """
     code = code.canonical()
     sft, r = code.domain, code.radius
     lo, hi = min(-rho, j - r), max(rho, j + r)
     length, width, centre = hi - lo + 1, 2 * r + 1, 2 * rho + 1
     outputs = list(map(code.rule.__getitem__, sft.language(width)))
-    on_centre = _regroup(sft.subwindow_ids(length, centre)[-rho - lo],
-                         map(outputs.__getitem__,
-                             sft.subwindow_ids(length, width)[j - r - lo]),
-                         len(sft.language(centre)))
-    if on_centre is None:
-        return None
-    for r2 in range(rho + 1):
-        sub = sft.language(2 * r2 + 1)
-        rule = _regroup(sft.subwindow_ids(centre, 2 * r2 + 1)[rho - r2],
-                        on_centre, len(sub))
-        if rule is not None:
-            return r2, tuple(zip(sub, rule))
-    raise AssertionError("a rho-window rule factors through radius rho")
+    on_centre = regroup(sft.subwindow_ids(length, centre)[-rho - lo],
+                        map(outputs.__getitem__,
+                            sft.subwindow_ids(length, width)[j - r - lo]),
+                        len(sft.language(centre)))
+    return None if on_centre is None else factor_key(sft, rho, on_centre)
 
 
 def _stage_radius(autos: AutomorphismSet) -> int:

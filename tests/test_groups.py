@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
+from stabdyn.budgets import Budget
+from stabdyn.errors import BudgetExceededError
 from stabdyn.groups import (FiniteGroup, alternating_subset, cyclic_group,
                             dihedral_square, direct_product, from_permutations,
                             is_isomorphic, klein_group, klein_subset_sym4,
@@ -26,6 +30,12 @@ def test_symmetric_group_orders():
     assert symmetric_group(1).order == 1
     assert symmetric_group(3).order == 6
     assert symmetric_group(4).order == 24
+
+
+def test_symmetric_group_budget_applies_to_cached_groups():
+    assert symmetric_group(4).order == 24  # now cached
+    with pytest.raises(BudgetExceededError):
+        symmetric_group(4, Budget(group_order=10))
 
 
 def test_element_orders_sym3():

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from stabdyn.codes import (AutomorphismSet, compose, enumerate_automorphisms,
-                           shift_code, word_map_commutes_with_power)
+                           shift_code)
 from stabdyn.errors import ZeroEntropyError
 from stabdyn.groups import cyclic_group, klein_group
 from stabdyn.sft import full_shift, parse_edge_shift, power_shift
@@ -64,17 +64,43 @@ def test_split_sequence_rejects_bad_inputs():
 
 
 def test_rho_is_a_phase_map_not_a_shift_commuting_code():
-    # rho(transposition) commutes with sigma^m but not with sigma itself
-    # (tested on a period-2 graph with non-alternating words; on the plain
-    # 2-cycle every point is 2-periodic and T coincides with T^{-1})
+    # rho(transposition) is T on Y_0 and T^-1 on Y_1: it commutes with the
+    # shift of the power presentation Y (sigma^m) but not with the phase T
+    # (a period-2 graph with non-alternating words; on the plain 2-cycle
+    # every point is 2-periodic and T coincides with T^-1)
     inst = SplitInstance.build(doubled_loop_period2(), 1, 2)
-    swap = (1, 0)
-    wm = inst.rho_point_map_on_base(swap)
-    assert not word_map_commutes_with_power(wm, 1, 8)
-    assert word_map_commutes_with_power(wm, 2, 8)
-    ident = (0, 1)
-    wm_id = inst.rho_point_map_on_base(ident)
-    assert word_map_commutes_with_power(wm_id, 1, 8)
+    swap, ident, t = inst.rho((1, 0)), inst.rho((0, 1)), inst.phase(1)
+    assert compose(swap, t) != compose(t, swap)
+    assert compose(ident, t) == compose(t, ident)
+    sigma = shift_code(inst.power, 1)
+    assert compose(swap, sigma) == compose(sigma, swap)
+
+
+def _split_instances():
+    return [SplitInstance.build(sft, n, m) for sft, n, m, _ in SPLIT_MATRIX]
+
+
+def test_phases_compose_additively():
+    for inst in _split_instances():
+        phases = range(1 - inst.m, inst.m)
+        for a in phases:
+            for b in phases:
+                if abs(a + b) < inst.m:
+                    assert compose(inst.phase(a), inst.phase(b)) == inst.phase(a + b), \
+                        (inst.base.states, inst.n, inst.m, a, b)
+
+
+def test_phase_translates_parent_paths():
+    # on a 4-word, blocks 1 and 2 of the image are the parent path moved by d
+    for inst in _split_instances():
+        power, N = inst.power, inst.stride
+        for d in range(1 - inst.m, inst.m):
+            code = inst.phase(d)
+            r = code.radius
+            for w in power.language(4):
+                image = power.to_parent(code.apply(w))
+                assert image[(1 - r) * N:(3 - r) * N] == \
+                    power.to_parent(w)[N + d:3 * N + d], (inst.base.states, d, w)
 
 
 # -- quotient isomorphisms ---------------------------------------------------------
