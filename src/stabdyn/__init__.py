@@ -2,9 +2,11 @@
 algebra of their stabilized symmetry groups.
 
 Everything is pure Python over exact integers (floats appear only in the
-certified Perron-value iteration); all values are immutable after
-construction and every operation is a pure function, so the library is safe
-to use from concurrent threads of control.
+entropy layer: the Perron value's float power iteration with Collatz-Wielandt
+bounds, the bisection for the characteristic polynomial's largest root, and
+the entropy-ratio test); all values are immutable after construction and
+every operation is a pure function, so the library is safe to use from
+concurrent threads of control.
 """
 
 __version__ = "0.1.0"

@@ -246,9 +246,6 @@ class FiniteGroup:
                     frontier.append(bigger)
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
-    def is_normal(self, subset: frozenset) -> bool:
-        return all(self.conj(x, g) in subset for x in subset for g in range(self.order))
-
     def normal_subgroups(self) -> list:
         """Exhaustive: unions of conjugacy classes that are subgroups."""
         classes = self.conjugacy_classes()

@@ -310,17 +310,20 @@ def mat_pow(a, n: int):
 # -- connectivity, period, mixing -----------------------------------------
 
 
-def _bool_adjacency(sft: EdgeShift):
-    return [[a > 0 for a in row] for row in sft.adjacency]
+def _successors(adjacency) -> list:
+    """Each state's distinct successors in ascending order (its predecessors
+    when given the transposed adjacency).  They are read off the nonzero
+    entries, so parallel edges cost nothing (a power shift can have hundreds
+    of thousands of them)."""
+    return [[j for j, a in enumerate(row) if a] for row in adjacency]
 
 
-def _reachable(adj_bool, start: int) -> set:
+def _reachable(nbrs, start: int) -> set:
     seen = {start}
     stack = [start]
     while stack:
-        u = stack.pop()
-        for v, has in enumerate(adj_bool[u]):
-            if has and v not in seen:
+        for v in nbrs[stack.pop()]:
+            if v not in seen:
                 seen.add(v)
                 stack.append(v)
     return seen
@@ -328,39 +331,32 @@ def _reachable(adj_bool, start: int) -> set:
 
 def strongly_connected_components(sft: EdgeShift) -> list:
     """SCCs as sorted lists of state indices, in ascending order of minimum."""
-    n = sft.n_states
-    fwd = _bool_adjacency(sft)
-    rev = [[fwd[j][i] for j in range(n)] for i in range(n)]
-    remaining = set(range(n))
+    succ, pred = _successors(sft.adjacency), _successors(zip(*sft.adjacency))
+    remaining = set(range(sft.n_states))
     comps = []
     while remaining:
         s = min(remaining)
-        comp = _reachable(fwd, s) & _reachable(rev, s) & remaining
+        comp = _reachable(succ, s) & _reachable(pred, s)
         comps.append(sorted(comp))
         remaining -= comp
-    return sorted(comps)
+    return comps
 
 
 def is_irreducible(sft: EdgeShift) -> bool:
     """True iff the underlying digraph is strongly connected."""
-    fwd = _bool_adjacency(sft)
-    n = sft.n_states
-    if len(_reachable(fwd, 0)) != n:
-        return False
-    rev = [[fwd[j][i] for j in range(n)] for i in range(n)]
-    return len(_reachable(rev, 0)) == n
+    return len(strongly_connected_components(sft)) == 1
 
 
 def bfs_levels(sft: EdgeShift, start: int = 0) -> list:
+    succ = _successors(sft.adjacency)
     levels = [-1] * sft.n_states
     levels[start] = 0
     queue = [start]
-    adj = _bool_adjacency(sft)
     while queue:
         nxt = []
         for u in queue:
-            for v, has in enumerate(adj[u]):
-                if has and levels[v] < 0:
+            for v in succ[u]:
+                if levels[v] < 0:
                     levels[v] = levels[u] + 1
                     nxt.append(v)
         queue = nxt
@@ -372,28 +368,24 @@ def period(sft: EdgeShift) -> int:
     if not is_irreducible(sft):
         raise ReducibleShiftError("period requires an irreducible edge shift")
     levels = bfs_levels(sft, 0)
-    g = 0
-    for u in range(sft.n_states):
-        for v in range(sft.n_states):
-            if sft.adjacency[u][v]:
-                g = math.gcd(g, levels[u] + 1 - levels[v])
-    return abs(g) if g else 1
+    succ = _successors(sft.adjacency)
+    return math.gcd(*(levels[u] + 1 - levels[v]
+                      for u in range(sft.n_states) for v in succ[u])) or 1
 
 
 def period_by_cycles(sft: EdgeShift) -> int:
     """Test oracle: gcd of the lengths of all simple cycles (exhaustive DFS)."""
     if not is_irreducible(sft):
         raise ReducibleShiftError("period requires an irreducible edge shift")
-    n = sft.n_states
-    adj = _bool_adjacency(sft)
+    succ = _successors(sft.adjacency)
     g = 0
-    for root in range(n):
+    for root in range(sft.n_states):
         # simple paths from root using states >= root only (canonical cycles)
         stack = [(root, [root])]
         while stack:
             u, path = stack.pop()
-            for v, has in enumerate(adj[u]):
-                if not has or v < root:
+            for v in succ[u]:
+                if v < root:
                     continue
                 if v == root:
                     g = math.gcd(g, len(path))
@@ -421,17 +413,16 @@ class EntropyResult:
 
 
 def _perron_irreducible(matrix, tol: float, cap: int):
-    """Perron value of an irreducible nonnegative matrix via power iteration
-    on A + I with Collatz-Wielandt bounds (certified enclosure)."""
-    n = len(matrix)
-    if n == 1:
-        return float(matrix[0][0]), 1
-    shifted = [[float(matrix[i][j]) + (1.0 if i == j else 0.0) for j in range(n)]
-               for i in range(n)]
-    v = [1.0] * n
+    """Perron value of an irreducible nonnegative matrix by float power
+    iteration on A + I with Collatz-Wielandt bounds.  Each row is a sum over
+    its nonzero entries and the diagonal, in column order."""
+    rows = [[(j, float(a) + (1.0 if i == j else 0.0))
+             for j, a in enumerate(row) if a or i == j]
+            for i, row in enumerate(matrix)]
+    v = [1.0] * len(matrix)
     for it in range(1, cap + 1):
-        w = [sum(shifted[i][j] * v[j] for j in range(n)) for i in range(n)]
-        ratios = [w[i] / v[i] for i in range(n)]
+        w = [sum(c * v[j] for j, c in row) for row in rows]
+        ratios = [x / y for x, y in zip(w, v)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo <= tol * lo:
             return (lo + hi) / 2.0 - 1.0, it
@@ -462,30 +453,29 @@ def entropy(sft: EdgeShift, tol: float = 1e-12, iteration_cap: int = 200_000) ->
 
 
 def charpoly_coefficients(matrix) -> list:
-    """Exact characteristic polynomial coefficients (Faddeev-LeVerrier),
-    returned as [c_0, ..., c_n] with p(x) = sum c_k x^k, c_n = 1."""
-    from fractions import Fraction
+    """Exact characteristic polynomial coefficients of an integer matrix by
+    Faddeev-LeVerrier in integers, returned as [c_0, ..., c_n] with
+    p(x) = sum c_k x^k, c_n = 1.  Step k forms M_k = A M_{k-1} + c_{n-k+1} I
+    and c_{n-k} = -tr(A M_k) / k, a division that is exact for an integer
+    matrix."""
     n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
+    coeffs = [1]  # leading coefficient of x^n
+    am = [[0] * n for _ in range(n)]  # A M_{k-1}, with M_0 = 0
     for k in range(1, n + 1):
-        # M_k = A*M_{k-1} + c_{n-k+1} I
-        if k == 1:
-            m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        else:
-            am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-            for i in range(n):
-                am[i][i] += coeffs[-1]
-            m = am
-        trace = sum(sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n))
-        coeffs.append(-trace / k)
-    return [c for c in reversed(coeffs)]
+        for i in range(n):
+            am[i][i] += coeffs[-1]
+        am = mat_mul(matrix, am)
+        c, rest = divmod(-sum(am[i][i] for i in range(n)), k)
+        if rest:
+            raise VerificationError(f"charpoly step {k} did not divide exactly; "
+                                    "the matrix is not an integer matrix")
+        coeffs.append(c)
+    return coeffs[::-1]
 
 
 def perron_root_by_charpoly(matrix, tol: float = 1e-13) -> float:
-    """Independent oracle: largest real root of the characteristic polynomial,
-    located by downward scan plus bisection."""
+    """Independent oracle: largest real root of the exact characteristic
+    polynomial, located in floats by downward scan plus bisection."""
     coeffs = charpoly_coefficients(matrix)
 
     def p(x: float) -> float:

@@ -655,7 +655,8 @@ class EntropyRatioReport:
 
 def entropy_ratio(x: EdgeShift, y: EdgeShift, max_denominator: int = 50,
                   tol: float = 1e-9) -> EntropyRatioReport:
-    """Best rational approximation of h(x)/h(y) with bounded denominator.
+    """Best rational approximation of h(x)/h(y) with bounded denominator,
+    computed in floats from the entropies' power iterations.
 
     Entropies are cross-checked through the Smale pieces (component entropy
     must equal period * entropy).  The verdict is never a claim of

@@ -1,7 +1,8 @@
-"""The benchmark's ``codes`` instances (``split`` and ``quotients``), replayed
-in-process: every stdout document must hash to its reference digest in
-``bench/digests.json``, so a change to stdout fails here, not only in the
-benchmark.  Both bench files are only read."""
+"""The benchmark's CLI instances, replayed in-process: the ``codes`` workload
+(``split`` and ``quotients``) and the ``spectral`` part's ``analyze`` and
+``entropy-ratio`` calls.  Every stdout document must hash to its reference
+digest in ``bench/digests.json``, so a change to stdout fails here, not only
+in the benchmark.  Both bench files are only read."""
 
 from __future__ import annotations
 
@@ -33,6 +34,17 @@ WORKLOADS = _workloads()
 DIGESTS = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
 CODES_INSTANCES = [inst for part in WORKLOADS.COMPOSITES["codes"]
                    for inst in WORKLOADS.instances(part, 0)]
+# the spectral part's dual-route instances take a matrix, not an argv
+SPECTRAL_INSTANCES = sorted((inst for inst in WORKLOADS.instances("spectral", 0)
+                             if inst.argv), key=lambda inst: inst.id)
+
+
+def _replay(inst):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(inst.argv))
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[inst.id]
 
 
 def test_codes_workload_has_fourteen_instances():
@@ -42,8 +54,16 @@ def test_codes_workload_has_fourteen_instances():
 
 @pytest.mark.parametrize("inst", CODES_INSTANCES, ids=lambda inst: inst.id)
 def test_codes_instance_matches_reference_digest(inst):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(inst.argv))
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[inst.id]
+    _replay(inst)
+
+
+def test_spectral_part_has_five_cli_instances():
+    assert [inst.id for inst in SPECTRAL_INSTANCES] == [
+        "spectral:analyze:g0", "spectral:analyze:g1", "spectral:analyze:g2",
+        "spectral:analyze:g3", "spectral:entropy-ratio:g0:g1"]
+    assert all(inst.id in DIGESTS for inst in SPECTRAL_INSTANCES)
+
+
+@pytest.mark.parametrize("inst", SPECTRAL_INSTANCES, ids=lambda inst: inst.id)
+def test_spectral_instance_matches_reference_digest(inst):
+    _replay(inst)

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
 import pytest
 
-from stabdyn.errors import EmptyShiftError, ParseError, ReducibleShiftError
-from stabdyn.sft import (EdgeShift, entropy, full_shift, is_irreducible,
-                         is_mixing, make_edge_shift, mat_pow, parse_edge_shift,
-                         period, period_by_cycles, perron_root_by_charpoly,
-                         power_shift, state_words, strongly_connected_components,
-                         word_count, words, words_of_length)
+from stabdyn.errors import (EmptyShiftError, ParseError, ReducibleShiftError,
+                            VerificationError)
+from stabdyn.sft import (EdgeShift, charpoly_coefficients, entropy, full_shift,
+                         is_irreducible, is_mixing, make_edge_shift, mat_mul,
+                         mat_pow, parse_edge_shift, period, period_by_cycles,
+                         perron_root_by_charpoly, power_shift, state_words,
+                         strongly_connected_components, word_count, words,
+                         words_of_length)
 
-from stabdyn.spectral import class_restriction, cyclic_partition, divisors
+from stabdyn.spectral import class_restriction, cyclic_partition, divisors, smale
 
 from conftest import (cycle_graph, doubled_cycle_period3, golden_mean)
 
@@ -166,6 +169,82 @@ def test_entropy_charpoly_crosscheck(graph_catalog):
         lam = entropy(sft).perron_value
         oracle = perron_root_by_charpoly([list(r) for r in sft.adjacency])
         assert abs(lam - oracle) < 1e-8, name
+
+
+def cycle_with_chords(n: int, chords: int, seed: int):
+    """An n-cycle plus ``chords`` extra arcs drawn from ``seed``."""
+    rng = random.Random(seed)
+    adj = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    while chords:
+        i, j = rng.randrange(n), rng.randrange(n)
+        if not adj[i][j]:
+            adj[i][j] = 1
+            chords -= 1
+    return make_edge_shift([str(i) for i in range(n)], adj)
+
+
+def test_charpoly_is_integer_and_satisfies_cayley_hamilton(graph_catalog):
+    shifts = [sft for _, sft, _ in graph_catalog]
+    shifts += [cycle_with_chords(24, 2, seed=1), cycle_with_chords(28, 2, seed=2)]
+    for sft in shifts:
+        a = [list(r) for r in sft.adjacency]
+        n = len(a)
+        coeffs = charpoly_coefficients(a)
+        assert len(coeffs) == n + 1 and coeffs[n] == 1
+        assert all(type(c) is int for c in coeffs)
+        assert coeffs[n - 1] == -sum(a[i][i] for i in range(n))
+        p_of_a = [[0] * n for _ in range(n)]  # Horner: P <- P A + c_k I
+        for c in reversed(coeffs):
+            p_of_a = mat_mul(p_of_a, a)
+            for i in range(n):
+                p_of_a[i][i] += c
+        assert p_of_a == [[0] * n for _ in range(n)], sft
+    for k in range(1, 6):
+        assert charpoly_coefficients([[k]]) == [-k, 1]
+    assert charpoly_coefficients([[1, 1], [1, 0]]) == [-1, -1, 1]
+    for n in range(2, 8):
+        a = [list(r) for r in cycle_graph(n).adjacency]
+        assert charpoly_coefficients(a) == [-1] + [0] * (n - 1) + [1]
+
+
+def test_charpoly_rejects_a_non_integer_matrix():
+    with pytest.raises(VerificationError):
+        charpoly_coefficients([[0.5]])
+
+
+def _dense_perron(matrix, tol, cap):
+    """Reference: the dense power iteration on A + I over every column."""
+    n = len(matrix)
+    if n == 1:
+        return float(matrix[0][0]), 1
+    shifted = [[float(matrix[i][j]) + (1.0 if i == j else 0.0) for j in range(n)]
+               for i in range(n)]
+    v = [1.0] * n
+    for it in range(1, cap + 1):
+        w = [sum(shifted[i][j] * v[j] for j in range(n)) for i in range(n)]
+        ratios = [w[i] / v[i] for i in range(n)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= tol * lo:
+            return (lo + hi) / 2.0 - 1.0, it
+        norm = max(w)
+        v = [x / norm for x in w]
+    raise AssertionError("reference iteration did not converge")
+
+
+def test_entropy_is_the_dense_iteration_bit_for_bit(graph_catalog):
+    shifts = [sft for _, sft, _ in graph_catalog]
+    shifts += [smale(sft).component_shift for sft in shifts]
+    shifts += [cycle_with_chords(n, chords, seed=n)
+               for n, chords in ((29, 1), (30, 2), (31, 3))]
+    for sft in shifts:
+        best, its = 0.0, 0
+        for comp in strongly_connected_components(sft):
+            sub = [[sft.adjacency[i][j] for j in comp] for i in comp]
+            if len(comp) > 1 or sub[0][0]:
+                lam, it = _dense_perron(sub, 1e-12, 200_000)
+                best, its = max(best, lam), its + it
+        result = entropy(sft)
+        assert (result.perron_value, result.iterations) == (best, its), sft
 
 
 # -- power shifts --------------------------------------------------------------
