@@ -157,6 +157,9 @@ def cmd_analyze(args) -> int:
         p = period(sft)
         ent = entropy(sft)
         dec = smale(sft)
+        # a period-1 shift is its own Smale component: reuse its entropy
+        comp_ent = ent if dec.component_shift.adjacency == sft.adjacency \
+            else entropy(dec.component_shift)
         doc.update({
             "period": p,
             "rational_eigenvalues": sorted(rational_eigs(sft)),
@@ -168,7 +171,7 @@ def cmd_analyze(args) -> int:
                 "period": dec.period,
                 "component_states": list(dec.component_shift.states),
                 "component_adjacency": [list(r) for r in dec.component_shift.adjacency],
-                "component_entropy": entropy(dec.component_shift).log_value,
+                "component_entropy": comp_ent.log_value,
             },
         })
         if getattr(args, "verify", False):

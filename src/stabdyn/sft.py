@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -82,25 +82,35 @@ class EdgeShift:
         self.normalization_log = tuple(normalization_log)
         self.provenance = provenance
         self._path_tables = None
+        self._edges = None
         self._languages: dict = {}
         self._subwindows: dict = {}
 
-        symbols = _edge_symbols(sum(a for row in self.adjacency for a in row))
-        edges = []
-        k = 0
-        for i in range(n):
-            for j in range(n):
-                for _ in range(self.adjacency[i][j]):
-                    edges.append(Edge(symbols[k], i, j))
-                    k += 1
-        self.edges = tuple(edges)
-        self.alphabet = tuple(e.symbol for e in edges)
-        self._by_symbol = {e.symbol: e for e in edges}
-        self.out_edges = tuple(tuple(e.symbol for e in edges if e.tail == i) for i in range(n))
-        self.in_edges = tuple(tuple(e.symbol for e in edges if e.head == i) for i in range(n))
+        # edges run in (tail, head, parallel-index) order, so the edges of
+        # block (i, j) are the symbols starts[i*n + j] up to starts[i*n + j + 1]
+        counts = [a for row in self.adjacency for a in row]
+        starts = list(accumulate(counts, initial=0))
+        symbols = _edge_symbols(starts[-1])
+        self.alphabet = tuple(symbols)
+        self._tails = dict(zip(symbols, chain.from_iterable(
+            repeat(b // n, a) for b, a in enumerate(counts))))
+        self._heads = dict(zip(symbols, chain.from_iterable(
+            repeat(b % n, a) for b, a in enumerate(counts))))
+        self.out_edges = tuple(tuple(symbols[starts[i * n]:starts[i * n + n]]) for i in range(n))
+        self.in_edges = tuple(tuple(chain.from_iterable(
+            symbols[starts[i * n + j]:starts[i * n + j + 1]] for i in range(n))) for j in range(n))
         for i in range(n):
             if not self.out_edges[i] or not self.in_edges[i]:
                 raise ParseError(f"state {states[i]!r} is not essential; normalize first")
+
+    @property
+    def edges(self) -> tuple:
+        """Every edge as an ``Edge``, in alphabet order; built on first use."""
+        # not functools.cached_property: its write through __dict__ slows
+        # every later attribute load on the instance
+        if self._edges is None:
+            self._edges = tuple(Edge(s, self._tails[s], self._heads[s]) for s in self.alphabet)
+        return self._edges
 
     # -- provenance and language ------------------------------------------
 
@@ -164,18 +174,18 @@ class EdgeShift:
         return len(self.states)
 
     def tail(self, symbol: str) -> int:
-        return self._by_symbol[symbol].tail
+        return self._tails[symbol]
 
     def head(self, symbol: str) -> int:
-        return self._by_symbol[symbol].head
+        return self._heads[symbol]
 
     def follows(self, a: str, b: str) -> bool:
         """True when edge b may follow edge a (head of a = tail of b)."""
-        return self._by_symbol[a].head == self._by_symbol[b].tail
+        return self._heads[a] == self._tails[b]
 
     def is_admissible(self, word: Word) -> bool:
         return all(self.follows(a, b) for a, b in zip(word, word[1:])) and \
-            all(w in self._by_symbol for w in word)
+            all(w in self._tails for w in word)
 
     def matrix_hash(self) -> str:
         doc = {"states": list(self.states), "adjacency": [list(r) for r in self.adjacency]}

@@ -672,7 +672,9 @@ def entropy_ratio(x: EdgeShift, y: EdgeShift, max_denominator: int = 50,
         raise ZeroEntropyError("entropy ratio needs positive entropies")
     for shift, h in ((x, hx), (y, hy)):
         dec = smale(shift)
-        comp_h = entropy(dec.component_shift).log_value
+        comp = dec.component_shift
+        # equal matrices have equal entropies; a period > 1 component differs
+        comp_h = h if comp.adjacency == shift.adjacency else entropy(comp).log_value
         if abs(comp_h - dec.period * h) > 1e-9:
             raise VerificationError("Smale component entropy mismatch")
     ratio = hx / hy

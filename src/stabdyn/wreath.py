@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .budgets import Budget, check, default_budget
 from .errors import AmbientMismatchError, BudgetExceededError
 from .groups import (FiniteGroup, all_perms, alternating_subset, compose_perm,
                      identity_perm, invert_perm, klein_subset_sym4, perm_name,
-                     perm_orbits, symmetric_group)
+                     perm_orbits, symmetric_group, transposition)
 
 
 @dataclass(frozen=True)
@@ -244,33 +245,49 @@ def conjugate_in_base(context: WreathContext, g_vec: Sequence[int], h_vec: Seque
 def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> FiniteGroup:
     """G wr Sym(n) as an explicit multiplication table.
 
+    Element (g, s) has the flat index ``v * n! + p``, where v is the index of
+    the vector g in ``itertools.product(range(|G|), repeat=n)`` order and p
+    the index of s in ``all_perms(n)``: the order of
+    ``WreathContext.elements()``.  The table is read off three small integer
+    tables, the product table of Sym(n), the permuted-vector table
+    ``permuted[t][g] = (g[t[0]], ..., g[t[n-1]])`` and the coordinatewise
+    product table of G^n, as (g,s)(h,t) = (vmul[permuted[t][g]][h], s t).
+    ``wr_mul`` stays the definition; the tests pin this table to it.
+
     Generators: the base group's generators in coordinate 0, plus the Coxeter
     transpositions.
     """
     budget = budget or default_budget()
     ctx = WreathContext(base, n)
     check(ctx.order, budget.group_order, "wreath group order")
-    elems = ctx.elements()
-    index = {(e.g_vec, e.sigma): i for i, e in enumerate(elems)}
+    vecs = list(itertools.product(range(base.order), repeat=n))
+    vindex = {v: k for k, v in enumerate(vecs)}
+    perms = all_perms(n)
+    pindex = {s: k for k, s in enumerate(perms)}
+    nf = len(perms)
+    pmul = [[pindex[compose_perm(s, t)] for t in perms] for s in perms]
+    permuted = [[vindex[tuple(g[i] for i in t)] for g in vecs] for t in perms]
+    vmul = [[vindex[tuple(base.table[x][y] for x, y in zip(g, h))] for h in vecs]
+            for g in vecs]
+    # cells store these shared int objects, not one fresh int per cell
+    ids = list(range(ctx.order))
+    nv = len(vecs)
     table = []
-    for a in elems:
-        row = []
-        for b in elems:
-            c = wr_mul(a, b)
-            row.append(index[(c.g_vec, c.sigma)])
-        table.append(row)
-    names = [e.name() for e in elems]
-    gens = []
-    for g in base.generators:
-        vec = tuple(g if i == 0 else base.identity for i in range(n))
-        gens.append(index[(vec, identity_perm(n))])
+    for gi in range(nv):
+        # offsets[h * n! + t] = n! * (index of g_{t^{-1}} h)
+        rows = [vmul[p[gi]] for p in permuted]
+        offsets = [row[hi] * nf for hi in range(nv) for row in rows]
+        for ps in pmul:
+            table.append(tuple(map(ids.__getitem__, map(add, offsets, ps * nv))))
+    vec_names = [",".join(base.names[x] for x in v) for v in vecs]
+    perm_names = [perm_name(s) for s in perms]
+    names = [f"(({vn}),{pn})" for vn in vec_names for pn in perm_names]
     idvec = (base.identity,) * n
-    for i in range(n - 1):
-        img = list(range(n))
-        img[i], img[i + 1] = img[i + 1], img[i]
-        gens.append(index[(idvec, tuple(img))])
+    gens = [vindex[tuple(g if i == 0 else base.identity for i in range(n))] * nf
+            for g in base.generators]
+    gens += [vindex[idvec] * nf + pindex[transposition(n, i, i + 1)] for i in range(n - 1)]
     if not gens:
-        gens = [index[(idvec, identity_perm(n))]]
+        gens = [vindex[idvec] * nf]
     return FiniteGroup(table, names=names, generators=gens, check_axioms=False)
 
 

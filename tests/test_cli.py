@@ -39,6 +39,20 @@ def test_analyze_golden_mean(capsys):
     assert abs(doc["entropy"] - 0.4812118250596035) < 1e-9
 
 
+def test_analyze_component_entropy(capsys):
+    # period 1: the component is the shift itself, so the entropies are equal
+    for matrix in ["2", "1 1 / 1 0", "1 2 0 / 0 0 1 / 1 0 1"]:
+        doc = json.loads(run(capsys, ["analyze", matrix, "--json"])[1])
+        assert doc["period"] == 1
+        assert doc["smale"]["component_adjacency"] == [
+            [int(a) for a in row.split()] for row in matrix.split("/")]
+        assert doc["smale"]["component_entropy"] == doc["entropy"]
+    # period 2: the component presents sigma^2, with twice the entropy
+    doc = json.loads(run(capsys, ["analyze", "0 2 / 2 0", "--json"])[1])
+    assert doc["period"] == 2
+    assert doc["smale"]["component_entropy"] == pytest.approx(2 * doc["entropy"], abs=1e-9)
+
+
 def test_analyze_bad_matrix_exits_one(capsys):
     code, out, err = run(capsys, ["analyze", "1 2 / 3"])
     assert code == 1

@@ -59,6 +59,28 @@ def test_parse_structured_document():
     assert sft.states == ("a", "b")
 
 
+def test_edge_tables_follow_the_edge_order(graph_catalog):
+    # edges run in (tail, head, parallel-index) order; each state's out- and
+    # in-edges keep that order
+    sft = make_edge_shift(["0", "1", "2"], [[0, 2, 1], [1, 0, 3], [2, 1, 1]])
+    assert sft.alphabet == tuple("0123456789a")
+    assert sft.out_edges == (("0", "1", "2"), ("3", "4", "5", "6"), ("7", "8", "9", "a"))
+    assert sft.in_edges == (("3", "7", "8"), ("0", "1", "9"), ("2", "4", "5", "6", "a"))
+    shifts = [sft] + [s for _, s, _ in graph_catalog] + \
+        [power_shift(s, 3) for _, s, _ in graph_catalog]
+    for sft in shifts:
+        edges = sft.edges
+        assert tuple(e.symbol for e in edges) == sft.alphabet
+        assert [(e.tail, e.head) for e in edges] == sorted(
+            (i, j) for i, row in enumerate(sft.adjacency) for j, a in enumerate(row)
+            for _ in range(a))
+        for i in range(sft.n_states):
+            assert sft.out_edges[i] == tuple(e.symbol for e in edges if e.tail == i)
+            assert sft.in_edges[i] == tuple(e.symbol for e in edges if e.head == i)
+        assert all(sft.tail(e.symbol) == e.tail and sft.head(e.symbol) == e.head
+                   for e in edges)
+
+
 def test_normalization_log_records_removals():
     sft = make_edge_shift(["0", "1", "2"], [[1, 1, 0], [1, 0, 0], [0, 1, 0]])
     # state 2 has no incoming edge: removed

@@ -3,15 +3,18 @@ comparison, entropy ratios."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
+from stabdyn import verify
+
 from stabdyn.codes import (AutomorphismSet, compose, enumerate_automorphisms,
                            shift_code)
-from stabdyn.errors import ZeroEntropyError
+from stabdyn.errors import VerificationError, ZeroEntropyError
 from stabdyn.groups import cyclic_group, klein_group
-from stabdyn.sft import full_shift, parse_edge_shift, power_shift
+from stabdyn.sft import entropy, full_shift, parse_edge_shift, power_shift
 from stabdyn.verify import (SplitInstance, _quotient_group, _stage_escape,
                             check_wreath_rigidity, compare_rational_eigs,
                             entropy_ratio, shifted_key, verify_quotient_isos,
@@ -269,3 +272,36 @@ def test_entropy_ratio_respects_periods():
     report = entropy_ratio(doubled_loop_period2(), full_shift(2))
     assert (report.best_numerator, report.best_denominator) == (1, 2)
     assert report.verdict == "rational-within-tolerance"
+
+
+def _entropy_skewing_components(monkeypatch) -> list:
+    """Patch verify.entropy so that derived presentations (Smale components)
+    report 0.1 too much; return the list of shifts it was called on."""
+    calls = []
+
+    def skewed(shift):
+        calls.append(shift)
+        result = entropy(shift)
+        if shift.provenance is None:
+            return result
+        return dataclasses.replace(result, log_value=result.log_value + 0.1)
+
+    monkeypatch.setattr(verify, "entropy", skewed)
+    return calls
+
+
+def test_entropy_ratio_cross_check_fires_for_period_two(monkeypatch):
+    # period 2 with positive entropy: the component (the full 4-shift) is a
+    # different matrix, so its entropy is computed and must be 2 * h
+    calls = _entropy_skewing_components(monkeypatch)
+    with pytest.raises(VerificationError, match="Smale component entropy mismatch"):
+        entropy_ratio(parse_edge_shift("0 2 / 2 0"), full_shift(2))
+    assert any(shift.provenance is not None for shift in calls)
+
+
+def test_entropy_ratio_reuses_entropy_of_mixing_inputs(monkeypatch):
+    # a period-1 shift is its own Smale component: one entropy per input
+    calls = _entropy_skewing_components(monkeypatch)
+    report = entropy_ratio(golden_mean(), full_shift(2))
+    assert len(calls) == 2
+    assert report.verdict == "inconclusive"

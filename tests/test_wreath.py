@@ -11,8 +11,9 @@ import pytest
 
 from stabdyn.groups import (alternating_subset, compose_perm, cyclic_group,
                             dihedral_square, identity_perm, invert_perm,
-                            is_isomorphic, is_transitive_perm_set,
-                            klein_subset_sym4, symmetric_group, trivial_group)
+                            is_isomorphic, is_transitive_perm_set, klein_group,
+                            klein_subset_sym4, quaternion_group,
+                            symmetric_group, transposition, trivial_group)
 from stabdyn.wreath import (WreathContext, conjugate_in_base, cycle_product,
                             imprimitive_permutation, normal_subgroups_sym,
                             orbit_anchors, wr_comm, wr_comm_definitional,
@@ -244,6 +245,25 @@ def test_wreath_group_trivial_base_is_symmetric():
 
 def test_wreath_group_z3_sym2_order():
     assert wreath_group(cyclic_group(3), 2).order == 18
+
+
+@pytest.mark.parametrize("base, n", [
+    (cyclic_group(2), 4), (klein_group(), 3),
+    # nonabelian bases, where the coordinate order of g_{t^{-1}} h matters
+    (symmetric_group(3), 2), (dihedral_square(), 2), (quaternion_group(), 2),
+    (trivial_group(), 3), (cyclic_group(3), 1),
+], ids=["Z2wr4", "V4wr3", "S3wr2", "D4wr2", "Q8wr2", "1wr3", "Z3wr1"])
+def test_wreath_group_table_is_wr_mul(base, n):
+    c = WreathContext(base, n)
+    elems = c.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    w = wreath_group(base, n)
+    assert w.table == tuple(tuple(index[wr_mul(a, b)] for b in elems) for a in elems)
+    assert w.names == tuple(e.name() for e in elems)
+    ident = identity_perm(n)
+    gens = [c.element([g] + [base.identity] * (n - 1), ident) for g in base.generators]
+    gens += [c.element(c.identity().g_vec, transposition(n, i, i + 1)) for i in range(n - 1)]
+    assert w.generators == tuple(index[g] for g in gens)
 
 
 # -- centralizers (computing-centralizers lemma instances) -----------------------------
