@@ -314,35 +314,28 @@ def cmd_entropy_ratio(args) -> int:
     return EXIT_OK
 
 
-def cmd_example1(args) -> int:
-    word = example1_word(args.level)
-    doc = {"schema_version": 1, "scheme": "example1", "level": args.level,
-           "length": len(word), "word": word}
-    if args.check_n:
-        report = check_example1_residues(args.check_n, args.depth)
-        doc["residue_check"] = report.to_document()
-        args._hashes = {}
-        _emit(args, doc)
-        return EXIT_OK if report.passes else EXIT_VIOLATION
-    args._hashes = {}
-    _emit(args, doc, plain=word)
-    return EXIT_OK
+# scheme -> (word generator, residue checker, extra document fields)
+EXAMPLES = {
+    "example1": (example1_word, check_example1_residues, {}),
+    "example2": (example2_word, check_example2_markers,
+                 {"note": "recursion pinned by the length law len(A_n) = 3^(n+1)"}),
+}
 
 
-def cmd_example2(args) -> int:
-    word = example2_word(args.level)
-    doc = {"schema_version": 1, "scheme": "example2", "level": args.level,
-           "length": len(word), "word": word,
-           "note": "recursion pinned by the length law len(A_n) = 3^(n+1)"}
-    if args.check_n:
-        report = check_example2_markers(args.check_n, args.depth)
-        doc["residue_check"] = report.to_document()
-        args._hashes = {}
-        _emit(args, doc)
-        return EXIT_OK if report.passes else EXIT_VIOLATION
-    args._hashes = {}
-    _emit(args, doc, plain=word)
-    return EXIT_OK
+def cmd_example(args) -> int:
+    word_of, check_markers, extra = EXAMPLES[args.command]
+    if args.depth is not None and args.check_n is None:
+        raise StabdynError("--depth sets the scan length of --check-n; give --check-n")
+    word = word_of(args.level)
+    doc = {"schema_version": 1, "scheme": args.command, "level": args.level,
+           "length": len(word), "word": word, **extra}
+    if args.check_n is None:
+        _emit(args, doc, plain=word)
+        return EXIT_OK
+    report = check_markers(args.check_n, args.depth)
+    doc["residue_check"] = report.to_document()
+    _emit(args, doc)
+    return EXIT_OK if report.passes else EXIT_VIOLATION
 
 
 SWEEP_SHIFTS = {
@@ -364,7 +357,6 @@ SWEEP_SPLIT_INSTANCES = [
 def rigidity_sweep_pairs(order_cap: int = 2000):
     """All base pairs of order <= 9 with equal wreath order <= order_cap and
     different arities n != m in {2, 3, 4}."""
-    import math
     catalog = [
         ("Z2", cyclic_group(2)), ("Z3", cyclic_group(3)), ("Z4", cyclic_group(4)),
         ("V4", klein_group()), ("Z5", cyclic_group(5)), ("Z6", cyclic_group(6)),
@@ -378,7 +370,7 @@ def rigidity_sweep_pairs(order_cap: int = 2000):
     entries = []
     for name, group in catalog:
         for n in (2, 3, 4):
-            order = group.order ** n * math.factorial(n)
+            order = WreathContext(group, n).order
             if order <= order_cap:
                 entries.append((order, name, group, n))
     pairs = []
@@ -410,7 +402,6 @@ def cmd_sweep(args) -> int:
     results.sort(key=lambda r: r["instance"])
     doc = {"schema_version": 1, "instances": results,
            "all_pass": worst == EXIT_OK}
-    args._hashes = {}
     _emit(args, doc)
     return worst
 
@@ -422,6 +413,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="stabdyn", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    inv_help = "largest radius searched for each element's inverse (default: 2 * radius)"
 
     def common(p):
         p.add_argument("--json", action="store_true",
@@ -454,7 +446,8 @@ def build_parser() -> _Parser:
     p.add_argument("--power", type=int, default=1,
                    help="enumerate over the power-shift presentation of sigma^power")
     p.add_argument("--radius", type=int, default=0)
-    p.add_argument("--inv-radius", dest="inv_radius", type=int, default=None)
+    p.add_argument("--inv-radius", dest="inv_radius", type=int, default=None,
+                   help=inv_help)
     common(p)
     p.set_defaults(func=cmd_autos)
 
@@ -470,7 +463,8 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--inv-radius", dest="inv_radius", type=int, default=None)
+    p.add_argument("--inv-radius", dest="inv_radius", type=int, default=None,
+                   help=inv_help)
     common(p)
     p.set_defaults(func=cmd_quotients)
 
@@ -501,13 +495,16 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_entropy_ratio)
 
-    for name, fn in (("example1", cmd_example1), ("example2", cmd_example2)):
+    for name in EXAMPLES:
         p = sub.add_parser(name, help=f"{name} generator and residue checks")
         p.add_argument("--level", type=int, required=True)
-        p.add_argument("--check-n", dest="check_n", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
+        p.add_argument("--check-n", dest="check_n", type=int, default=None, metavar="N",
+                       help="check the residues of the occurrences of marker b_N")
+        p.add_argument("--depth", type=int, default=None,
+                       help="length of the word prefix --check-n scans "
+                            "(default: A_{N+3} for example1, A_{N+2} for example2)")
         common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("sweep", help="run the verification instance matrix")
     p.add_argument("--radius", type=int, default=1)

@@ -251,11 +251,6 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
 # -- enumeration ----------------------------------------------------------------
 
 
-def _debruijn_pairs(sft: EdgeShift, width: int) -> list:
-    """(left, right) key pairs realized by admissible (width+1)-words."""
-    return [(w[:-1], w[1:]) for w in sft.language(width + 1)]
-
-
 def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
                           inv_radius: int, budget: Optional[Budget] = None) -> list:
     """All radius-``radius`` codes domain -> codomain that carry the language
@@ -270,10 +265,9 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
     keys = list(domain.language(width))
     if not keys:
         return []
-    key_index = {w: i for i, w in enumerate(keys)}
     neighbors: list = [[] for _ in keys]  # (other_index, is_successor)
-    for left, right in _debruijn_pairs(domain, width):
-        li, ri = key_index[left], key_index[right]
+    # the (left, right) key pairs of the admissible (width+1)-words
+    for li, ri in zip(*domain.subwindow_ids(width + 1, width)):
         neighbors[li].append((ri, True))
         neighbors[ri].append((li, False))
 
@@ -483,14 +477,13 @@ def partition_action(code: SlidingBlockCode, part: CyclicPartition) -> tuple:
         raise ShiftMismatchError(
             f"power step {step} is not a multiple of the partition size {m}")
 
-    def clazz(symbol: str) -> int:
-        return part.class_of_state(state_map[code.domain.tail(symbol)])
-
+    clazz = {symbol: part.class_of_state(state_map[code.domain.tail(symbol)])
+             for symbol in code.domain.alphabet}
     mapping: dict = {}
     r = code.radius
     for w, out in code.rule.items():
-        c_in = clazz(w[r])
-        c_out = clazz(out)
+        c_in = clazz[w[r]]
+        c_out = clazz[out]
         if mapping.setdefault(c_in, c_out) != c_out:
             raise ImageSplitsClassesError(
                 f"class {c_in} maps into classes {mapping[c_in]} and {c_out}")

@@ -313,22 +313,13 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, names=[str(i) for i in range(n)], generators=[1 % n])
 
 
-_SYM_CACHE: dict = {}
-
-
 def symmetric_group(n: int, budget: Optional[Budget] = None) -> FiniteGroup:
+    """Sym(n) on the permutations in ``all_perms(n)`` order, generated by the
+    Coxeter transpositions (the identity for n <= 1)."""
     budget = budget or default_budget()
     check(math.factorial(n), budget.group_order, "symmetric group order")
-    if n in _SYM_CACHE:
-        return _SYM_CACHE[n]
-    perms = all_perms(n)
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[compose_perm(p, q)] for q in perms] for p in perms]
-    names = [perm_name(p) for p in perms]
-    gens = [index[transposition(n, i, i + 1)] for i in range(n - 1)] or [0]
-    group = FiniteGroup(table, names=names, generators=gens, check_axioms=False)
-    _SYM_CACHE[n] = group
-    return group
+    return from_permutations([transposition(n, i, i + 1) for i in range(n - 1)]
+                             or [identity_perm(n)])
 
 
 def perm_name(p: tuple) -> str:

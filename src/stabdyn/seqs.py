@@ -15,7 +15,7 @@ Two finite-depth constructions over small alphabets:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .budgets import Budget, check, default_budget
@@ -161,19 +161,25 @@ def marker_residues(text: str, marker: str, modulus: int, scheme: str = "custom"
                          residues, passes, residue, notes)
 
 
+def _prefix(word_of, n: int, level: int, depth: Optional[int],
+            budget: Optional[Budget]) -> tuple:
+    """(level, word): the scheme's A_level for a marker-level-n check, grown
+    level by level until it reaches ``depth`` and then cut to it (uncut when
+    depth is None)."""
+    if n < 1:
+        raise ValueError("marker level must be >= 1")
+    word = word_of(level, budget)
+    while depth is not None and len(word) < depth:
+        level += 1
+        word = word_of(level, budget)
+    return level, word[:depth]
+
+
 def check_example1_residues(n: int, depth: Optional[int] = None,
                             budget: Optional[Budget] = None) -> ResidueReport:
     """Occurrences of b_n in the scheme-1 limit word, scanned to ``depth``
     (default: len(A_{n+3}))."""
-    if n < 1:
-        raise ValueError("marker level must be >= 1")
-    level = n + 3
-    word = example1_word(level, budget)
-    while depth is not None and len(word) < depth:
-        level += 1
-        word = example1_word(level, budget)
-    if depth is not None:
-        word = word[:depth]
+    _, word = _prefix(example1_word, n, n + 3, depth, budget)
     return marker_residues(word, example1_marker(n), 2 ** n,
                            scheme="example1", marker_level=n)
 
@@ -187,15 +193,7 @@ def check_example2_markers(n: int, depth: Optional[int] = None,
     """Occurrences of b_n in the scheme-2 word, scanned to ``depth``
     (default: len(A_{n+2})), share a residue mod 3^n, and every marker-symbol
     position lies on the A_0 grid or inside a marker."""
-    if n < 1:
-        raise ValueError("marker level must be >= 1")
-    level = n + 2
-    word = example2_word(level, budget)
-    while depth is not None and len(word) < depth:
-        level += 1
-        word = example2_word(level, budget)
-    if depth is not None:
-        word = word[:depth]
+    level, word = _prefix(example2_word, n, n + 2, depth, budget)
     report = marker_residues(word, example2_marker(n), 3 ** n,
                              scheme="example2", marker_level=n,
                              notes=_SCHEME2_NOTE)
@@ -207,8 +205,6 @@ def check_example2_markers(n: int, depth: Optional[int] = None,
         allowed.update(range(p, p + 3 ** lvl))
     stray = [i for i, ch in enumerate(word) if ch == MARKER_SYMBOL and i not in allowed]
     if stray:
-        return ResidueReport(report.scheme, report.marker_level, report.modulus,
-                             report.depth, report.occurrences, report.residues,
-                             False, None,
-                             report.notes + (f"marker symbol off-grid at {stray[:5]}",))
+        return replace(report, passes=False, residue=None,
+                       notes=report.notes + (f"marker symbol off-grid at {stray[:5]}",))
     return report

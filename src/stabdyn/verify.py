@@ -57,6 +57,7 @@ class SplitInstance:
     to_power: dict               # Z symbol -> the Y_0 symbol of the same path
     to_component: dict           # the inverse of to_power
     _phases: dict = field(default_factory=dict, repr=False)
+    _conjugates: dict = field(default_factory=dict, repr=False, init=False)
 
     @staticmethod
     def build(base: EdgeShift, n: int, m: int) -> "SplitInstance":
@@ -89,8 +90,12 @@ class SplitInstance:
         return self._phases[d]
 
     def _conjugate(self, code: SlidingBlockCode, d: int) -> SlidingBlockCode:
-        """T^d . code . T^-d, canonical."""
-        return compose(self.phase(d), compose(code, self.phase(-d))).canonical()
+        """T^d . code . T^-d, canonical; cached by (canonical key, d)."""
+        key = (code.canonical_key(), d)
+        if key not in self._conjugates:
+            self._conjugates[key] = compose(
+                self.phase(d), compose(code, self.phase(-d))).canonical()
+        return self._conjugates[key]
 
     def _assemble(self, pieces: Sequence[SlidingBlockCode]) -> SlidingBlockCode:
         """The code over Y that acts on each piece Y_c as pieces[c] does."""
@@ -190,9 +195,15 @@ class WreathDecompositionReport:
         }
 
 
-def _effective_radius(shift: EdgeShift, requested: int, key_cap: int = 32) -> int:
+# stages are enumerated with rule tables of at most KEY_CAP windows, and the
+# sampled checks of verify_split_sequence take at most these many items
+KEY_CAP = 32
+MAX_TUPLES, MAX_PAIRS, MAX_KERNEL = 48, 200, 24
+
+
+def _effective_radius(shift: EdgeShift, requested: int) -> int:
     r = requested
-    while r > 0 and len(shift.language(2 * r + 1)) > key_cap:
+    while r > 0 and len(shift.language(2 * r + 1)) > KEY_CAP:
         r -= 1
     return r
 
@@ -211,8 +222,6 @@ def _stage_escape(autos: AutomorphismSet) -> Optional[tuple]:
 
 
 def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
-                          max_tuples: int = 48, max_pairs: int = 200,
-                          max_kernel: int = 24,
                           budget: Optional[Budget] = None) -> WreathDecompositionReport:
     """Verify the split exact sequence
     1 -> Aut(s^{nm} on X_m)^m -> Aut(s^{nm}) -> Sym(m) -> 1 on the enumerated
@@ -245,9 +254,9 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
 
     # pi is a homomorphism (budgeted pairs)
     size = len(autos.elements)
-    stepped = max(1, size * size // max_pairs)  # every k-th of the |A|^2 pairs
+    stepped = max(1, size * size // MAX_PAIRS)  # every k-th of the |A|^2 pairs
     hom_fail = None
-    for i, j in (divmod(k, size) for k in range(0, size * size, stepped)[:max_pairs]):
+    for i, j in (divmod(k, size) for k in range(0, size * size, stepped)[:MAX_PAIRS]):
         left = partition_action(
             compose(autos.elements[i], autos.elements[j]).canonical(), inst.part)
         right = compose_perm(pi_of[i], pi_of[j])
@@ -283,7 +292,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
     r_comp = _effective_radius(inst.component, max(radius, 1))
     comp_autos = enumerate_automorphisms(inst.component, r_comp, 2 * r_comp, budget)
     tuples = list(itertools.islice(
-        itertools.product(range(len(comp_autos.elements)), repeat=m), max_tuples))
+        itertools.product(range(len(comp_autos.elements)), repeat=m), MAX_TUPLES))
 
     psi_of: dict = {}
 
@@ -315,7 +324,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
     # psi is a homomorphism (componentwise composition; budgeted pairs)
     fail = None
     tuple_pairs = list(itertools.islice(
-        itertools.product(tuples, repeat=2), max_pairs))
+        itertools.product(tuples, repeat=2), MAX_PAIRS))
     for ta, tb in tuple_pairs:
         composed = tuple(
             compose(comp_autos.elements[ta[i]], comp_autos.elements[tb[i]]).canonical()
@@ -329,7 +338,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
 
     # every kernel element of the enumerated stage is a psi image
     fail = None
-    kernel_checked = kernel[:max_kernel]
+    kernel_checked = kernel[:MAX_KERNEL]
     for idx in kernel_checked:
         code = autos.elements[idx]
         parts = [inst.restrict_to_component(code, i) for i in range(m)]
@@ -347,7 +356,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
     for sigma in all_perms(m):
         rho_s = rho_of[sigma]
         rho_s_inv = rho_of[invert_perm(sigma)]
-        for tup in tuples[:max(1, max_tuples // max(1, math.factorial(m)))]:
+        for tup in tuples[:max(1, MAX_TUPLES // max(1, math.factorial(m)))]:
             conjugated = compose(rho_s_inv, compose(psi_by_indices(tup), rho_s))
             permuted = tuple(tup[sigma[i]] for i in range(m))
             if conjugated != psi_by_indices(permuted):
@@ -443,68 +452,41 @@ def shifted_key(code: SlidingBlockCode, j: int, rho: int):
     return None if on_centre is None else factor_key(sft, rho, on_centre)
 
 
-def _stage_radius(autos: AutomorphismSet) -> int:
-    """The largest canonical radius in the stage (0 for an empty stage)."""
-    return max((code.canonical_radius for code in autos.elements), default=0)
-
-
-def _shift_cosets(autos: AutomorphismSet, step: int, scan: int):
-    """Partition the enumerated stage into cosets of the shift powers
-    {sigma^{j*step}}; returns (coset list, member->coset index) or None when
-    the stage is not closed under the reductions."""
-    elements = list(autos.elements)
-    rho = _stage_radius(autos)
+def _quotient_group(autos: AutomorphismSet, step: int):
+    """The quotient of the enumerated stage by the shift subgroup {s^{j*step}}
+    as a finite group table, or None when the cosets conflict or composition
+    leaves the stage."""
+    elements = autos.elements
+    rho = max((code.canonical_radius for code in elements), default=0)
+    scan = 2 * autos.radius + autos.inv_radius + step
     keys = {code.canonical_key(): i for i, code in enumerate(elements)}
+
+    def translates(code):
+        """Stage indices of sigma^j . code, j = a multiple of step in [-scan, scan]."""
+        for j in range(-(scan // step) * step, scan + 1, step):
+            key = shifted_key(code, j, rho)
+            if key in keys:
+                yield keys[key]
+
+    # coset of each element, each coset represented by its first element
     assignment = [None] * len(elements)
-    cosets: list = []
+    reps = []
     for i, code in enumerate(elements):
         if assignment[i] is not None:
             continue
-        members = []
-        for j in range(-scan, scan + 1):
-            if j % step != 0:
-                continue
-            shifted = shifted_key(code, j, rho)
-            if shifted in keys:
-                members.append(keys[shifted])
-        members = sorted(set(members) | {i})
-        idx = len(cosets)
-        cosets.append(members)
-        for k in members:
-            if assignment[k] is not None and assignment[k] != idx:
+        for k in set(translates(code)) | {i}:
+            if assignment[k] is not None:
                 return None
-            assignment[k] = idx
-    return cosets, assignment
-
-
-def _quotient_group(autos: AutomorphismSet, step: int):
-    """The quotient of the enumerated stage by the shift subgroup {s^{j*step}}
-    as a finite group table, or None when composition leaves the stage."""
-    r, R = autos.radius, autos.inv_radius
-    scan = 2 * r + R + step
-    packed = _shift_cosets(autos, step, scan)
-    if packed is None:
-        return None
-    cosets, assignment = packed
-    rho = _stage_radius(autos)
-    reps = [autos.elements[members[0]] for members in cosets]
-    keys = {code.canonical_key(): i for i, code in enumerate(autos.elements)}
+            assignment[k] = len(reps)
+        reps.append(code)
     table = []
     for a in reps:
         row = []
         for b in reps:
-            product = compose(a, b)
-            target = None
-            for j in range(-scan, scan + 1):
-                if j % step != 0:
-                    continue
-                reduced = shifted_key(product, j, rho)
-                if reduced in keys:
-                    target = assignment[keys[reduced]]
-                    break
-            if target is None:
+            k = next(translates(compose(a, b)), None)
+            if k is None:
                 return None
-            row.append(target)
+            row.append(assignment[k])
         table.append(row)
     try:
         return FiniteGroup(table, check_axioms=True)
@@ -522,8 +504,6 @@ def verify_quotient_isos(sft: EdgeShift, m: int, radius: int,
     p = period(sft)
     if m != p:
         raise NoSuchEigenvalueError(f"quotient comparison needs m = period = {p}")
-    if inv_radius is None:
-        inv_radius = 2 * radius
     dec = smale(sft)
     lhs = enumerate_automorphisms(sft, radius, inv_radius, budget)
     r_comp = _effective_radius(dec.component_shift, max(radius, 1))

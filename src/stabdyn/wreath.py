@@ -14,6 +14,7 @@ definitional expansions on every element pair.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Optional, Sequence
@@ -22,7 +23,7 @@ from .budgets import Budget, check, default_budget
 from .errors import AmbientMismatchError, BudgetExceededError
 from .groups import (FiniteGroup, all_perms, alternating_subset, compose_perm,
                      identity_perm, invert_perm, klein_subset_sym4, perm_name,
-                     perm_orbits, symmetric_group, transposition)
+                     perm_orbits, symmetric_group)
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,7 @@ class WreathContext:
 
     @property
     def order(self) -> int:
-        fact = 1
-        for k in range(2, self.n + 1):
-            fact *= k
-        return self.base.order ** self.n * fact
+        return self.base.order ** self.n * math.factorial(self.n)
 
     def identity(self) -> "WreathElement":
         return WreathElement(self, (self.base.identity,) * self.n, identity_perm(self.n))
@@ -142,29 +140,17 @@ def wr_comm_definitional(x: WreathElement, y: WreathElement) -> WreathElement:
 # -- imprimitive permutation representation (independent oracle) ---------------
 
 
-def imprimitive_action(a: WreathElement):
-    """The left action on pairs (block, base element):
-    (i, x) -> (sigma(i), g[i] * x).  A faithful permutation representation;
-    composing these maps must match wr_mul."""
-    ctx = a.context
-
-    def apply(point):
-        i, x = point
-        return (a.sigma[i], ctx.base.mul(a.g_vec[i], x))
-
-    return apply
-
-
 def imprimitive_permutation(a: WreathElement) -> tuple:
-    """The action as a permutation of n * |G| points (block-major)."""
+    """The left action on pairs (block, base element),
+    (i, x) -> (sigma(i), g[i] * x), as a permutation of n * |G| points
+    (block-major).  A faithful permutation representation; composing these
+    permutations must match wr_mul."""
     ctx = a.context
     q = ctx.base.order
-    apply = imprimitive_action(a)
     images = [0] * (ctx.n * q)
     for i in range(ctx.n):
         for x in range(q):
-            j, y = apply((i, x))
-            images[i * q + x] = j * q + y
+            images[i * q + x] = a.sigma[i] * q + ctx.base.mul(a.g_vec[i], x)
     return tuple(images)
 
 
@@ -191,24 +177,6 @@ def orbit_anchors(sigma: tuple) -> dict:
     return {frozenset(orbit): min(orbit) for orbit in perm_orbits(sigma)}
 
 
-def _descending_cycle_product(context: WreathContext, g_vec: Sequence[int],
-                              sigma: tuple, j: int) -> int:
-    """g[s^{|p|-1}(j)] ... g[s(j)] g[j]: the orientation matched to wr_conj.
-
-    For abelian bases this coincides with cycle_product; the two orientations
-    differ only on nonabelian bases with orbits of length >= 3.
-    """
-    chain = [j]
-    at = sigma[j]
-    while at != j:
-        chain.append(at)
-        at = sigma[at]
-    acc = context.base.identity
-    for idx in reversed(chain):
-        acc = context.base.mul(acc, g_vec[idx])
-    return acc
-
-
 def conjugate_in_base(context: WreathContext, g_vec: Sequence[int], h_vec: Sequence[int],
                       sigma: tuple, anchors: Optional[dict] = None) -> Optional[tuple]:
     """If the cycle products of g and h agree at every orbit anchor, build
@@ -217,10 +185,12 @@ def conjugate_in_base(context: WreathContext, g_vec: Sequence[int], h_vec: Seque
     otherwise return None.  The witness is verified before it is returned."""
     base = context.base
     anchors = anchors or orbit_anchors(sigma)
+    # cycle products over sigma^{-1}, g[s^{|p|-1}(j)] ... g[s(j)] g[j]: wr_conj's order
+    forward = invert_perm(sigma)
     for orbit in perm_orbits(sigma):
         j = anchors[frozenset(orbit)]
-        if _descending_cycle_product(context, g_vec, sigma, j) != \
-                _descending_cycle_product(context, h_vec, sigma, j):
+        if cycle_product(context, g_vec, forward, j) != \
+                cycle_product(context, h_vec, forward, j):
             return None
     k = [base.identity] * context.n
     for orbit in perm_orbits(sigma):
@@ -249,9 +219,10 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
     the vector g in ``itertools.product(range(|G|), repeat=n)`` order and p
     the index of s in ``all_perms(n)``: the order of
     ``WreathContext.elements()``.  The table is read off three small integer
-    tables, the product table of Sym(n), the permuted-vector table
-    ``permuted[t][g] = (g[t[0]], ..., g[t[n-1]])`` and the coordinatewise
-    product table of G^n, as (g,s)(h,t) = (vmul[permuted[t][g]][h], s t).
+    tables, the product table of ``symmetric_group(n)``, the permuted-vector
+    table ``permuted[t][g] = (g[t[0]], ..., g[t[n-1]])`` and the
+    coordinatewise product table of G^n, as
+    (g,s)(h,t) = (vmul[permuted[t][g]][h], s t).
     ``wr_mul`` stays the definition; the tests pin this table to it.
 
     Generators: the base group's generators in coordinate 0, plus the Coxeter
@@ -262,11 +233,9 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
     check(ctx.order, budget.group_order, "wreath group order")
     vecs = list(itertools.product(range(base.order), repeat=n))
     vindex = {v: k for k, v in enumerate(vecs)}
-    perms = all_perms(n)
-    pindex = {s: k for k, s in enumerate(perms)}
-    nf = len(perms)
-    pmul = [[pindex[compose_perm(s, t)] for t in perms] for s in perms]
-    permuted = [[vindex[tuple(g[i] for i in t)] for g in vecs] for t in perms]
+    sym = symmetric_group(n, budget)
+    nf = sym.order
+    permuted = [[vindex[tuple(g[i] for i in t)] for g in vecs] for t in all_perms(n)]
     vmul = [[vindex[tuple(base.table[x][y] for x, y in zip(g, h))] for h in vecs]
             for g in vecs]
     # cells store these shared int objects, not one fresh int per cell
@@ -277,15 +246,14 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
         # offsets[h * n! + t] = n! * (index of g_{t^{-1}} h)
         rows = [vmul[p[gi]] for p in permuted]
         offsets = [row[hi] * nf for hi in range(nv) for row in rows]
-        for ps in pmul:
+        for ps in sym.table:
             table.append(tuple(map(ids.__getitem__, map(add, offsets, ps * nv))))
     vec_names = [",".join(base.names[x] for x in v) for v in vecs]
-    perm_names = [perm_name(s) for s in perms]
-    names = [f"(({vn}),{pn})" for vn in vec_names for pn in perm_names]
+    names = [f"(({vn}),{pn})" for vn in vec_names for pn in sym.names]
     idvec = (base.identity,) * n
     gens = [vindex[tuple(g if i == 0 else base.identity for i in range(n))] * nf
             for g in base.generators]
-    gens += [vindex[idvec] * nf + pindex[transposition(n, i, i + 1)] for i in range(n - 1)]
+    gens += [vindex[idvec] * nf + p for p in sym.generators if p != sym.identity]
     if not gens:
         gens = [vindex[idvec] * nf]
     return FiniteGroup(table, names=names, generators=gens, check_axioms=False)

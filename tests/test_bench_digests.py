@@ -1,6 +1,6 @@
 """The benchmark's CLI instances, replayed in-process: the ``codes`` workload
-(``split`` and ``quotients``) and the ``spectral`` part's ``analyze`` and
-``entropy-ratio`` calls.  Every stdout document must hash to its reference
+(``split`` and ``quotients``), the ``rigidity`` part and the ``spectral``
+part's ``analyze`` and ``entropy-ratio`` calls.  Every stdout document must hash to its reference
 digest in ``bench/digests.json``, so a change to stdout fails here, not only
 in the benchmark.  Both bench files are only read."""
 
@@ -34,6 +34,7 @@ WORKLOADS = _workloads()
 DIGESTS = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
 CODES_INSTANCES = [inst for part in WORKLOADS.COMPOSITES["codes"]
                    for inst in WORKLOADS.instances(part, 0)]
+RIGIDITY_INSTANCES = sorted(WORKLOADS.instances("rigidity", 0), key=lambda inst: inst.id)
 # the spectral part's dual-route instances take a matrix, not an argv
 SPECTRAL_INSTANCES = sorted((inst for inst in WORKLOADS.instances("spectral", 0)
                              if inst.argv), key=lambda inst: inst.id)
@@ -54,6 +55,16 @@ def test_codes_workload_has_fourteen_instances():
 
 @pytest.mark.parametrize("inst", CODES_INSTANCES, ids=lambda inst: inst.id)
 def test_codes_instance_matches_reference_digest(inst):
+    _replay(inst)
+
+
+def test_rigidity_part_has_eight_instances():
+    assert len(RIGIDITY_INSTANCES) == 8
+    assert all(inst.id in DIGESTS for inst in RIGIDITY_INSTANCES)
+
+
+@pytest.mark.parametrize("inst", RIGIDITY_INSTANCES, ids=lambda inst: inst.id)
+def test_rigidity_instance_matches_reference_digest(inst):
     _replay(inst)
 
 

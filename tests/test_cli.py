@@ -160,6 +160,17 @@ def test_example2_word_and_check(capsys):
     assert json.loads(out)["residue_check"]["depth"] == 100000
 
 
+@pytest.mark.parametrize("scheme", ["example1", "example2"])
+def test_example_depth_needs_check_n(capsys, scheme):
+    code, out, err = run(capsys, [scheme, "--level", "2", "--depth", "50"])
+    assert code == 1
+    assert out == ""
+    assert "--check-n" in err
+    code, out, _ = run(capsys, [scheme, "--level", "2", "--check-n", "0"])
+    assert code == 1
+    assert out == ""
+
+
 def test_wreath_calc(tmp_path, capsys):
     expr = {
         "base": {"cyclic": 2},

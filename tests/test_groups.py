@@ -8,11 +8,12 @@ import pytest
 
 from stabdyn.budgets import Budget
 from stabdyn.errors import BudgetExceededError
-from stabdyn.groups import (FiniteGroup, alternating_subset, cyclic_group,
-                            dihedral_square, direct_product, from_permutations,
-                            is_isomorphic, klein_group, klein_subset_sym4,
+from stabdyn.groups import (FiniteGroup, all_perms, alternating_subset,
+                            compose_perm, cyclic_group, dihedral_square,
+                            direct_product, from_permutations, is_isomorphic,
+                            klein_group, klein_subset_sym4, perm_name,
                             perm_orbits, quaternion_group, symmetric_group,
-                            trivial_group)
+                            transposition, trivial_group)
 
 
 def test_cyclic_group_axioms_exhaustive():
@@ -32,8 +33,27 @@ def test_symmetric_group_orders():
     assert symmetric_group(4).order == 24
 
 
+def _symmetric_group_direct(n: int) -> FiniteGroup:
+    """Sym(n) tabulated directly over ``all_perms(n)``, with the Coxeter
+    transpositions (or the identity) as generators."""
+    perms = all_perms(n)
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[compose_perm(p, q)] for q in perms] for p in perms]
+    gens = [index[transposition(n, i, i + 1)] for i in range(n - 1)] or [0]
+    return FiniteGroup(table, names=[perm_name(p) for p in perms], generators=gens,
+                       check_axioms=False)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_group_matches_direct_construction(n):
+    got, want = symmetric_group(n), _symmetric_group_direct(n)
+    assert got.table == want.table
+    assert got.names == want.names
+    assert got.generators == want.generators
+
+
 def test_symmetric_group_budget_applies_to_cached_groups():
-    assert symmetric_group(4).order == 24  # now cached
+    assert symmetric_group(4).order == 24  # a repeated call checks the budget too
     with pytest.raises(BudgetExceededError):
         symmetric_group(4, Budget(group_order=10))
 

@@ -229,6 +229,25 @@ def test_conjugate_in_base_exhaustive_small():
                         assert conj == c.element(h, sigma)
 
 
+def test_conjugate_in_base_nonabelian_three_cycles():
+    # S3 base, sigma a 3-cycle: the two orientations of the cycle product
+    # differ here.  The recursion anchors k[j] = 1 at each orbit's anchor, so
+    # a witness exists exactly when an anchored conjugator does; over all of
+    # G^n it can miss one, since anchor products need only be conjugate in G.
+    base, n = symmetric_group(3), 3
+    c = WreathContext(base, n)
+    vectors = list(itertools.product(range(base.order), repeat=n))
+    for sigma in [(1, 2, 0), (2, 0, 1)]:
+        anchors = orbit_anchors(sigma).values()
+        anchored = [k for k in vectors if all(k[a] == base.identity for a in anchors)]
+        for g in vectors:
+            x = c.element(g, sigma)
+            reachable = {wr_conj(x, c.element(k, identity_perm(n))).g_vec
+                         for k in anchored}
+            for h in vectors:
+                assert (conjugate_in_base(c, g, h, sigma) is not None) == (h in reachable)
+
+
 # -- materialized wreath groups ------------------------------------------------------
 
 def test_wreath_group_z2_sym2_is_dihedral():
