@@ -3,13 +3,15 @@ forms, invertibility, exhaustive enumeration of radius-bounded automorphisms
 of a presentation, and the induced action on cyclic partitions.
 
 A code is a total rule on the admissible (2r+1)-words of its domain, applied
-at every position; ``images`` applies it to a whole language by gather, and
-``factor_key`` gives its canonical form.  Elements of Aut(sigma^n), including
-those that do not commute with sigma itself, are codes over the n-th
-power-shift presentation, so a stage of Aut(sigma^n) is enumerated over
-``power_shift(sft, n)`` and new elements are built by ``compose``.  The
-``WordMap`` helper evaluates point maps on finite words and tabulates them
-as codes.
+at every position.  The rule is stored as a tuple of output symbols indexed
+by window id: ``rule[k]`` is the output on the k-th word of
+``domain.language(2r+1)``.  ``images`` applies a code to a whole language by
+gather, and ``factor_key`` gives its canonical form.  Elements of
+Aut(sigma^n), including those that do not commute with sigma itself, are
+codes over the n-th power-shift presentation, so a stage of Aut(sigma^n) is
+enumerated over ``power_shift(sft, n)`` and new elements are built by
+``compose``.  The ``WordMap`` helper evaluates point maps on finite words and
+tabulates them as codes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .budgets import Budget, check, default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
@@ -27,29 +29,31 @@ from .sft import (EdgeShift, Word, derived_shift,
 from .spectral import CyclicPartition
 
 class SlidingBlockCode:
-    """A radius-r local rule from one edge shift to another."""
+    """A radius-r local rule from one edge shift to another: ``rule[k]`` is
+    the output symbol on the k-th word of ``domain.language(2r+1)``."""
 
     def __init__(self, domain: EdgeShift, codomain: EdgeShift, radius: int,
-                 rule: dict, validate: bool = True):
+                 rule: Sequence, validate: bool = True):
         self.domain = domain
         self.codomain = codomain
         self.radius = radius
-        self.rule = dict(rule)
+        self.rule = tuple(rule)
         self._canonical_key = None
         if validate:
             self._validate()
 
     def _validate(self) -> None:
-        keys = self.domain.language(2 * self.radius + 1)
-        if set(self.rule) != set(keys):
+        width = 2 * self.radius + 1
+        if len(self.rule) != len(self.domain.language(width)):
             raise WordError("rule is not total on the admissible (2r+1)-words")
         symbols = set(self.codomain.alphabet)
-        for out in self.rule.values():
+        for out in self.rule:
             if out not in symbols:
                 raise WordError(f"output symbol {out!r} not in the codomain alphabet")
-        for w in self.domain.language(2 * self.radius + 2):
-            if not self.codomain.follows(self.rule[w[:-1]], self.rule[w[1:]]):
-                raise WordError("rule image of an admissible word is inadmissible")
+        left, right = self.domain.subwindow_ids(width + 1, width)
+        if not all(map(self.codomain.follows, gather(self.rule, left),
+                       gather(self.rule, right))):
+            raise WordError("rule image of an admissible word is inadmissible")
 
     # -- evaluation ------------------------------------------------------
 
@@ -57,8 +61,9 @@ class SlidingBlockCode:
         width = 2 * self.radius + 1
         if len(word) < width:
             raise WordError(f"word of length {len(word)} shorter than window {width}")
+        ids = self.domain.word_ids(width)
         try:
-            return tuple(self.rule[tuple(word[i:i + width])]
+            return tuple(self.rule[ids[tuple(word[i:i + width])]]
                          for i in range(len(word) - width + 1))
         except KeyError as exc:
             raise WordError(f"inadmissible window {exc.args[0]!r}") from exc
@@ -66,17 +71,17 @@ class SlidingBlockCode:
     # -- canonical form ----------------------------------------------------
 
     def canonical_key(self):
-        """(minimal radius, canonical rule items), by ``factor_key``;
+        """(minimal radius, canonical rule outputs), by ``factor_key``;
         equality of canonical keys is equality as maps on the shift space."""
         if self._canonical_key is None:
-            self._canonical_key = factor_key(self.domain, self.radius, _outputs(self))
+            self._canonical_key = factor_key(self.domain, self.radius, self.rule)
         return self._canonical_key
 
     def canonical(self) -> "SlidingBlockCode":
-        r2, items = self.canonical_key()
+        r2, outputs = self.canonical_key()
         if r2 == self.radius:
             return self
-        return SlidingBlockCode(self.domain, self.codomain, r2, dict(items),
+        return SlidingBlockCode(self.domain, self.codomain, r2, outputs,
                                 validate=False)
 
     @property
@@ -95,16 +100,18 @@ class SlidingBlockCode:
     def is_identity(self) -> bool:
         if self.domain != self.codomain:
             return False
-        r2, items = self.canonical_key()
-        return r2 == 0 and all(w[0] == out for w, out in items)
+        r2, outputs = self.canonical_key()
+        return r2 == 0 and all(w[0] == out for w, out
+                               in zip(self.domain.language(1), outputs))
 
     def to_document(self) -> dict:
         from .sft import word_to_str
-        r2, items = self.canonical_key()
+        r2, outputs = self.canonical_key()
         return {
             "schema_version": 1,
             "radius": r2,
-            "rule": [[word_to_str(w), out] for w, out in items],
+            "rule": [[word_to_str(w), out] for w, out
+                     in zip(self.domain.language(2 * r2 + 1), outputs)],
             "shift_hash": self.domain.matrix_hash(),
         }
 
@@ -116,8 +123,7 @@ class SlidingBlockCode:
 
 
 def identity_code(sft: EdgeShift) -> SlidingBlockCode:
-    return SlidingBlockCode(sft, sft, 0, {(a,): a for a in sft.alphabet},
-                            validate=False)
+    return SlidingBlockCode(sft, sft, 0, [w[0] for w in sft.language(1)], validate=False)
 
 
 def shift_code(sft: EdgeShift, k: int) -> SlidingBlockCode:
@@ -125,13 +131,15 @@ def shift_code(sft: EdgeShift, k: int) -> SlidingBlockCode:
     r = abs(k)
     if r == 0:
         return identity_code(sft)
-    rule = {w: w[r + k] for w in sft.language(2 * r + 1)}
+    rule = [w[r + k] for w in sft.language(2 * r + 1)]
     return SlidingBlockCode(sft, sft, r, rule, validate=False)
 
 
 def symbol_map_code(sft: EdgeShift, mapping: dict) -> SlidingBlockCode:
-    """Radius-0 code from a symbol-to-symbol mapping."""
-    return SlidingBlockCode(sft, sft, 0, {(a,): b for a, b in mapping.items()})
+    """Radius-0 code from a symbol-to-symbol mapping, total on the alphabet."""
+    if set(mapping) != set(sft.alphabet):
+        raise WordError("mapping is not a map on the alphabet")
+    return SlidingBlockCode(sft, sft, 0, [mapping[w[0]] for w in sft.language(1)])
 
 
 def apply_code(code: SlidingBlockCode, word: Word) -> Word:
@@ -141,50 +149,44 @@ def apply_code(code: SlidingBlockCode, word: Word) -> Word:
     return code.apply(word)
 
 
-def _outputs(code: SlidingBlockCode) -> list:
-    """The rule's outputs, in the order of ``domain.language(2r+1)``."""
-    return list(map(code.rule.__getitem__, code.domain.language(2 * code.radius + 1)))
-
-
 def images(code: SlidingBlockCode, length: int) -> list:
     """``[code.apply(w) for w in code.domain.language(length)]``, as a gather:
-    the rule is looked up once per (2r+1)-word, each output offset takes its
-    column of ``subwindow_ids``, and the columns are zipped into image words."""
+    each output offset takes the rule through its column of
+    ``subwindow_ids``, and the columns are zipped into image words."""
     width = 2 * code.radius + 1
     if length < width:
         raise WordError(f"length {length} shorter than window {width}")
-    outputs = _outputs(code)
-    return list(zip(*[_gather(outputs, column)
+    return list(zip(*[gather(code.rule, column)
                       for column in code.domain.subwindow_ids(length, width)]))
 
 
-def _gather(values: list, ids: tuple) -> tuple:
+def gather(values: Sequence, ids: Sequence) -> tuple:
     """``tuple(values[i] for i in ids)``."""
     return itemgetter(*ids)(values) if len(ids) > 1 else tuple(values[i] for i in ids)
 
 
 def regroup(ids, values, size: int) -> Optional[list]:
     """The list t with t[ids[k]] = values[k] for every k, or None when one
-    index gets two different values.  Every index in range(size) occurs."""
+    index in range(size) gets two different values or none."""
     pairs = set(zip(ids, values))
     table = dict(pairs)
-    if len(table) != len(pairs):
+    if len(table) != len(pairs) or len(table) != size:
         return None
     return [table[i] for i in range(size)]
 
 
-def factor_key(sft: EdgeShift, radius: int, outputs: list) -> tuple:
+def factor_key(sft: EdgeShift, radius: int, outputs: Sequence) -> tuple:
     """The canonical key of the radius-``radius`` rule over ``sft`` whose
     output on the k-th word of ``sft.language(2*radius+1)`` is outputs[k]:
-    (r2, items) for the least r2 such that the rule factors through the
-    centred (2*r2+1)-subword, with the factored rule's (word, output) items
-    in language order."""
+    (r2, outputs2) for the least r2 such that the rule factors through the
+    centred (2*r2+1)-subword, with the factored rule's outputs in the order
+    of ``sft.language(2*r2+1)``."""
     width = 2 * radius + 1
     for r2 in range(radius + 1):
-        sub = sft.language(2 * r2 + 1)
-        rule = regroup(sft.subwindow_ids(width, 2 * r2 + 1)[radius - r2], outputs, len(sub))
+        rule = regroup(sft.subwindow_ids(width, 2 * r2 + 1)[radius - r2], outputs,
+                       len(sft.language(2 * r2 + 1)))
         if rule is not None:
-            return r2, tuple(zip(sub, rule))
+            return r2, tuple(rule)
     raise AssertionError("a rule factors through its own radius")
 
 
@@ -195,8 +197,8 @@ def compose(f: SlidingBlockCode, g: SlidingBlockCode) -> SlidingBlockCode:
     if g.codomain != f.domain:
         raise ShiftMismatchError("codomain of g differs from domain of f")
     r = f.radius + g.radius
-    rule = dict(zip(g.domain.language(2 * r + 1),
-                    map(f.rule.__getitem__, images(g, 2 * r + 1))))
+    ids = f.domain.word_ids(2 * f.radius + 1)
+    rule = gather(f.rule, [ids[v] for v in images(g, 2 * r + 1)])
     return SlidingBlockCode(g.domain, f.codomain, r, rule, validate=False)
 
 
@@ -223,21 +225,18 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
 
     Built by center recovery: for every admissible (2(R+r)+1)-word u of the
     domain, the image word f(u) (length 2R+1) must determine the center of u.
-    Conflicts mean no radius-R inverse exists; missing image words mean f is
-    not surjective.  The candidate is then verified on both sides.
+    Conflicts mean no radius-R inverse exists; image words that never occur
+    mean f is not surjective.  The candidate is then verified on both sides.
     """
     r, R = code.radius, inv_radius
     length = 2 * (R + r) + 1
-    table: dict = {}
-    for u, v in zip(code.domain.language(length), images(code, length)):
-        center = u[R + r]
-        if table.setdefault(v, center) != center:
-            return None
-    needed = code.codomain.language(2 * R + 1)
-    if set(table) != set(needed):
-        return None  # not surjective at this window size
+    ids = code.codomain.word_ids(2 * R + 1)
+    rule = regroup([ids[v] for v in images(code, length)],
+                   [u[R + r] for u in code.domain.language(length)], len(ids))
+    if rule is None:
+        return None
     try:
-        candidate = SlidingBlockCode(code.codomain, code.domain, R, table)
+        candidate = SlidingBlockCode(code.codomain, code.domain, R, rule)
     except WordError:
         return None
     # g.f = id holds by construction; verify f.g = id as well
@@ -262,27 +261,26 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
     """
     budget = budget or default_budget()
     width = 2 * radius + 1
-    keys = list(domain.language(width))
-    if not keys:
+    size = len(domain.language(width))
+    if not size:
         return []
-    neighbors: list = [[] for _ in keys]  # (other_index, is_successor)
-    # the (left, right) key pairs of the admissible (width+1)-words
+    neighbors: list = [[] for _ in range(size)]  # (other_index, is_successor)
+    # the (left, right) window pairs of the admissible (width+1)-words
     for li, ri in zip(*domain.subwindow_ids(width + 1, width)):
         neighbors[li].append((ri, True))
         neighbors[ri].append((li, False))
 
     alphabet = list(codomain.alphabet)
     follows = codomain.follows
-    out = [None] * len(keys)
+    out = [None] * size
     used: dict = {}
     found: list = []
     nodes = 0
 
     def assign(pos: int):
         nonlocal nodes
-        if pos == len(keys):
-            rule = {keys[i]: out[i] for i in range(len(keys))}
-            candidate = SlidingBlockCode(domain, codomain, radius, rule, validate=False)
+        if pos == size:
+            candidate = SlidingBlockCode(domain, codomain, radius, out, validate=False)
             if _passes_quick_filters(candidate):
                 inverse = find_inverse(candidate, inv_radius)
                 if inverse is not None:
@@ -342,27 +340,28 @@ def _disjoint_components(sft: EdgeShift) -> Optional[list]:
     if len(comps) <= 1:
         return None
     comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
-    for e in sft.edges:
-        if comp_of[e.tail] != comp_of[e.head]:
-            return None  # transient edge: fall back to direct search
+    if any(a and comp_of[i] != comp_of[j]
+           for i, row in enumerate(sft.adjacency) for j, a in enumerate(row)):
+        return None  # transient edge: fall back to direct search
     return [derived_shift(sft, comp, 1) for comp in comps]
 
 
-def _component_words(sft: EdgeShift, comps: list, radius: int) -> list:
-    """(word, component index, the word in that component) for every
-    admissible (2r+1)-word of a disjoint union of components."""
+def _component_windows(sft: EdgeShift, comps: list, radius: int) -> list:
+    """(component index i, window id in comps[i]) for every admissible
+    (2r+1)-word of a disjoint union of components, in language order."""
     comp_of = {s: i for i, sub in enumerate(comps) for s in sub.provenance.states}
+    width = 2 * radius + 1
     found = []
-    for w in sft.language(2 * radius + 1):
+    for w in sft.language(width):
         i = comp_of[sft.tail(w[0])]
-        found.append((w, i, comps[i].from_parent(w)))
+        found.append((i, comps[i].word_ids(width)[comps[i].from_parent(w)]))
     return found
 
 
-def _lift_component_rule(words: list, symbols: list, pi: tuple, codes: list) -> dict:
-    """Assemble a global rule table from per-component codes comp_i -> comp_pi(i);
+def _lift_component_rule(windows: list, symbols: list, pi: tuple, codes: list) -> list:
+    """Assemble a global rule from per-component codes comp_i -> comp_pi(i);
     ``symbols[j]`` maps the symbols of component j to parent symbols."""
-    return {w: symbols[pi[i]][codes[i].rule[local]] for w, i, local in words}
+    return [symbols[pi[i]][codes[i].rule[k]] for i, k in windows]
 
 
 @dataclass(frozen=True)
@@ -425,8 +424,8 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int,
             for j in range(k):
                 table[(i, j)] = enumerate_conjugacies(comps[i], comps[j],
                                                       radius, inv_radius, budget)
-        words = _component_words(sft, comps, radius)
-        inv_words = _component_words(sft, comps, inv_radius)
+        windows = _component_windows(sft, comps, radius)
+        inv_windows = _component_windows(sft, comps, inv_radius)
         symbols = [{sym: sub.to_parent((sym,))[0] for sym in sub.alphabet}
                    for sub in comps]
         for pi in itertools.permutations(range(k)):
@@ -437,10 +436,10 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int,
             for i in range(k):
                 inv_pi[pi[i]] = i
             for combo in itertools.product(*choices):
-                rule = _lift_component_rule(words, symbols, pi, [c for c, _ in combo])
+                rule = _lift_component_rule(windows, symbols, pi, [c for c, _ in combo])
                 code = SlidingBlockCode(sft, sft, radius, rule, validate=False)
                 inv_rule = _lift_component_rule(
-                    inv_words, symbols, inv_pi,
+                    inv_windows, symbols, inv_pi,
                     [combo[inv_pi[j]][1] for j in range(k)])
                 inverse = SlidingBlockCode(sft, sft, inv_radius, inv_rule, validate=False)
                 pairs.append((code, inverse))
@@ -481,7 +480,7 @@ def partition_action(code: SlidingBlockCode, part: CyclicPartition) -> tuple:
              for symbol in code.domain.alphabet}
     mapping: dict = {}
     r = code.radius
-    for w, out in code.rule.items():
+    for w, out in zip(code.domain.language(2 * r + 1), code.rule):
         c_in = clazz[w[r]]
         c_out = clazz[out]
         if mapping.setdefault(c_in, c_out) != c_out:
@@ -531,9 +530,7 @@ class WordMap:
         r = max(self.left_loss, self.right_loss) if radius is None else radius
         if r < self.left_loss or r < self.right_loss:
             raise WordError("radius smaller than the word map's losses")
-        rule = {}
-        for w in self.domain.language(2 * r + 1):
-            rule[w] = self.apply(w)[r - self.left_loss]
+        rule = [self.apply(w)[r - self.left_loss] for w in self.domain.language(2 * r + 1)]
         return SlidingBlockCode(self.domain, self.codomain, r, rule)
 
 

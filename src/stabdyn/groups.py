@@ -416,16 +416,16 @@ def klein_subset_sym4(sym4: FiniteGroup) -> frozenset:
 # -- exact isomorphism search --------------------------------------------------------
 
 
-def _invariant_signature(g: FiniteGroup):
-    orders = sorted(g.element_order(x) for x in range(g.order))
-    classes = sorted((len(c), sorted(g.element_order(x) for x in c)[0])
-                     for c in g.conjugacy_classes())
-    return (g.order, orders, classes, len(g.center()), len(g.derived_subgroup()),
-            g.is_abelian())
-
-
-def _element_signature(g: FiniteGroup, x: int, class_size: dict):
-    return (g.element_order(x), class_size[x])
+def _invariants(g: FiniteGroup) -> tuple:
+    """(invariant signature of g, the (order, class size) of each element),
+    from one pass over the conjugacy classes."""
+    classes = g.conjugacy_classes()
+    orders = [g.element_order(x) for x in range(g.order)]
+    class_size = {x: len(c) for c in classes for x in c}
+    signature = (g.order, sorted(orders),
+                 sorted((len(c), min(orders[x] for x in c)) for c in classes),
+                 len(g.center()), len(g.derived_subgroup()), g.is_abelian())
+    return signature, [(orders[x], class_size[x]) for x in range(g.order)]
 
 
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
@@ -440,7 +440,9 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
     check(g.order, budget.group_order, "isomorphism search order")
     if g.order != h.order:
         return None
-    if _invariant_signature(g) != _invariant_signature(h):
+    signature_g, elements_g = _invariants(g)
+    signature_h, elements_h = _invariants(h)
+    if signature_g != signature_h:
         return None
 
     gens = list(g.generators)
@@ -461,13 +463,8 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
     if len(parent) != g.order:
         raise StabdynError("generators do not generate (internal)")
 
-    class_size_h = {x: len(c) for c in h.conjugacy_classes() for x in c}
-    class_size_g = {x: len(c) for c in g.conjugacy_classes() for x in c}
-    candidates = []
-    for gen in gens:
-        sig = _element_signature(g, gen, class_size_g)
-        candidates.append([y for y in range(h.order)
-                           if _element_signature(h, y, class_size_h) == sig])
+    candidates = [[y for y in range(h.order) if elements_h[y] == elements_g[gen]]
+                  for gen in gens]
 
     def try_images(images) -> Optional[dict]:
         phi = {g.identity: h.identity}

@@ -5,8 +5,8 @@ Edges are the alphabet.  A derived presentation (a power shift, a class
 restriction, a component) records its provenance: parent shift, parent states
 and step.  All values are immutable after construction and every operation is
 a pure function, so the module is safe for concurrent use; languages, their
-sub-window index tables and path dictionaries are computed on first use and
-cached on the shift.
+word indices, sub-window index tables and path dictionaries are computed on
+first use and cached on the shift.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ def _edge_symbols(count: int) -> list:
     if count <= len(_CHARS):
         return [_CHARS[i] for i in range(count)]
     return [f"e{i}" for i in range(count)]
-
-
-@dataclass(frozen=True)
-class Edge:
-    symbol: str
-    tail: int
-    head: int
 
 
 @dataclass(frozen=True)
@@ -82,8 +75,8 @@ class EdgeShift:
         self.normalization_log = tuple(normalization_log)
         self.provenance = provenance
         self._path_tables = None
-        self._edges = None
         self._languages: dict = {}
+        self._word_ids: dict = {}
         self._subwindows: dict = {}
 
         # edges run in (tail, head, parallel-index) order, so the edges of
@@ -102,15 +95,6 @@ class EdgeShift:
         for i in range(n):
             if not self.out_edges[i] or not self.in_edges[i]:
                 raise ParseError(f"state {states[i]!r} is not essential; normalize first")
-
-    @property
-    def edges(self) -> tuple:
-        """Every edge as an ``Edge``, in alphabet order; built on first use."""
-        # not functools.cached_property: its write through __dict__ slows
-        # every later attribute load on the instance
-        if self._edges is None:
-            self._edges = tuple(Edge(s, self._tails[s], self._heads[s]) for s in self.alphabet)
-        return self._edges
 
     # -- provenance and language ------------------------------------------
 
@@ -152,6 +136,13 @@ class EdgeShift:
             self._languages[length] = words_of_length(self, length)
         return self._languages[length]
 
+    def word_ids(self, length: int) -> dict:
+        """Each word of ``language(length)`` -> its index there, computed
+        once per length.  Callers must not modify it."""
+        if length not in self._word_ids:
+            self._word_ids[length] = {w: i for i, w in enumerate(self.language(length))}
+        return self._word_ids[length]
+
     def subwindow_ids(self, width: int, sub: int) -> tuple:
         """One column per offset k in [0, width - sub]: column k lists, for
         every word w of ``language(width)`` in order, the index of w[k:k+sub]
@@ -160,7 +151,7 @@ class EdgeShift:
         if key not in self._subwindows:
             if not 0 < sub <= width:
                 raise ParseError(f"sub-window {sub} does not fit in width {width}")
-            index = {w: i for i, w in enumerate(self.language(sub))}
+            index = self.word_ids(sub)
             words = self.language(width)
             self._subwindows[key] = tuple(
                 tuple([index[w[k:k + sub]] for w in words])

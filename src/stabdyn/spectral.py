@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import (NoPowerDecompositionError, NoSuchEigenvalueError,
                      ReducibleShiftError, VerificationError)
@@ -90,9 +90,9 @@ def _validate_partition(sft: EdgeShift, part: CyclicPartition) -> None:
         raise VerificationError("partition classes do not cover the states")
     m = part.size
     lookup = {v: k for k, cls in enumerate(part.classes) for v in cls}
-    for e in sft.edges:
-        if lookup[e.head] != (lookup[e.tail] + 1) % m:
-            raise VerificationError("edge does not advance the class by one")
+    if any(a and lookup[j] != (lookup[i] + 1) % m
+           for i, row in enumerate(sft.adjacency) for j, a in enumerate(row)):
+        raise VerificationError("edge does not advance the class by one")
     if 0 not in part.classes[0]:
         raise VerificationError("base state missing from class 0")
 
@@ -116,7 +116,7 @@ def exhaustive_partition_search(sft: EdgeShift, m: int) -> Optional[tuple]:
     n = sft.n_states
     if m == 1:
         return (frozenset(range(n)),)
-    edges = [(e.tail, e.head) for e in sft.edges]
+    edges = [(i, j) for i, row in enumerate(sft.adjacency) for j, a in enumerate(row) if a]
     for assign_rest in itertools.product(range(m), repeat=n - 1):
         assign = (0,) + assign_rest
         if len(set(assign)) != m:
@@ -137,7 +137,11 @@ class SmaleDecomposition:
     period: int
     component_shift: EdgeShift
     partition: CyclicPartition
-    path_dictionary: dict  # component edge symbol -> parent path (word)
+
+    @property
+    def path_dictionary(self) -> Mapping:
+        """Read-only map from each component edge symbol to its parent path."""
+        return self.component_shift.parent_paths
 
     def to_document(self, sft: EdgeShift) -> dict:
         return {
@@ -167,7 +171,7 @@ def smale(sft: EdgeShift) -> SmaleDecomposition:
     component = class_restriction(sft, part, m)
     if not is_mixing(component):
         raise VerificationError("Smale component is not mixing")
-    return SmaleDecomposition(m, component, part, dict(component.parent_paths))
+    return SmaleDecomposition(m, component, part)
 
 
 # -- transitivity of powers and the k*l factorization ------------------------

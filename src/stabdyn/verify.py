@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .budgets import Budget
 from .codes import (AutomorphismSet, SlidingBlockCode, compose,
-                    enumerate_automorphisms, factor_key, partition_action,
-                    regroup)
+                    enumerate_automorphisms, factor_key, gather,
+                    partition_action, regroup)
 from .errors import (NoSuchEigenvalueError, StabdynError, VerificationError,
                      ZeroEntropyError)
 from .groups import (FiniteGroup, all_perms, compose_perm, cyclic_group,
@@ -84,8 +84,8 @@ class SplitInstance:
             raise StabdynError(f"phase {d} exceeds one block of {self.stride}")
         if d not in self._phases:
             power, N = self.power, self.stride
-            rule = {w: power.from_parent(power.to_parent(w)[N + d:2 * N + d])[0]
-                    for w in power.language(3)}
+            rule = [power.from_parent(power.to_parent(w)[N + d:2 * N + d])[0]
+                    for w in power.language(3)]
             self._phases[d] = SlidingBlockCode(power, power, 1, rule).canonical()
         return self._phases[d]
 
@@ -100,19 +100,28 @@ class SplitInstance:
     def _assemble(self, pieces: Sequence[SlidingBlockCode]) -> SlidingBlockCode:
         """The code over Y that acts on each piece Y_c as pieces[c] does."""
         radius = max(code.radius for code in pieces)
-        rule = {}
-        for w in self.power.language(2 * radius + 1):
-            code = pieces[self.piece[w[0]]]
-            rule[w] = code.rule[w[radius - code.radius:radius + code.radius + 1]]
+        width = 2 * radius + 1
+        # each piece's outputs on the centred sub-windows of every width-word
+        outputs = [gather(code.rule, self.power.subwindow_ids(
+            width, 2 * code.radius + 1)[radius - code.radius]) for code in pieces]
+        rule = [outputs[self.piece[w[0]]][k]
+                for k, w in enumerate(self.power.language(width))]
         return SlidingBlockCode(self.power, self.power, radius, rule, validate=False)
+
+    def _windows(self, width: int) -> list:
+        """The window id in ``power.language(width)`` of each word of
+        ``component.language(width)``, read as a word of Y_0."""
+        ids, to_power = self.power.word_ids(width), self.to_power
+        return [ids[tuple(map(to_power.__getitem__, w))]
+                for w in self.component.language(width)]
 
     def _lift(self, code: SlidingBlockCode) -> SlidingBlockCode:
         """A code over Z as a code over Y: itself on Y_0, the identity on the
         other pieces."""
-        to_power, r = self.to_power, code.radius
-        rule = {w: w[r] for w in self.power.language(2 * r + 1)}
-        rule.update((tuple(map(to_power.__getitem__, w)), to_power[out])
-                    for w, out in code.rule.items())
+        r = code.radius
+        rule = [w[r] for w in self.power.language(2 * r + 1)]
+        for k, out in zip(self._windows(2 * r + 1), code.rule):
+            rule[k] = self.to_power[out]
         return SlidingBlockCode(self.power, self.power, r, rule, validate=False)
 
     def rho(self, sigma: tuple) -> SlidingBlockCode:
@@ -134,10 +143,10 @@ class SplitInstance:
         """g_i = T^-i code T^i on Y_0, as a code over Z.  Requires pi(code)
         to fix class i."""
         f = self._conjugate(code, -i)
-        to_power, r = self.to_power, f.radius
-        rule = {w: self.to_component[f.rule[tuple(map(to_power.__getitem__, w))]]
-                for w in self.component.language(2 * r + 1)}
-        return SlidingBlockCode(self.component, self.component, r, rule, validate=False)
+        rule = [self.to_component[out]
+                for out in gather(f.rule, self._windows(2 * f.radius + 1))]
+        return SlidingBlockCode(self.component, self.component, f.radius, rule,
+                                validate=False)
 
 
 # -- reports ----------------------------------------------------------------------
@@ -221,6 +230,13 @@ def _stage_escape(autos: AutomorphismSet) -> Optional[tuple]:
     return None
 
 
+def _check(name: str, failures) -> CheckResult:
+    """The check ``name``: passed when the iterator ``failures`` yields no
+    message, else failed with the first one (nothing after it runs)."""
+    fail = next(failures, None)
+    return CheckResult(name, fail is None, fail or "")
+
+
 def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
                           budget: Optional[Budget] = None) -> WreathDecompositionReport:
     """Verify the split exact sequence
@@ -236,57 +252,45 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
         notes.append(f"enumeration radius reduced from {radius} to {r_eff} "
                      f"(power-presentation language size)")
     autos = enumerate_automorphisms(inst.power, r_eff, 2 * r_eff, budget)
-    checks: list = []
 
     # pi on the enumerated stage
     pi_of: dict = {}
-    pi_fail = None
-    for idx, code in enumerate(autos.elements):
-        try:
-            pi_of[idx] = partition_action(code, inst.part)
-        except StabdynError as exc:
-            pi_fail = f"element {idx}: {exc}"
-            break
-    checks.append(CheckResult("pi_defined_on_stage", pi_fail is None, pi_fail or ""))
 
+    def pi_failures():
+        for idx, code in enumerate(autos.elements):
+            try:
+                pi_of[idx] = partition_action(code, inst.part)
+            except StabdynError as exc:
+                yield f"element {idx}: {exc}"
+
+    checks = [_check("pi_defined_on_stage", pi_failures())]
     kernel = [idx for idx, p in pi_of.items() if p == identity_perm(m)]
     image = sorted(set(pi_of.values()))
 
     # pi is a homomorphism (budgeted pairs)
     size = len(autos.elements)
     stepped = max(1, size * size // MAX_PAIRS)  # every k-th of the |A|^2 pairs
-    hom_fail = None
-    for i, j in (divmod(k, size) for k in range(0, size * size, stepped)[:MAX_PAIRS]):
-        left = partition_action(
-            compose(autos.elements[i], autos.elements[j]).canonical(), inst.part)
-        right = compose_perm(pi_of[i], pi_of[j])
-        if left != right:
-            hom_fail = f"pi(f.g) != pi(f).pi(g) at pair ({i},{j})"
-            break
-    checks.append(CheckResult("pi_homomorphism", hom_fail is None, hom_fail or "",))
+    checks.append(_check("pi_homomorphism", (
+        f"pi(f.g) != pi(f).pi(g) at pair ({i},{j})"
+        for i, j in (divmod(k, size) for k in range(0, size * size, stepped)[:MAX_PAIRS])
+        if partition_action(compose(autos.elements[i], autos.elements[j]).canonical(),
+                            inst.part) != compose_perm(pi_of[i], pi_of[j]))))
 
     # rho: section of pi
     rho_of = {sigma: inst.rho(sigma) for sigma in all_perms(m)}
-    fail = None
-    for sigma, code in rho_of.items():
-        if partition_action(code, inst.part) != sigma:
-            fail = f"pi(rho({sigma})) != {sigma}"
-            break
-    checks.append(CheckResult("pi_rho_identity", fail is None, fail or ""))
+    checks.append(_check("pi_rho_identity", (
+        f"pi(rho({sigma})) != {sigma}" for sigma, code in rho_of.items()
+        if partition_action(code, inst.part) != sigma)))
 
-    fail = None
-    for sigma in all_perms(m):
-        inv = rho_of[invert_perm(sigma)]
-        if not compose(rho_of[sigma], inv).is_identity():
-            fail = f"rho({sigma}) has no inverse rho({invert_perm(sigma)})"
-            break
-        for tau in all_perms(m):
-            if compose(rho_of[sigma], rho_of[tau]) != rho_of[compose_perm(sigma, tau)]:
-                fail = f"rho not multiplicative at ({sigma},{tau})"
-                break
-        if fail:
-            break
-    checks.append(CheckResult("rho_homomorphism", fail is None, fail or ""))
+    def rho_failures():
+        for sigma in all_perms(m):
+            if not compose(rho_of[sigma], rho_of[invert_perm(sigma)]).is_identity():
+                yield f"rho({sigma}) has no inverse rho({invert_perm(sigma)})"
+            for tau in all_perms(m):
+                if compose(rho_of[sigma], rho_of[tau]) != rho_of[compose_perm(sigma, tau)]:
+                    yield f"rho not multiplicative at ({sigma},{tau})"
+
+    checks.append(_check("rho_homomorphism", rho_failures()))
 
     # component stage and psi tuples
     r_comp = _effective_radius(inst.component, max(radius, 1))
@@ -302,69 +306,52 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
         return psi_of[tup]
 
     # psi lands in the kernel and is injective (restrict recovers the tuple)
-    fail = None
-    for tup in tuples:
-        code = psi_by_indices(tup)
-        if partition_action(code, inst.part) != identity_perm(m):
-            fail = f"pi(psi{tup}) != id"
-            break
-        inv_tuple = tuple(comp_autos.inverses[i].canonical() for i in tup)
-        inv_code = inst.psi(list(inv_tuple))
-        if not compose(code, inv_code).is_identity():
-            fail = f"psi{tup} not inverted by the componentwise inverses"
-            break
-        recovered = tuple(inst.restrict_to_component(code, i).canonical()
-                          for i in range(m))
-        expected = tuple(comp_autos.elements[i].canonical() for i in tup)
-        if recovered != expected:
-            fail = f"restriction does not recover the tuple {tup}"
-            break
-    checks.append(CheckResult("psi_injective_into_kernel", fail is None, fail or ""))
+    def psi_failures():
+        for tup in tuples:
+            code = psi_by_indices(tup)
+            if partition_action(code, inst.part) != identity_perm(m):
+                yield f"pi(psi{tup}) != id"
+            inv_code = inst.psi([comp_autos.inverses[i].canonical() for i in tup])
+            if not compose(code, inv_code).is_identity():
+                yield f"psi{tup} not inverted by the componentwise inverses"
+            recovered = tuple(inst.restrict_to_component(code, i).canonical()
+                              for i in range(m))
+            if recovered != tuple(comp_autos.elements[i].canonical() for i in tup):
+                yield f"restriction does not recover the tuple {tup}"
+
+    checks.append(_check("psi_injective_into_kernel", psi_failures()))
 
     # psi is a homomorphism (componentwise composition; budgeted pairs)
-    fail = None
-    tuple_pairs = list(itertools.islice(
-        itertools.product(tuples, repeat=2), MAX_PAIRS))
-    for ta, tb in tuple_pairs:
-        composed = tuple(
-            compose(comp_autos.elements[ta[i]], comp_autos.elements[tb[i]]).canonical()
-            for i in range(m))
-        left = compose(psi_by_indices(ta), psi_by_indices(tb))
-        right = inst.psi(list(composed))
-        if left != right:
-            fail = f"psi(t.t') != psi(t).psi(t') at {(ta, tb)}"
-            break
-    checks.append(CheckResult("psi_homomorphism", fail is None, fail or ""))
+    def psi_hom_failures():
+        for ta, tb in itertools.islice(itertools.product(tuples, repeat=2), MAX_PAIRS):
+            composed = [compose(comp_autos.elements[a], comp_autos.elements[b]).canonical()
+                        for a, b in zip(ta, tb)]
+            if compose(psi_by_indices(ta), psi_by_indices(tb)) != inst.psi(composed):
+                yield f"psi(t.t') != psi(t).psi(t') at {(ta, tb)}"
+
+    checks.append(_check("psi_homomorphism", psi_hom_failures()))
 
     # every kernel element of the enumerated stage is a psi image
-    fail = None
     kernel_checked = kernel[:MAX_KERNEL]
-    for idx in kernel_checked:
-        code = autos.elements[idx]
-        parts = [inst.restrict_to_component(code, i) for i in range(m)]
-        rebuilt = inst.psi(parts)
-        if rebuilt != code:
-            fail = f"kernel element {idx} is not psi of its restrictions"
-            break
-    detail = "" if fail is None else fail
-    if fail is None and len(kernel) > len(kernel_checked):
-        detail = f"checked {len(kernel_checked)} of {len(kernel)} kernel elements"
-    checks.append(CheckResult("kernel_equals_image", fail is None, detail))
+    result = _check("kernel_equals_image", (
+        f"kernel element {idx} is not psi of its restrictions" for idx in kernel_checked
+        if inst.psi([inst.restrict_to_component(autos.elements[idx], i) for i in range(m)])
+        != autos.elements[idx]))
+    if result.passed and len(kernel) > len(kernel_checked):
+        result = replace(result, detail=f"checked {len(kernel_checked)} of "
+                                        f"{len(kernel)} kernel elements")
+    checks.append(result)
 
     # the conjugation relation rho(s)^{-1} psi(g) rho(s) = psi(g o s)
-    fail = None
-    for sigma in all_perms(m):
-        rho_s = rho_of[sigma]
-        rho_s_inv = rho_of[invert_perm(sigma)]
-        for tup in tuples[:max(1, MAX_TUPLES // max(1, math.factorial(m)))]:
-            conjugated = compose(rho_s_inv, compose(psi_by_indices(tup), rho_s))
-            permuted = tuple(tup[sigma[i]] for i in range(m))
-            if conjugated != psi_by_indices(permuted):
-                fail = f"conjugation relation fails at sigma={sigma}, tuple={tup}"
-                break
-        if fail:
-            break
-    checks.append(CheckResult("conjugation_relation", fail is None, fail or ""))
+    def conjugation_failures():
+        for sigma in all_perms(m):
+            rho_s, rho_s_inv = rho_of[sigma], rho_of[invert_perm(sigma)]
+            for tup in tuples[:max(1, MAX_TUPLES // math.factorial(m))]:
+                conjugated = compose(rho_s_inv, compose(psi_by_indices(tup), rho_s))
+                if conjugated != psi_by_indices(tuple(tup[sigma[i]] for i in range(m))):
+                    yield f"conjugation relation fails at sigma={sigma}, tuple={tup}"
+
+    checks.append(_check("conjugation_relation", conjugation_failures()))
 
     # exactness at the order level, meaningful only when the stage is a group
     ok = len(autos.elements) == len(kernel) * len(image)
@@ -444,10 +431,8 @@ def shifted_key(code: SlidingBlockCode, j: int, rho: int):
     sft, r = code.domain, code.radius
     lo, hi = min(-rho, j - r), max(rho, j + r)
     length, width, centre = hi - lo + 1, 2 * r + 1, 2 * rho + 1
-    outputs = list(map(code.rule.__getitem__, sft.language(width)))
     on_centre = regroup(sft.subwindow_ids(length, centre)[-rho - lo],
-                        map(outputs.__getitem__,
-                            sft.subwindow_ids(length, width)[j - r - lo]),
+                        gather(code.rule, sft.subwindow_ids(length, width)[j - r - lo]),
                         len(sft.language(centre)))
     return None if on_centre is None else factor_key(sft, rho, on_centre)
 

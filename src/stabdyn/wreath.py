@@ -178,24 +178,30 @@ def orbit_anchors(sigma: tuple) -> dict:
 
 
 def conjugate_in_base(context: WreathContext, g_vec: Sequence[int], h_vec: Sequence[int],
-                      sigma: tuple, anchors: Optional[dict] = None) -> Optional[tuple]:
-    """If the cycle products of g and h agree at every orbit anchor, build
-    k in G^n with (k,1)(g,sigma)(k,1)^{-1} = (h,sigma) by the recursion
-    k[s^{l+1}(j)] = h[s^l(j)] k[s^l(j)] g[s^l(j)]^{-1} anchored at k[j] = 1;
-    otherwise return None.  The witness is verified before it is returned."""
+                      sigma: tuple) -> Optional[tuple]:
+    """A base vector k with (k,1)(g,sigma)(k,1)^{-1} = (h,sigma), or None
+    when there is none.
+
+    Such a k satisfies k[s(i)] = h[i] k[i] g[i]^{-1}, so on each sigma-orbit
+    it is fixed by its value at the orbit's anchor j (the lowest index), and
+    the orbit closes iff k[j] c_g k[j]^{-1} = c_h for the cycle products
+    c = ``cycle_product`` over sigma^{-1} at j.  k[j] is the first element
+    of G, identity first, that does this; on an abelian base that is the
+    identity whenever c_g = c_h.  The witness is verified before it is
+    returned."""
     base = context.base
-    anchors = anchors or orbit_anchors(sigma)
+    candidates = [base.identity] + [x for x in range(base.order) if x != base.identity]
     # cycle products over sigma^{-1}, g[s^{|p|-1}(j)] ... g[s(j)] g[j]: wr_conj's order
     forward = invert_perm(sigma)
-    for orbit in perm_orbits(sigma):
-        j = anchors[frozenset(orbit)]
-        if cycle_product(context, g_vec, forward, j) != \
-                cycle_product(context, h_vec, forward, j):
-            return None
     k = [base.identity] * context.n
     for orbit in perm_orbits(sigma):
-        j = anchors[frozenset(orbit)]
-        k[j] = base.identity
+        j = min(orbit)
+        c_g = cycle_product(context, g_vec, forward, j)
+        c_h = cycle_product(context, h_vec, forward, j)
+        anchor = next((x for x in candidates if base.conj(c_g, x) == c_h), None)
+        if anchor is None:
+            return None
+        k[j] = anchor
         at = j
         for _ in range(len(orbit) - 1):
             nxt = sigma[at]

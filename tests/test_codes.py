@@ -49,7 +49,7 @@ def test_apply_shift_by_one():
     # while the radius-1 rule selecting the window center is the identity
     # (its apply trims to the middle)
     padded_id = SlidingBlockCode(full_shift(2), full_shift(2), 1,
-                                 {w: w[1] for w in full_shift(2).language(3)})
+                                 [w[1] for w in full_shift(2).language(3)])
     assert apply_code(padded_id, word("0110")) == word("11")
     assert padded_id.canonical() == identity_code(full_shift(2))
 
@@ -118,8 +118,9 @@ def test_compose_is_the_per_word_definition(graph_catalog):
             for g in codes[-4:]:
                 h = compose(f, g)
                 assert h.radius == f.radius + g.radius
-                assert h.rule == {w: f.rule[g.apply(w)]
-                                  for w in sft.language(2 * h.radius + 1)}, name
+                ids = sft.word_ids(2 * f.radius + 1)
+                assert h.rule == tuple(f.rule[ids[g.apply(w)]]
+                                       for w in sft.language(2 * h.radius + 1)), name
 
 
 def test_compose_rejects_mismatched_shifts():
@@ -131,8 +132,8 @@ def test_canonical_equality_is_chl_closure():
     # codes acting equally on every (2 max(r) + 1)-word have equal canonical form
     sft = full_shift(2)
     f = flip_code(sft)
-    padded = SlidingBlockCode(sft, sft, 2, {w: {"0": "1", "1": "0"}[w[2]]
-                                            for w in sft.language(5)})
+    padded = SlidingBlockCode(sft, sft, 2, [{"0": "1", "1": "0"}[w[2]]
+                                            for w in sft.language(5)])
     assert padded.canonical_radius == 0
     assert padded == f
 
@@ -165,6 +166,43 @@ def test_word_map_to_code_roundtrip():
 
 # -- inverses ---------------------------------------------------------------------
 
+def test_code_rejects_a_rule_of_the_wrong_length():
+    sft = full_shift(2)
+    with pytest.raises(WordError):
+        SlidingBlockCode(sft, sft, 1, ["0"] * 7)
+    with pytest.raises(WordError):
+        SlidingBlockCode(sft, sft, 0, ["0", "1", "0"])
+
+
+def test_code_rejects_an_output_outside_the_codomain():
+    sft = full_shift(2)
+    with pytest.raises(WordError):
+        SlidingBlockCode(sft, sft, 0, ["0", "2"])
+    # a word-keyed dict of the right length gives its keys, which are words
+    with pytest.raises(WordError):
+        SlidingBlockCode(sft, sft, 0, {("0",): "1", ("1",): "0"})
+
+
+def test_code_rejects_an_inadmissible_image():
+    # golden mean: edge 0 is the loop at state 0, edge 1 goes 0 -> 1 and
+    # edge 2 returns 1 -> 0; sending 0 -> 1 and fixing 1, 2 maps the
+    # admissible 00 to the inadmissible 11
+    gm = golden_mean()
+    assert gm.language(1) == (("0",), ("1",), ("2",))
+    with pytest.raises(WordError):
+        SlidingBlockCode(gm, gm, 0, ["1", "1", "2"])
+    SlidingBlockCode(gm, gm, 0, ["0", "1", "2"])  # the identity passes
+
+
+def test_symbol_map_code_needs_a_total_mapping():
+    sft = full_shift(3)
+    with pytest.raises(WordError):
+        symbol_map_code(sft, {"0": "1", "1": "0"})
+    with pytest.raises(WordError):
+        symbol_map_code(sft, {"0": "1", "1": "2", "2": "0", "3": "3"})
+    assert symbol_map_code(sft, {"0": "1", "1": "2", "2": "0"}).rule == ("1", "2", "0")
+
+
 def test_find_inverse_involution():
     f = flip_code(full_shift(2))
     assert find_inverse(f, 0) == f
@@ -178,7 +216,7 @@ def test_find_inverse_shift():
 
 def test_find_inverse_rejects_constant():
     sft = full_shift(2)
-    const = SlidingBlockCode(sft, sft, 0, {("0",): "0", ("1",): "0"})
+    const = SlidingBlockCode(sft, sft, 0, ["0", "0"])
     assert find_inverse(const, 2) is None
 
 
@@ -186,7 +224,7 @@ def test_find_inverse_rejects_xor():
     # x_i -> x_i + x_{i+1} mod 2 is onto but two-to-one; no diamonds exist,
     # so only center recovery can reject it
     sft = full_shift(2)
-    rule = {w: str((int(w[1]) + int(w[2])) % 2) for w in sft.language(3)}
+    rule = [str((int(w[1]) + int(w[2])) % 2) for w in sft.language(3)]
     xor = SlidingBlockCode(sft, sft, 1, rule)
     for R in range(0, 4):
         assert find_inverse(xor, R) is None
@@ -346,8 +384,8 @@ def test_partition_action_splitting_is_an_error():
     sft = cycle_graph(4)
     part = cyclic_partition(sft, 2)
     # a deliberately broken rule: one class-0 window keeps its class, the
-    # other moves; partition_action must refuse
-    rule = {("0",): "0", ("1",): "1", ("2",): "1", ("3",): "3"}
+    # other moves; partition_action must refuse (outputs on the words 0..3)
+    rule = ["0", "1", "1", "3"]
     broken = SlidingBlockCode(sft, sft, 0, rule, validate=False)
     with pytest.raises(ImageSplitsClassesError):
         partition_action(broken, part)
@@ -368,8 +406,8 @@ def test_rotation_index_rejects_non_rotation():
     sft4 = cycle_graph(4)
     part4 = cyclic_partition(sft4, 4)
     # handcraft a class map that is a non-rotation permutation: swap classes
-    # 1 and 3, fix 0 and 2
-    rule = {("0",): "0", ("1",): "3", ("2",): "2", ("3",): "1"}
+    # 1 and 3, fix 0 and 2 (outputs on the words 0..3)
+    rule = ["0", "3", "2", "1"]
     broken = SlidingBlockCode(sft4, sft4, 0, rule, validate=False)
     with pytest.raises(ImageSplitsClassesError):
         rotation_index(broken, part4)

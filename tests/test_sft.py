@@ -69,16 +69,18 @@ def test_edge_tables_follow_the_edge_order(graph_catalog):
     shifts = [sft] + [s for _, s, _ in graph_catalog] + \
         [power_shift(s, 3) for _, s, _ in graph_catalog]
     for sft in shifts:
-        edges = sft.edges
-        assert tuple(e.symbol for e in edges) == sft.alphabet
-        assert [(e.tail, e.head) for e in edges] == sorted(
-            (i, j) for i, row in enumerate(sft.adjacency) for j, a in enumerate(row)
-            for _ in range(a))
+        # the reference (symbol, tail, head) list, one entry per parallel edge
+        pairs = [(i, j) for i, row in enumerate(sft.adjacency)
+                 for j, a in enumerate(row) for _ in range(a)]
+        assert len(pairs) == len(sft.alphabet)
+        edges = [(sym, i, j) for sym, (i, j) in zip(sft.alphabet, pairs)]
+        assert tuple(sym for sym, _, _ in edges) == sft.alphabet
+        assert [(tail, head) for _, tail, head in edges] == sorted(pairs)
         for i in range(sft.n_states):
-            assert sft.out_edges[i] == tuple(e.symbol for e in edges if e.tail == i)
-            assert sft.in_edges[i] == tuple(e.symbol for e in edges if e.head == i)
-        assert all(sft.tail(e.symbol) == e.tail and sft.head(e.symbol) == e.head
-                   for e in edges)
+            assert sft.out_edges[i] == tuple(sym for sym, tail, _ in edges if tail == i)
+            assert sft.in_edges[i] == tuple(sym for sym, _, head in edges if head == i)
+        assert all(sft.tail(sym) == tail and sft.head(sym) == head
+                   for sym, tail, head in edges)
 
 
 def test_normalization_log_records_removals():

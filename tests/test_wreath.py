@@ -231,21 +231,24 @@ def test_conjugate_in_base_exhaustive_small():
 
 def test_conjugate_in_base_nonabelian_three_cycles():
     # S3 base, sigma a 3-cycle: the two orientations of the cycle product
-    # differ here.  The recursion anchors k[j] = 1 at each orbit's anchor, so
-    # a witness exists exactly when an anchored conjugator does; over all of
-    # G^n it can miss one, since anchor products need only be conjugate in G.
+    # differ here, and the anchor products need only be conjugate in G.  A
+    # witness exists exactly when some k in G^n conjugates g to h (e.g.
+    # g = ((1 2),(),()) to h = ((),(),(0 1)) under sigma = (1 2 0)).
     base, n = symmetric_group(3), 3
     c = WreathContext(base, n)
+    assert base.names[1] == "(1 2)" and base.names[2] == "(0 1)"
+    assert conjugate_in_base(c, (1, 0, 0), (0, 0, 2), (1, 2, 0)) is not None
     vectors = list(itertools.product(range(base.order), repeat=n))
     for sigma in [(1, 2, 0), (2, 0, 1)]:
-        anchors = orbit_anchors(sigma).values()
-        anchored = [k for k in vectors if all(k[a] == base.identity for a in anchors)]
         for g in vectors:
             x = c.element(g, sigma)
             reachable = {wr_conj(x, c.element(k, identity_perm(n))).g_vec
-                         for k in anchored}
+                         for k in vectors}
             for h in vectors:
-                assert (conjugate_in_base(c, g, h, sigma) is not None) == (h in reachable)
+                k = conjugate_in_base(c, g, h, sigma)
+                assert (k is not None) == (h in reachable)
+                if k is not None:
+                    assert wr_conj(x, c.element(k, identity_perm(n))) == c.element(h, sigma)
 
 
 # -- materialized wreath groups ------------------------------------------------------
