@@ -188,9 +188,9 @@ class FiniteGroup:
     # structure
 
     def center(self) -> frozenset:
-        return frozenset(
-            x for x in range(self.order)
-            if all(self.mul(x, y) == self.mul(y, x) for y in range(self.order)))
+        """The elements whose table row equals their table column."""
+        return frozenset(x for x, (row, col) in enumerate(zip(self.table, zip(*self.table)))
+                         if row == col)
 
     def centralizer(self, subset: Iterable[int]) -> frozenset:
         subset = list(subset)
@@ -199,12 +199,13 @@ class FiniteGroup:
             if all(self.mul(g, k) == self.mul(k, g) for k in subset))
 
     def conjugacy_classes(self) -> list:
+        t, inv = self.table, self.inverses
         seen = set()
         classes = []
         for x in range(self.order):
             if x in seen:
                 continue
-            cls = {self.conj(x, g) for g in range(self.order)}
+            cls = {t[t[g][x]][inv[g]] for g in range(self.order)}
             seen |= cls
             classes.append(frozenset(cls))
         return sorted(classes, key=lambda c: (len(c), sorted(c)))

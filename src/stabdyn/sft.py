@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import accumulate, chain, repeat
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -415,20 +416,35 @@ class EntropyResult:
 
 def _perron_irreducible(matrix, tol: float, cap: int):
     """Perron value of an irreducible nonnegative matrix by float power
-    iteration on A + I with Collatz-Wielandt bounds.  Each row is a sum over
-    its nonzero entries and the diagonal, in column order."""
+    iteration on A + I with Collatz-Wielandt bounds.  Each row sum is the
+    sequential IEEE adds ((t0 + t1) + t2) ... over the row's nonzero entries
+    and the diagonal in column order, the same bits on every interpreter.
+    Column k gathers every row's k-th term; a shorter row reads the 0.0 kept
+    at v[n] (x + 0.0 == x), and only columns holding a coefficient other than
+    1.0 multiply.  Cost per step: n times the widest row."""
+    n = len(matrix)
     rows = [[(j, float(a) + (1.0 if i == j else 0.0))
              for j, a in enumerate(row) if a or i == j]
             for i, row in enumerate(matrix)]
-    v = [1.0] * len(matrix)
+    cols = []
+    for k in range(max(map(len, rows))):
+        idx, coef = zip(*(row[k] if k < len(row) else (n, 1.0) for row in rows))
+        get = itemgetter(*idx) if n > 1 else itemgetter(slice(0, 1))  # a list, not a scalar
+        cols.append((get, None if set(coef) == {1.0} else coef))
+    v = [1.0] * n + [0.0]
     for it in range(1, cap + 1):
-        w = [sum(c * v[j] for j, c in row) for row in rows]
+        w = None
+        for get, coef in cols:
+            t = get(v) if coef is None else map(mul, coef, get(v))
+            w = t if w is None else map(add, w, t)
+        w = list(w)
         ratios = [x / y for x, y in zip(w, v)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo <= tol * lo:
             return (lo + hi) / 2.0 - 1.0, it
         norm = max(w)
         v = [x / norm for x in w]
+        v.append(0.0)
     raise IterationCapError(f"power iteration did not converge in {cap} steps")
 
 
@@ -458,14 +474,22 @@ def charpoly_coefficients(matrix) -> list:
     Faddeev-LeVerrier in integers, returned as [c_0, ..., c_n] with
     p(x) = sum c_k x^k, c_n = 1.  Step k forms M_k = A M_{k-1} + c_{n-k+1} I
     and c_{n-k} = -tr(A M_k) / k, a division that is exact for an integer
-    matrix."""
+    matrix.  A M_k is a sparse left multiply: row i is the sum of a_ij M_k[j]
+    over the nonzero a_ij, so a step costs n nnz(A) products, not n^3."""
     n = len(matrix)
+    terms = [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
     coeffs = [1]  # leading coefficient of x^n
     am = [[0] * n for _ in range(n)]  # A M_{k-1}, with M_0 = 0
     for k in range(1, n + 1):
         for i in range(n):
             am[i][i] += coeffs[-1]
-        am = mat_mul(matrix, am)
+        prod = []
+        for row in terms:
+            acc = repeat(0, n)
+            for j, a in row:
+                acc = map(add, acc, am[j] if a == 1 else map(mul, repeat(a), am[j]))
+            prod.append(list(acc))
+        am = prod
         c, rest = divmod(-sum(am[i][i] for i in range(n)), k)
         if rest:
             raise VerificationError(f"charpoly step {k} did not divide exactly; "

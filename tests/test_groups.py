@@ -14,6 +14,7 @@ from stabdyn.groups import (FiniteGroup, all_perms, alternating_subset,
                             klein_group, klein_subset_sym4, perm_name,
                             perm_orbits, quaternion_group, symmetric_group,
                             transposition, trivial_group)
+from stabdyn.wreath import wreath_group
 
 
 def test_cyclic_group_axioms_exhaustive():
@@ -71,6 +72,19 @@ def test_center_and_derived():
     q8 = quaternion_group()
     assert len(q8.center()) == 2
     assert len(q8.derived_subgroup()) == 2
+
+
+def test_center_and_classes_are_the_definitional_ones():
+    groups = [trivial_group(), cyclic_group(6), klein_group(), symmetric_group(3),
+              symmetric_group(4), dihedral_square(), quaternion_group(),
+              direct_product(cyclic_group(2), symmetric_group(3)),
+              wreath_group(cyclic_group(2), 3), wreath_group(symmetric_group(3), 2)]
+    for g in groups:
+        elems = range(g.order)
+        assert g.center() == {x for x in elems
+                              if all(g.mul(x, y) == g.mul(y, x) for y in elems)}
+        classes = {frozenset(g.conj(x, h) for h in elems) for x in elems}
+        assert g.conjugacy_classes() == sorted(classes, key=lambda c: (len(c), sorted(c)))
 
 
 def test_subgroups_of_sym4_census():

@@ -236,16 +236,55 @@ def test_charpoly_rejects_a_non_integer_matrix():
         charpoly_coefficients([[0.5]])
 
 
-def _dense_perron(matrix, tol, cap):
-    """Reference: the dense power iteration on A + I over every column."""
+def _dense_charpoly(matrix):
+    """Reference: integer Faddeev-LeVerrier with a dense product per step,
+    M_k = A M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(A M_k) / k."""
     n = len(matrix)
-    if n == 1:
-        return float(matrix[0][0]), 1
+    coeffs = [1]
+    am = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            am[i][i] += coeffs[-1]
+        am = mat_mul(matrix, am)
+        c, rest = divmod(-sum(am[i][i] for i in range(n)), k)
+        assert rest == 0
+        coeffs.append(c)
+    return coeffs[::-1]
+
+
+def test_charpoly_is_the_dense_faddeev_leverrier(graph_catalog):
+    matrices = [[list(r) for r in sft.adjacency] for _, sft, _ in graph_catalog]
+    matrices += [[list(r) for r in cycle_with_chords(n, 2, seed=s).adjacency]
+                 for n, s in ((24, 1), (28, 2))]
+    rng = random.Random(9)
+    for n in (1, 1, 2, 3, 4, 5, 6, 7, 8):
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        matrices.append(a)
+        if n > 1:
+            zeroed = [list(r) for r in a]
+            zeroed[rng.randrange(n)] = [0] * n
+            matrices.append(zeroed)
+    matrices += [[[0]], [[-3]], [[0, 0], [0, 0]], [[0, 1], [0, 0]]]
+    assert any(x < 0 for a in matrices for r in a for x in r)
+    for a in matrices:
+        assert charpoly_coefficients(a) == _dense_charpoly(a), a
+
+
+def _dense_perron(matrix, tol, cap):
+    """Reference: the dense power iteration on A + I over every column.  Each
+    row sum is an explicit left fold ((0.0 + t0) + t1) + ..., which is what
+    sum() computes on Python 3.11 but not from 3.12 on (compensated)."""
+    n = len(matrix)
     shifted = [[float(matrix[i][j]) + (1.0 if i == j else 0.0) for j in range(n)]
                for i in range(n)]
     v = [1.0] * n
     for it in range(1, cap + 1):
-        w = [sum(shifted[i][j] * v[j] for j in range(n)) for i in range(n)]
+        w = []
+        for i in range(n):
+            acc = 0.0
+            for j in range(n):
+                acc = acc + shifted[i][j] * v[j]
+            w.append(acc)
         ratios = [w[i] / v[i] for i in range(n)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo <= tol * lo:
@@ -255,11 +294,28 @@ def _dense_perron(matrix, tol, cap):
     raise AssertionError("reference iteration did not converge")
 
 
+def dense_graph(n: int, seed: int):
+    """An n-cycle (kept irreducible) overlaid with random entries 0-3,
+    self-loops included."""
+    rng = random.Random(seed)
+    adj = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        adj[i][(i + 1) % n] = max(1, adj[i][(i + 1) % n])
+    return make_edge_shift([str(i) for i in range(n)], adj)
+
+
 def test_entropy_is_the_dense_iteration_bit_for_bit(graph_catalog):
     shifts = [sft for _, sft, _ in graph_catalog]
     shifts += [smale(sft).component_shift for sft in shifts]
     shifts += [cycle_with_chords(n, chords, seed=n)
-               for n, chords in ((29, 1), (30, 2), (31, 3))]
+               for n, chords in ((29, 1), (30, 2), (31, 3), (12, 18), (16, 30))]
+    shifts += [dense_graph(n, seed=n) for n in range(2, 9)]
+    shifts.append(make_edge_shift(["0"], [[7]]))
+    entries = {a for sft in shifts for row in sft.adjacency for a in row}
+    assert {2, 3} <= entries
+    assert any(sum(map(bool, row)) >= 3 for sft in shifts for row in sft.adjacency)
+    assert any(sft.adjacency[i][i] for sft in shifts for i in range(sft.n_states)
+               if sft.n_states > 1)
     for sft in shifts:
         best, its = 0.0, 0
         for comp in strongly_connected_components(sft):
@@ -269,6 +325,18 @@ def test_entropy_is_the_dense_iteration_bit_for_bit(graph_catalog):
                 best, its = max(best, lam), its + it
         result = entropy(sft)
         assert (result.perron_value, result.iterations) == (best, its), sft
+
+
+def test_entropy_bits_do_not_depend_on_the_interpreter():
+    # Dense graphs whose Perron value changes in its last bits if the row
+    # sums are compensated (Python >= 3.12 sum() of floats); the literals are
+    # the plain left-to-right adds, which entropy() makes on every interpreter.
+    expected = {(26, 32, 1): (2.3752066321347924, 77),
+                (24, 25, 7): (2.300701355411873, 71),
+                (9, 16, 15): (2.936394550881121, 43)}
+    for (n, chords, seed), pinned in expected.items():
+        result = entropy(cycle_with_chords(n, chords, seed=seed))
+        assert (result.perron_value, result.iterations) == pinned, (n, chords, seed)
 
 
 # -- power shifts --------------------------------------------------------------
