@@ -26,7 +26,8 @@ from .groups import (FiniteGroup, cyclic_group, direct_product, dihedral_square,
                      trivial_group)
 from .seqs import (check_example1_residues, check_example2_markers,
                    example1_word, example2_word)
-from .sft import entropy, is_irreducible, parse_edge_shift, period, power_shift
+from .sft import (EdgeShift, entropy, is_irreducible, parse_edge_shift, period,
+                  power_shift)
 from .spectral import cyclic_partition, rational_eigs, smale
 from .verify import (check_wreath_rigidity, compare_rational_eigs,
                      entropy_ratio, verify_quotient_isos, verify_split_sequence)
@@ -71,9 +72,12 @@ def _read_source(arg: str) -> tuple:
     return arg, "<inline>"
 
 
-def _load_shift(arg: str) -> tuple:
-    text, origin = _read_source(arg)
-    return parse_edge_shift(text), text, origin
+def _load_shift(args, key: str) -> EdgeShift:
+    """The shift that argument ``key`` names (a file or inline matrix text);
+    records the input's hash under ``key`` for the manifest."""
+    text, _ = _read_source(getattr(args, key))
+    args._hashes[key] = _hash(text)
+    return parse_edge_shift(text)
 
 
 GROUP_SHORTHANDS = {
@@ -145,7 +149,7 @@ def _manifest(args, started: float, input_hashes: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    sft, text, _ = _load_shift(args.input)
+    sft = _load_shift(args, "input")
     doc = {
         "schema_version": 1,
         "matrix_hash": sft.matrix_hash(),
@@ -176,7 +180,6 @@ def cmd_analyze(args) -> int:
         })
         if getattr(args, "verify", False):
             doc["verified"] = _dual_path_checks(sft, p, ent, dec)
-    args._hashes = {"input": _hash(text)}
     _emit(args, doc)
     return EXIT_OK
 
@@ -202,47 +205,42 @@ def _dual_path_checks(sft, p, ent, dec) -> bool:
 
 
 def cmd_eigs(args) -> int:
-    sft, text, _ = _load_shift(args.input)
+    sft = _load_shift(args, "input")
     doc = {
         "schema_version": 1,
         "matrix_hash": sft.matrix_hash(),
         "period": period(sft),
         "rational_eigenvalues": sorted(rational_eigs(sft)),
     }
-    args._hashes = {"input": _hash(text)}
     _emit(args, doc)
     return EXIT_OK
 
 
 def cmd_partition(args) -> int:
-    sft, text, _ = _load_shift(args.input)
+    sft = _load_shift(args, "input")
     part = cyclic_partition(sft, args.m)
-    args._hashes = {"input": _hash(text)}
     _emit(args, part.to_document(sft))
     return EXIT_OK
 
 
 def cmd_autos(args) -> int:
-    sft, text, _ = _load_shift(args.input)
+    sft = _load_shift(args, "input")
     autos = enumerate_automorphisms(power_shift(sft, args.power), args.radius,
                                     args.inv_radius)
-    args._hashes = {"input": _hash(text)}
     _emit(args, autos.to_document())
     return EXIT_OK
 
 
 def cmd_verify_wreath(args) -> int:
-    sft, text, _ = _load_shift(args.input)
+    sft = _load_shift(args, "input")
     report = verify_split_sequence(sft, args.n, args.m, args.radius)
-    args._hashes = {"input": _hash(text)}
     _emit(args, report.to_document())
     return EXIT_OK if report.passes else EXIT_VIOLATION
 
 
 def cmd_quotients(args) -> int:
-    sft, text, _ = _load_shift(args.input)
+    sft = _load_shift(args, "input")
     report = verify_quotient_isos(sft, args.m, args.radius, args.inv_radius)
-    args._hashes = {"input": _hash(text)}
     _emit(args, report.to_document())
     return EXIT_OK if report.passes else EXIT_VIOLATION
 
@@ -297,19 +295,17 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_compare_eigs(args) -> int:
-    x, tx, _ = _load_shift(args.input_x)
-    y, ty, _ = _load_shift(args.input_y)
+    x = _load_shift(args, "input_x")
+    y = _load_shift(args, "input_y")
     doc = compare_rational_eigs(x, y)
-    args._hashes = {"input_x": _hash(tx), "input_y": _hash(ty)}
     _emit(args, doc)
     return EXIT_OK
 
 
 def cmd_entropy_ratio(args) -> int:
-    x, tx, _ = _load_shift(args.input_x)
-    y, ty, _ = _load_shift(args.input_y)
+    x = _load_shift(args, "input_x")
+    y = _load_shift(args, "input_y")
     report = entropy_ratio(x, y, args.max_den, args.tol)
-    args._hashes = {"input_x": _hash(tx), "input_y": _hash(ty)}
     _emit(args, report.to_document())
     return EXIT_OK
 

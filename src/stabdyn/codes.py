@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .budgets import Budget, check, default_budget
+from .budgets import Budget, default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
                      ShiftMismatchError, WordError)
+from .groups import invert_perm
 from .sft import (EdgeShift, Word, derived_shift,
                   strongly_connected_components)
 from .spectral import CyclicPartition
@@ -231,12 +232,13 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
     r, R = code.radius, inv_radius
     length = 2 * (R + r) + 1
     ids = code.codomain.word_ids(2 * R + 1)
-    rule = regroup([ids[v] for v in images(code, length)],
-                   [u[R + r] for u in code.domain.language(length)], len(ids))
-    if rule is None:
+    centres = regroup([ids[v] for v in images(code, length)],
+                      code.domain.subwindow_ids(length, 1)[R + r], len(ids))
+    if centres is None:
         return None
     try:
-        candidate = SlidingBlockCode(code.codomain, code.domain, R, rule)
+        candidate = SlidingBlockCode(code.codomain, code.domain, R, gather(
+            [u[0] for u in code.domain.language(1)], centres))
     except WordError:
         return None
     # g.f = id holds by construction; verify f.g = id as well
@@ -255,25 +257,25 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
     """All radius-``radius`` codes domain -> codomain that carry the language
     into the language and have a two-sided inverse of radius <= inv_radius.
 
-    Returns (code, inverse) pairs sorted canonically.  Exhaustive: DFS over
-    rule tables with local admissibility pruning, then a surjectivity filter,
-    a diamond (splice-injectivity) filter, and exact inverse construction.
+    Returns (code, inverse) pairs sorted canonically.  Exhaustive: a DFS over
+    rule tables checks each window pair of an admissible (2r+2)-word once,
+    when its later window gets a symbol, and every complete table goes to
+    ``find_inverse``, which decides exactly whether it has an inverse code
+    (by Curtis-Hedlund-Lyndon, a code is a conjugacy exactly when it has one).
     """
     budget = budget or default_budget()
     width = 2 * radius + 1
     size = len(domain.language(width))
     if not size:
         return []
-    neighbors: list = [[] for _ in range(size)]  # (other_index, is_successor)
-    # the (left, right) window pairs of the admissible (width+1)-words
+    # pairs[k]: the (left, right) window pairs whose later window is k
+    pairs: list = [[] for _ in range(size)]
     for li, ri in zip(*domain.subwindow_ids(width + 1, width)):
-        neighbors[li].append((ri, True))
-        neighbors[ri].append((li, False))
+        pairs[max(li, ri)].append((li, ri))
 
-    alphabet = list(codomain.alphabet)
     follows = codomain.follows
     out = [None] * size
-    used: dict = {}
+    used: set = set()
     found: list = []
     nodes = 0
 
@@ -281,51 +283,24 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
         nonlocal nodes
         if pos == size:
             candidate = SlidingBlockCode(domain, codomain, radius, out, validate=False)
-            if _passes_quick_filters(candidate):
-                inverse = find_inverse(candidate, inv_radius)
-                if inverse is not None:
-                    found.append((candidate, inverse))
+            inverse = find_inverse(candidate, inv_radius)
+            if inverse is not None:
+                found.append((candidate, inverse))
             return
-        for symbol in alphabet:
+        for symbol in codomain.alphabet:
             nodes += 1
             if nodes > budget.enum_nodes:
                 raise BudgetExceededError(
                     f"rule enumeration exceeded {budget.enum_nodes} nodes")
             if radius == 0 and symbol in used:
                 continue  # radius-0 inverses force a symbol bijection
-            ok = True
-            for other, pos_is_left in neighbors[pos]:
-                other_symbol = symbol if other == pos else out[other]
-                if other_symbol is None:
-                    continue
-                left, right = (symbol, other_symbol) if pos_is_left \
-                    else (other_symbol, symbol)
-                if not follows(left, right):
-                    ok = False
-                    break
-            if not ok:
-                continue
             out[pos] = symbol
+            if not all(follows(out[li], out[ri]) for li, ri in pairs[pos]):
+                continue
             if radius == 0:
-                used[symbol] = pos
+                used.add(symbol)
             assign(pos + 1)
-            if radius == 0:
-                used.pop(symbol, None)
-            out[pos] = None
-
-    # the quick filters' fixed data: the codomain's 3-words and the flank
-    # pair (first and last 2r symbols) of every (2r+5)-word of the domain
-    codomain_triples = set(codomain.language(3))
-    flank = 2 * radius
-    flanks = [(u[:flank], u[len(u) - flank:]) for u in domain.language(width + 4)]
-
-    def _passes_quick_filters(candidate: SlidingBlockCode) -> bool:
-        # necessary conditions for a conjugacy, cheap to test:
-        # image words of length 3 cover the codomain language exactly,
-        if set(images(candidate, width + 2)) != codomain_triples:
-            return False
-        # and no diamond: distinct equal-flank words with equal images
-        return len(set(zip(flanks, images(candidate, width + 4)))) == len(flanks)
+            used.discard(symbol)
 
     assign(0)
     found.sort(key=lambda pair: pair[0].canonical_key())
@@ -429,13 +404,8 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int,
         symbols = [{sym: sub.to_parent((sym,))[0] for sym in sub.alphabet}
                    for sub in comps]
         for pi in itertools.permutations(range(k)):
-            if any(not table[(i, pi[i])] for i in range(k)):
-                continue
-            choices = [table[(i, pi[i])] for i in range(k)]
-            inv_pi = [0] * k
-            for i in range(k):
-                inv_pi[pi[i]] = i
-            for combo in itertools.product(*choices):
+            inv_pi = invert_perm(pi)
+            for combo in itertools.product(*[table[(i, pi[i])] for i in range(k)]):
                 rule = _lift_component_rule(windows, symbols, pi, [c for c, _ in combo])
                 code = SlidingBlockCode(sft, sft, radius, rule, validate=False)
                 inv_rule = _lift_component_rule(

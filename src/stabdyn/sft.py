@@ -63,12 +63,7 @@ class EdgeShift:
                  provenance: Optional[Provenance] = None):
         states = tuple(str(s) for s in states)
         n = len(states)
-        if len(adjacency) != n or any(len(row) != n for row in adjacency):
-            raise ParseError("adjacency matrix is not square of size |states|")
-        for row in adjacency:
-            for a in row:
-                if not isinstance(a, int) or a < 0:
-                    raise ParseError(f"adjacency entries must be nonnegative integers, got {a!r}")
+        _check_matrix(n, adjacency)
         if n == 0:
             raise EmptyShiftError("empty graph")
         self.states = states
@@ -230,16 +225,20 @@ def _essential_part(states: Sequence[str], adjacency: Sequence[Sequence[int]]):
     return states, adj, removed
 
 
-def make_edge_shift(states: Sequence[str], adjacency: Sequence[Sequence[int]]) -> EdgeShift:
-    """Normalize to the essential subgraph and build the shift."""
+def _check_matrix(n: int, adjacency: Sequence[Sequence[int]]) -> None:
+    """Raise ParseError unless adjacency is an n x n matrix of nonnegative
+    integers."""
+    if len(adjacency) != n or any(len(row) != n for row in adjacency):
+        raise ParseError("adjacency matrix is not square of size |states|")
     for row in adjacency:
         for a in row:
-            if not isinstance(a, int):
-                raise ParseError(f"adjacency entries must be integers, got {a!r}")
-            if a < 0:
-                raise ParseError(f"negative adjacency entry {a}")
-    if len(adjacency) != len(states) or any(len(r) != len(states) for r in adjacency):
-        raise ParseError("adjacency matrix is not square of size |states|")
+            if not isinstance(a, int) or a < 0:
+                raise ParseError(f"adjacency entries must be nonnegative integers, got {a!r}")
+
+
+def make_edge_shift(states: Sequence[str], adjacency: Sequence[Sequence[int]]) -> EdgeShift:
+    """Normalize to the essential subgraph and build the shift."""
+    _check_matrix(len(states), adjacency)
     kept, adj, removed = _essential_part(states, adjacency)
     if not kept:
         raise EmptyShiftError("graph is empty after removing non-essential states")

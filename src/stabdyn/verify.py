@@ -217,6 +217,13 @@ def _effective_radius(shift: EdgeShift, requested: int) -> int:
     return r
 
 
+def _sampled_pairs(size: int) -> list:
+    """At most MAX_PAIRS index pairs (i, j) of range(size)^2: every k-th pair
+    in row-major order, with the stride k spreading them over all rows."""
+    stride = max(1, size * size // MAX_PAIRS)
+    return [divmod(k, size) for k in range(0, size * size, stride)[:MAX_PAIRS]]
+
+
 def _stage_escape(autos: AutomorphismSet) -> Optional[tuple]:
     """(i, j, canonical radius) for the first product of stage elements
     i . j, in index order, that is not in the stage; None when the stage is
@@ -268,11 +275,9 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
     image = sorted(set(pi_of.values()))
 
     # pi is a homomorphism (budgeted pairs)
-    size = len(autos.elements)
-    stepped = max(1, size * size // MAX_PAIRS)  # every k-th of the |A|^2 pairs
     checks.append(_check("pi_homomorphism", (
         f"pi(f.g) != pi(f).pi(g) at pair ({i},{j})"
-        for i, j in (divmod(k, size) for k in range(0, size * size, stepped)[:MAX_PAIRS])
+        for i, j in _sampled_pairs(len(autos.elements))
         if partition_action(compose(autos.elements[i], autos.elements[j]).canonical(),
                             inst.part) != compose_perm(pi_of[i], pi_of[j]))))
 
@@ -323,7 +328,8 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
 
     # psi is a homomorphism (componentwise composition; budgeted pairs)
     def psi_hom_failures():
-        for ta, tb in itertools.islice(itertools.product(tuples, repeat=2), MAX_PAIRS):
+        for i, j in _sampled_pairs(len(tuples)):
+            ta, tb = tuples[i], tuples[j]
             composed = [compose(comp_autos.elements[a], comp_autos.elements[b]).canonical()
                         for a, b in zip(ta, tb)]
             if compose(psi_by_indices(ta), psi_by_indices(tb)) != inst.psi(composed):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -212,6 +213,24 @@ def test_manifest_on_stderr_by_default(capsys):
     code, out, err = run(capsys, ["eigs", "2", "--json"])
     manifest = json.loads(err)
     assert manifest["subcommand"] == "eigs"
+
+
+def test_manifest_hashes_every_input(capsys):
+    expr = json.dumps({"n": 2, "bindings": {"x": {"g": [1, 0], "sigma": [1, 0]}},
+                       "expr": "x"})
+    cases = [
+        (["analyze", "1 1 / 1 0"], {"input": "1 1 / 1 0"}),
+        (["entropy-ratio", "2", "4"], {"input_x": "2", "input_y": "4"}),
+        (["rigidity", "--group-g", "cyclic:9", "--n", "2", "--group-h",
+          "cyclic:3", "--m", "3"], {"group_g": "cyclic:9", "group_h": "cyclic:3"}),
+        (["wreath-calc", expr], {"expr": expr}),
+    ]
+    for argv, sources in cases:
+        code, _, err = run(capsys, argv + ["--json"])
+        assert code == 0, argv
+        assert json.loads(err)["input_hashes"] == {
+            key: hashlib.sha256(text.encode()).hexdigest()[:16]
+            for key, text in sources.items()}, argv
 
 
 def test_quiet_suppresses_stdout(capsys):

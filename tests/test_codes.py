@@ -11,15 +11,18 @@ from stabdyn.errors import (ImageSplitsClassesError, ShiftMismatchError,
                             WordError)
 from stabdyn.codes import (AutomorphismSet, SlidingBlockCode, WordMap,
                            apply_code, commutes_with_power, compose,
-                           enumerate_automorphisms, find_inverse,
+                           enumerate_automorphisms, enumerate_conjugacies,
+                           find_inverse,
                            identity_code, images, partition_action,
                            rotation_index, shift_code, symbol_map_code,
                            word_map_commutes_with_power, word_map_from_code)
-from stabdyn.sft import full_shift, power_shift
+from stabdyn.sft import (derived_shift, full_shift, power_shift,
+                         strongly_connected_components)
 from stabdyn.spectral import cyclic_partition
 
-from conftest import (SLOW_STAGES, cycle_graph, doubled_cycle_period2,
-                      doubled_cycle_period3, doubled_loop_period2, golden_mean)
+from conftest import (SLOW_STAGES, aperiodic_three, cycle_graph,
+                      doubled_cycle_period2, doubled_cycle_period3,
+                      doubled_loop_period2, golden_mean)
 
 
 def flip_code(sft):
@@ -318,6 +321,52 @@ def test_enumerated_sets_satisfy_group_laws():
                 assert compose(h, hi).is_identity()
                 if h.canonical_radius <= r:
                     assert h.canonical() in autos.elements, (sft.states, n, r)
+
+
+def _passes_old_quick_filters(code) -> bool:
+    """The two necessary conditions that enumeration once tested before
+    ``find_inverse``: the image 3-words are exactly the codomain's 3-words,
+    and no two distinct (2r+5)-words with equal flanks (first and last 2r
+    symbols) have equal images (a diamond)."""
+    width = 2 * code.radius + 1
+    if set(images(code, width + 2)) != set(code.codomain.language(3)):
+        return False
+    flank = 2 * code.radius
+    flanks = [(u[:flank], u[len(u) - flank:])
+              for u in code.domain.language(width + 4)]
+    return len(set(zip(flanks, images(code, width + 4)))) == len(flanks)
+
+
+def test_enumeration_is_the_brute_force_over_every_rule_table():
+    y = power_shift(doubled_loop_period2(), 2)
+    comp_a, comp_b = [derived_shift(y, comp, 1)
+                      for comp in strongly_connected_components(y)]
+    cases = [(full_shift(2), full_shift(2), 1), (golden_mean(), golden_mean(), 1),
+             (doubled_loop_period2(), doubled_loop_period2(), 1),
+             (full_shift(3), full_shift(3), 0), (cycle_graph(3), cycle_graph(3), 1),
+             (doubled_cycle_period2(), doubled_cycle_period2(), 0),
+             (aperiodic_three(), aperiodic_three(), 1), (comp_a, comp_b, 1)]
+    filtered_out = 0
+    for domain, codomain, r in cases:
+        size = len(domain.language(2 * r + 1))
+        accepted = []
+        for table in itertools.product(codomain.alphabet, repeat=size):
+            try:
+                code = SlidingBlockCode(domain, codomain, r, table)
+            except WordError:
+                continue
+            inverse = find_inverse(code, 2 * r)
+            if not _passes_old_quick_filters(code):
+                filtered_out += 1
+                assert inverse is None, (domain.states, r, table)
+            if inverse is not None:
+                accepted.append((code, inverse))
+        accepted.sort(key=lambda pair: pair[0].canonical_key())
+        found = enumerate_conjugacies(domain, codomain, r, 2 * r)
+        assert [(c.rule, i.rule) for c, i in found] == \
+            [(c.rule, i.rule) for c, i in accepted], (domain.states, r)
+        assert accepted
+    assert filtered_out  # the reference filters reject some tables
 
 
 def test_enumerated_codes_preserve_admissibility():

@@ -15,7 +15,8 @@ from stabdyn.codes import (AutomorphismSet, compose, enumerate_automorphisms,
 from stabdyn.errors import VerificationError, ZeroEntropyError
 from stabdyn.groups import cyclic_group, klein_group
 from stabdyn.sft import entropy, full_shift, parse_edge_shift, power_shift
-from stabdyn.verify import (SplitInstance, _quotient_group, _stage_escape,
+from stabdyn.verify import (MAX_PAIRS, SplitInstance, _quotient_group,
+                            _sampled_pairs, _stage_escape,
                             check_wreath_rigidity, compare_rational_eigs,
                             entropy_ratio, shifted_key, verify_quotient_isos,
                             verify_split_sequence)
@@ -25,6 +26,18 @@ from conftest import (SLOW_STAGES, catalog, cycle_graph,
                       golden_mean, split_matrix)
 
 SPLIT_MATRIX = split_matrix()
+
+
+def test_sampled_pairs_stride_over_every_row():
+    for size in (0, 1, 5, 14, 15, 48, 72, 216):
+        # the strided sample that pi_homomorphism used to compute inline
+        stepped = max(1, size * size // MAX_PAIRS)
+        assert _sampled_pairs(size) == [
+            divmod(k, size) for k in range(0, size * size, stepped)[:MAX_PAIRS]]
+    # 48 psi tuples: the left factors spread over the tuples, not the first 5
+    pairs = _sampled_pairs(48)
+    assert len(pairs) == MAX_PAIRS
+    assert len({i for i, _ in pairs}) >= 40
 
 
 def test_split_sequence_keystone_doubled_loop():
