@@ -19,9 +19,9 @@ from .codes import (AutomorphismSet, SlidingBlockCode, apply_code, compose,
 from .groups import FiniteGroup, cyclic_group, is_isomorphic, symmetric_group
 from .seqs import (check_example1_residues, check_example2_markers,
                    example1_word, example2_word, sturmian_prefix)
-from .sft import (EdgeShift, EntropyResult, LanguageTable, entropy, full_shift,
-                  is_irreducible, is_mixing, make_edge_shift, parse_edge_shift,
-                  period, power_shift, words)
+from .sft import (EdgeShift, EntropyResult, entropy, full_shift, is_irreducible,
+                  is_mixing, make_edge_shift, parse_edge_shift, period,
+                  power_shift)
 from .spectral import (CyclicPartition, PowerDecomposition, SmaleDecomposition,
                        coarsen_partition, cyclic_partition, decompose_power,
                        is_power_transitive, rational_eigs,

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Every subcommand emits one structured JSON document (schema_version 1) on
-stdout; a run manifest (subcommand, flags, input hashes, version, wall time)
-goes to --manifest or stderr.  Identical inputs and version produce
-byte-identical stdout; manifests differ only in wall time.
+stdout; a run manifest (subcommand, flags, input hashes, exit code, version,
+wall time) goes to --manifest or stderr, on error exits as well.  Identical
+inputs and version produce byte-identical stdout; manifests differ only in
+wall time.
 
 Exit codes: 0 pass/inconclusive, 1 usage/parse/budget error,
 2 theorem-violation.
@@ -124,14 +125,15 @@ def _emit(args, doc, plain: str = None) -> None:
     sys.stdout.write(_dumps(doc))
 
 
-def _manifest(args, started: float, input_hashes: dict) -> None:
+def _manifest(args, started: float, exit_code: int) -> None:
     manifest = {
         "schema_version": 1,
         "subcommand": args.command,
         "flags": {k: v for k, v in sorted(vars(args).items())
                   if k not in {"command", "func"} and not k.startswith("_")
                   and not callable(v)},
-        "input_hashes": input_hashes,
+        "input_hashes": args._hashes,
+        "exit_code": exit_code,
         "library_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 6),
         "result_path": "-",
@@ -225,8 +227,7 @@ def cmd_partition(args) -> int:
 
 def cmd_autos(args) -> int:
     sft = _load_shift(args, "input")
-    autos = enumerate_automorphisms(power_shift(sft, args.power), args.radius,
-                                    args.inv_radius)
+    autos = enumerate_automorphisms(power_shift(sft, args.power), args.radius)
     _emit(args, autos.to_document())
     return EXIT_OK
 
@@ -240,7 +241,7 @@ def cmd_verify_wreath(args) -> int:
 
 def cmd_quotients(args) -> int:
     sft = _load_shift(args, "input")
-    report = verify_quotient_isos(sft, args.m, args.radius, args.inv_radius)
+    report = verify_quotient_isos(sft, args.m, args.radius)
     _emit(args, report.to_document())
     return EXIT_OK if report.passes else EXIT_VIOLATION
 
@@ -409,7 +410,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="stabdyn", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    inv_help = "largest radius searched for each element's inverse (default: 2 * radius)"
 
     def common(p):
         p.add_argument("--json", action="store_true",
@@ -442,8 +442,6 @@ def build_parser() -> _Parser:
     p.add_argument("--power", type=int, default=1,
                    help="enumerate over the power-shift presentation of sigma^power")
     p.add_argument("--radius", type=int, default=0)
-    p.add_argument("--inv-radius", dest="inv_radius", type=int, default=None,
-                   help=inv_help)
     common(p)
     p.set_defaults(func=cmd_autos)
 
@@ -459,8 +457,6 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--inv-radius", dest="inv_radius", type=int, default=None,
-                   help=inv_help)
     common(p)
     p.set_defaults(func=cmd_quotients)
 
@@ -517,13 +513,10 @@ def main(argv=None) -> int:
     args._hashes = {}
     try:
         code = args.func(args)
-    except StabdynError as exc:
+    except (StabdynError, OSError, KeyError, ValueError) as exc:  # JSONDecodeError too
         sys.stderr.write(f"stabdyn: error: {exc}\n")
-        return EXIT_USAGE
-    except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
-        sys.stderr.write(f"stabdyn: error: {exc}\n")
-        return EXIT_USAGE
-    _manifest(args, started, args._hashes)
+        code = EXIT_USAGE
+    _manifest(args, started, code)
     return code
 
 

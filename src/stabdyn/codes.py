@@ -16,6 +16,7 @@ tabulates them as codes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -24,7 +25,6 @@ from typing import Callable, Optional, Sequence
 from .budgets import Budget, default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
                      ShiftMismatchError, WordError)
-from .groups import invert_perm
 from .sft import (EdgeShift, Word, derived_shift,
                   strongly_connected_components)
 from .spectral import CyclicPartition
@@ -227,7 +227,9 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
     Built by center recovery: for every admissible (2(R+r)+1)-word u of the
     domain, the image word f(u) (length 2R+1) must determine the center of u.
     Conflicts mean no radius-R inverse exists; image words that never occur
-    mean f is not surjective.  The candidate is then verified on both sides.
+    mean f is not surjective.  The candidate g then satisfies g.f = id by
+    construction, since it sends the image of every such u to u's centre;
+    f.g = id is verified.
     """
     r, R = code.radius, inv_radius
     length = 2 * (R + r) + 1
@@ -241,10 +243,7 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
             [u[0] for u in code.domain.language(1)], centres))
     except WordError:
         return None
-    # g.f = id holds by construction; verify f.g = id as well
     if not compose(code, candidate).is_identity():
-        return None
-    if not compose(candidate, code).is_identity():
         return None
     return candidate
 
@@ -252,16 +251,16 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
 # -- enumeration ----------------------------------------------------------------
 
 
-def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
-                          inv_radius: int, budget: Optional[Budget] = None) -> list:
+def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *,
+                          budget: Optional[Budget] = None) -> list:
     """All radius-``radius`` codes domain -> codomain that carry the language
-    into the language and have a two-sided inverse of radius <= inv_radius.
+    into the language and have a two-sided inverse of radius <= 2 * radius,
+    sorted canonically.
 
-    Returns (code, inverse) pairs sorted canonically.  Exhaustive: a DFS over
-    rule tables checks each window pair of an admissible (2r+2)-word once,
-    when its later window gets a symbol, and every complete table goes to
-    ``find_inverse``, which decides exactly whether it has an inverse code
-    (by Curtis-Hedlund-Lyndon, a code is a conjugacy exactly when it has one).
+    Exhaustive: a DFS over rule tables checks each window pair of an
+    admissible (2r+2)-word once, when its later window gets a symbol, and
+    every complete table goes to ``find_inverse`` at radius 2r, which decides
+    exactly whether the code has an inverse of that radius.
     """
     budget = budget or default_budget()
     width = 2 * radius + 1
@@ -283,9 +282,8 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
         nonlocal nodes
         if pos == size:
             candidate = SlidingBlockCode(domain, codomain, radius, out, validate=False)
-            inverse = find_inverse(candidate, inv_radius)
-            if inverse is not None:
-                found.append((candidate, inverse))
+            if find_inverse(candidate, 2 * radius) is not None:
+                found.append(candidate)
             return
         for symbol in codomain.alphabet:
             nodes += 1
@@ -293,7 +291,8 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
                 raise BudgetExceededError(
                     f"rule enumeration exceeded {budget.enum_nodes} nodes")
             if radius == 0 and symbol in used:
-                continue  # radius-0 inverses force a symbol bijection
+                # at radius 0 the inverse radius is 0 too: a symbol bijection
+                continue
             out[pos] = symbol
             if not all(follows(out[li], out[ri]) for li, ri in pairs[pos]):
                 continue
@@ -303,7 +302,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int,
             used.discard(symbol)
 
     assign(0)
-    found.sort(key=lambda pair: pair[0].canonical_key())
+    found.sort(key=SlidingBlockCode.canonical_key)
     return found
 
 
@@ -341,18 +340,26 @@ def _lift_component_rule(windows: list, symbols: list, pi: tuple, codes: list) -
 
 @dataclass(frozen=True)
 class AutomorphismSet:
-    """A radius-truncated, inverse-certified stage of Aut(sigma^n), where n is
-    the step of the shift's provenance (1 for a shift that is not derived).
+    """A radius-bounded stage of Aut(sigma^n), where n is the step of the
+    shift's provenance (1 for a shift that is not derived): the radius-<= r
+    codes that have a two-sided inverse of radius <= 2r.
 
-    Every member is a genuine automorphism (an explicit inverse of radius
-    <= inv_radius is stored), but the set is only the radius-<= r slice of the
-    group, not the whole group.
+    Every member is a genuine automorphism, but the set is only a slice of
+    the group, not the whole group; it need not be closed under composition.
     """
     shift: EdgeShift
     radius: int
-    inv_radius: int
     elements: tuple
-    inverses: tuple
+
+    @property
+    def inv_radius(self) -> int:
+        """The radius bound on the members' inverses."""
+        return 2 * self.radius
+
+    @functools.cached_property
+    def inverses(self) -> tuple:
+        """The inverse of each element, of radius <= 2r."""
+        return tuple(find_inverse(code, 2 * self.radius) for code in self.elements)
 
     @property
     def power(self) -> int:
@@ -375,48 +382,34 @@ class AutomorphismSet:
         }
 
 
-def enumerate_automorphisms(sft: EdgeShift, radius: int,
-                            inv_radius: Optional[int] = None,
+def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
                             budget: Optional[Budget] = None) -> AutomorphismSet:
-    """All radius-<= ``radius`` rules that preserve the language and have an
-    inverse of radius <= ``inv_radius`` (default 2r).
+    """The stage of radius ``radius``: all radius-<= r rules that preserve
+    the language and have an inverse of radius <= 2r.
 
-    The result is a certified subgroup stage of the automorphism group of the
-    given presentation, sorted canonically; enumeration order never affects
-    the output.  For a stage of Aut(sigma^n), pass ``power_shift(sft, n)``.
+    The result is sorted canonically; enumeration order never affects the
+    output.  For a stage of Aut(sigma^n), pass ``power_shift(sft, n)``.  On a
+    disjoint union of components each member permutes the components, so the
+    stage is assembled from the stages between components.
     """
-    if inv_radius is None:
-        inv_radius = 2 * radius
     budget = budget or default_budget()
     comps = _disjoint_components(sft)
-    pairs: list = []
     if comps is None:
-        pairs = enumerate_conjugacies(sft, sft, radius, inv_radius, budget)
-    else:
-        k = len(comps)
-        table: dict = {}
-        for i in range(k):
-            for j in range(k):
-                table[(i, j)] = enumerate_conjugacies(comps[i], comps[j],
-                                                      radius, inv_radius, budget)
-        windows = _component_windows(sft, comps, radius)
-        inv_windows = _component_windows(sft, comps, inv_radius)
-        symbols = [{sym: sub.to_parent((sym,))[0] for sym in sub.alphabet}
-                   for sub in comps]
-        for pi in itertools.permutations(range(k)):
-            inv_pi = invert_perm(pi)
-            for combo in itertools.product(*[table[(i, pi[i])] for i in range(k)]):
-                rule = _lift_component_rule(windows, symbols, pi, [c for c, _ in combo])
-                code = SlidingBlockCode(sft, sft, radius, rule, validate=False)
-                inv_rule = _lift_component_rule(
-                    inv_windows, symbols, inv_pi,
-                    [combo[inv_pi[j]][1] for j in range(k)])
-                inverse = SlidingBlockCode(sft, sft, inv_radius, inv_rule, validate=False)
-                pairs.append((code, inverse))
-        pairs.sort(key=lambda pair: pair[0].canonical_key())
-    elements = tuple(c for c, _ in pairs)
-    inverses = tuple(i for _, i in pairs)
-    return AutomorphismSet(sft, radius, inv_radius, elements, inverses)
+        return AutomorphismSet(sft, radius, tuple(
+            enumerate_conjugacies(sft, sft, radius, budget=budget)))
+    k = len(comps)
+    table = {(i, j): enumerate_conjugacies(comps[i], comps[j], radius, budget=budget)
+             for i in range(k) for j in range(k)}
+    windows = _component_windows(sft, comps, radius)
+    symbols = [{sym: sub.to_parent((sym,))[0] for sym in sub.alphabet}
+               for sub in comps]
+    elements = [
+        SlidingBlockCode(sft, sft, radius, _lift_component_rule(windows, symbols, pi, combo),
+                         validate=False)
+        for pi in itertools.permutations(range(k))
+        for combo in itertools.product(*[table[(i, pi[i])] for i in range(k)])]
+    elements.sort(key=SlidingBlockCode.canonical_key)
+    return AutomorphismSet(sft, radius, tuple(elements))
 
 
 # -- action on cyclic partitions ---------------------------------------------------

@@ -23,7 +23,7 @@ def identity_perm(n: int) -> tuple:
 
 def compose_perm(s: tuple, t: tuple) -> tuple:
     """(s t)(x) = s(t(x))."""
-    return tuple(s[t[i]] for i in range(len(s)))
+    return tuple(map(s.__getitem__, t))
 
 
 def invert_perm(s: tuple) -> tuple:

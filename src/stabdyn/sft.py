@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul
 from types import MappingProxyType
@@ -567,19 +567,6 @@ def power_shift(sft: EdgeShift, n: int, budget: Optional[Budget] = None) -> Edge
 # -- language enumeration ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LanguageTable:
-    """Complete sorted enumeration of admissible words up to max_length."""
-    max_length: int
-    by_length: dict = field(repr=False)
-
-    def words(self, length: int) -> tuple:
-        return self.by_length[length]
-
-    def count(self, length: int) -> int:
-        return len(self.by_length[length])
-
-
 def word_count(sft: EdgeShift, length: int) -> int:
     """Exact count of admissible words: sum of entries of A^length."""
     an = mat_pow([list(r) for r in sft.adjacency], length)
@@ -596,13 +583,6 @@ def words_of_length(sft: EdgeShift, length: int,
     budget = budget or default_budget()
     check(word_count(sft, length), budget.word_count, "word count")
     return tuple(sorted(word for _, word, _ in _paths_from(sft, range(sft.n_states), length)))
-
-
-def words(sft: EdgeShift, max_length: int, budget: Optional[Budget] = None) -> LanguageTable:
-    if max_length < 1:
-        raise ParseError("max_length must be >= 1")
-    table = {l: words_of_length(sft, l, budget) for l in range(1, max_length + 1)}
-    return LanguageTable(max_length, table)
 
 
 def state_words(sft: EdgeShift, length: int) -> tuple:

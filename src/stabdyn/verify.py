@@ -168,7 +168,6 @@ class WreathDecompositionReport:
     n: int
     m: int
     radius: int
-    inv_radius: int
     effective_radius: int
     automorphism_count: int
     kernel_size: int
@@ -190,7 +189,7 @@ class WreathDecompositionReport:
             "n": self.n,
             "m": self.m,
             "radius": self.radius,
-            "inv_radius": self.inv_radius,
+            "inv_radius": 2 * self.radius,
             "effective_radius": self.effective_radius,
             "automorphism_count": self.automorphism_count,
             "kernel_size": self.kernel_size,
@@ -250,15 +249,16 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
     1 -> Aut(s^{nm} on X_m)^m -> Aut(s^{nm}) -> Sym(m) -> 1 on the enumerated
     radius-bounded stage: pi.rho = id, ker pi = im psi, the conjugation
     relation rho(s)^{-1} psi(g) rho(s) = psi(g o s), and homomorphism laws.
-    Inverses are searched up to twice the effective radius; the report's
-    ``inv_radius`` is twice the requested radius."""
+    The stage holds the radius-<= r codes with a two-sided inverse of radius
+    <= 2r, for r the effective radius; the report's inverse radius is twice
+    the requested radius."""
     inst = SplitInstance.build(sft, n, m)
     notes = []
     r_eff = _effective_radius(inst.power, radius)
     if r_eff != radius:
         notes.append(f"enumeration radius reduced from {radius} to {r_eff} "
                      f"(power-presentation language size)")
-    autos = enumerate_automorphisms(inst.power, r_eff, 2 * r_eff, budget)
+    autos = enumerate_automorphisms(inst.power, r_eff, budget=budget)
 
     # pi on the enumerated stage
     pi_of: dict = {}
@@ -299,7 +299,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
 
     # component stage and psi tuples
     r_comp = _effective_radius(inst.component, max(radius, 1))
-    comp_autos = enumerate_automorphisms(inst.component, r_comp, 2 * r_comp, budget)
+    comp_autos = enumerate_automorphisms(inst.component, r_comp, budget=budget)
     tuples = list(itertools.islice(
         itertools.product(range(len(comp_autos.elements)), repeat=m), MAX_TUPLES))
 
@@ -380,8 +380,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
     rho_table = {sigma: code.to_document() for sigma, code in rho_of.items()}
     psi_table = {tup: code.to_document() for tup, code in psi_of.items()}
     return WreathDecompositionReport(
-        matrix_hash=sft.matrix_hash(), n=n, m=m, radius=radius,
-        inv_radius=2 * radius, effective_radius=r_eff,
+        matrix_hash=sft.matrix_hash(), n=n, m=m, radius=radius, effective_radius=r_eff,
         automorphism_count=len(autos.elements), kernel_size=len(kernel),
         image_size=len(image), checks=checks, pi_table=pi_table,
         rho_table=rho_table, psi_table=psi_table, notes=notes)
@@ -449,7 +448,7 @@ def _quotient_group(autos: AutomorphismSet, step: int):
     leaves the stage."""
     elements = autos.elements
     rho = max((code.canonical_radius for code in elements), default=0)
-    scan = 2 * autos.radius + autos.inv_radius + step
+    scan = 4 * autos.radius + step  # 2r, plus the inverse radius 2r, plus a step
     keys = {code.canonical_key(): i for i, code in enumerate(elements)}
 
     def translates(code):
@@ -485,8 +484,7 @@ def _quotient_group(autos: AutomorphismSet, step: int):
         return None
 
 
-def verify_quotient_isos(sft: EdgeShift, m: int, radius: int,
-                         inv_radius: Optional[int] = None,
+def verify_quotient_isos(sft: EdgeShift, m: int, radius: int, *,
                          budget: Optional[Budget] = None) -> QuotientReport:
     """Check, on radius-bounded stages, that
     (ii) Aut(T)/<T> ~ Aut(T^m on X_m)/<T^m on X_m> and
@@ -496,9 +494,9 @@ def verify_quotient_isos(sft: EdgeShift, m: int, radius: int,
     if m != p:
         raise NoSuchEigenvalueError(f"quotient comparison needs m = period = {p}")
     dec = smale(sft)
-    lhs = enumerate_automorphisms(sft, radius, inv_radius, budget)
+    lhs = enumerate_automorphisms(sft, radius, budget=budget)
     r_comp = _effective_radius(dec.component_shift, max(radius, 1))
-    rhs = enumerate_automorphisms(dec.component_shift, r_comp, 2 * r_comp, budget)
+    rhs = enumerate_automorphisms(dec.component_shift, r_comp, budget=budget)
 
     lhs_mod_shift = _quotient_group(lhs, 1)
     lhs_mod_power = _quotient_group(lhs, m)

@@ -75,58 +75,56 @@ def _same_ambient(a: WreathElement, b: WreathElement) -> WreathContext:
     return a.context
 
 
-def act(sigma: tuple, g_vec: tuple) -> tuple:
-    """The coordinate action: (g_sigma)[i] = g[sigma^{-1}(i)]."""
-    inv = invert_perm(sigma)
-    return tuple(g_vec[inv[i]] for i in range(len(g_vec)))
-
-
 def wr_mul(a: WreathElement, b: WreathElement) -> WreathElement:
     """(g,s)(h,t) = (g_{t^{-1}} h, s t): base[i] = g[t(i)] * h[i]."""
     ctx = _same_ambient(a, b)
-    mul = ctx.base.mul
-    t = b.sigma
-    base = tuple(mul(a.g_vec[t[i]], b.g_vec[i]) for i in range(ctx.n))
-    return WreathElement(ctx, base, compose_perm(a.sigma, b.sigma))
+    table, g, t = ctx.base.table, a.g_vec, b.sigma
+    base = tuple([table[g[i]][y] for i, y in zip(t, b.g_vec)])
+    return WreathElement(ctx, base, compose_perm(a.sigma, t))
 
 
 def wr_inv(a: WreathElement) -> WreathElement:
-    """(g,s)^{-1} = (g^{-1}_s, s^{-1})."""
+    """(g,s)^{-1} = (g^{-1}_s, s^{-1}), with the coordinate action
+    g_s[i] = g[s^{-1}(i)] written as a scatter: coordinate s(i) is
+    g[i]^{-1}, and the permutation sends s(i) to i."""
     ctx = a.context
-    ginv = tuple(ctx.base.inv(x) for x in a.g_vec)
-    return WreathElement(ctx, act(a.sigma, ginv), invert_perm(a.sigma))
+    inverses = ctx.base.inverses
+    base, perm = [None] * ctx.n, [None] * ctx.n
+    for i, (j, x) in enumerate(zip(a.sigma, a.g_vec)):
+        base[j] = inverses[x]
+        perm[j] = i
+    return WreathElement(ctx, tuple(base), tuple(perm))
 
 
 def wr_conj(x: WreathElement, by: WreathElement) -> WreathElement:
-    """(h,t)^{(g,s)} = (g_{t^{-1} s} h_s g^{-1}_s, s t s^{-1})."""
+    """(h,t)^{(g,s)} = (g_{t^{-1} s} h_s g^{-1}_s, s t s^{-1}): coordinate
+    s(j) is g[t(j)] h[j] g[j]^{-1}, and the permutation sends s(j) to s(t(j))."""
     ctx = _same_ambient(x, by)
-    mul = ctx.base.mul
+    mul, inv = ctx.base.mul, ctx.base.inv
     h, t = x.g_vec, x.sigma
     g, s = by.g_vec, by.sigma
-    a = act(s, act(invert_perm(t), g))
-    b = act(s, h)
-    c = act(s, tuple(ctx.base.inv(v) for v in g))
-    base = tuple(mul(mul(a[i], b[i]), c[i]) for i in range(ctx.n))
-    perm = compose_perm(compose_perm(s, t), invert_perm(s))
-    return WreathElement(ctx, base, perm)
+    base, perm = [None] * ctx.n, [None] * ctx.n
+    for j in range(ctx.n):
+        base[s[j]] = mul(mul(g[t[j]], h[j]), inv(g[j]))
+        perm[s[j]] = s[t[j]]
+    return WreathElement(ctx, tuple(base), tuple(perm))
 
 
 def wr_comm(x: WreathElement, y: WreathElement) -> WreathElement:
     """[(g,s),(h,t)] = (g_{t^{-1} s t} h_{s t} g^{-1}_{s t} h^{-1}_t,
-    s t s^{-1} t^{-1})."""
+    s t s^{-1} t^{-1}): coordinate t(s(k)) is
+    g[t(k)] h[k] g[k]^{-1} h[s(k)]^{-1}, and the permutation sends t(s(k))
+    to s(t(k))."""
     ctx = _same_ambient(x, y)
-    mul = ctx.base.mul
+    mul, inv = ctx.base.mul, ctx.base.inv
     g, s = x.g_vec, x.sigma
     h, t = y.g_vec, y.sigma
-    ginv = tuple(ctx.base.inv(v) for v in g)
-    hinv = tuple(ctx.base.inv(v) for v in h)
-    a = act(t, act(s, act(invert_perm(t), g)))
-    b = act(t, act(s, h))
-    c = act(t, act(s, ginv))
-    d = act(t, hinv)
-    base = tuple(mul(mul(mul(a[i], b[i]), c[i]), d[i]) for i in range(ctx.n))
-    perm = compose_perm(compose_perm(compose_perm(s, t), invert_perm(s)), invert_perm(t))
-    return WreathElement(ctx, base, perm)
+    base, perm = [None] * ctx.n, [None] * ctx.n
+    for k in range(ctx.n):
+        at = t[s[k]]
+        base[at] = mul(mul(mul(g[t[k]], h[k]), inv(g[k])), inv(h[s[k]]))
+        perm[at] = s[t[k]]
+    return WreathElement(ctx, tuple(base), tuple(perm))
 
 
 def wr_conj_definitional(x: WreathElement, by: WreathElement) -> WreathElement:

@@ -205,9 +205,9 @@ def test_acceptance_09_example_sequences():
 
 def test_acceptance_10_automorphism_ground_truth():
     with _Timer(10, "automorphism-ground-truth", 30):
-        full2 = enumerate_automorphisms(full_shift(2), 0, 0)
+        full2 = enumerate_automorphisms(full_shift(2), 0)
         assert len(full2) == 2
-        gm = enumerate_automorphisms(golden_mean(), 0, 0)
+        gm = enumerate_automorphisms(golden_mean(), 0)
         assert len(gm) == 1
         for autos in [full2, gm,
                       enumerate_automorphisms(doubled_loop_period2(), 1)]:

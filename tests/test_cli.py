@@ -88,6 +88,8 @@ def test_autos_counts(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify-wreath", "0 2 / 1 0", "--n", "1", "--m", "2", "--inv-radius", "2"],
     ["eigs", "2", "--seed", "0"],
+    ["autos", "2", "--radius", "1", "--inv-radius", "2"],
+    ["quotients", "0 2 / 1 0", "--m", "2", "--inv-radius", "2"],
 ])
 def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -205,8 +207,21 @@ def test_manifest_written(tmp_path, capsys):
     assert code == 0
     manifest = json.loads(path.read_text())
     assert manifest["subcommand"] == "eigs"
+    assert manifest["exit_code"] == 0
     assert manifest["library_version"]
     assert "wall_time_s" in manifest
+
+
+def test_manifest_written_on_error_exit(tmp_path, capsys):
+    # the 2-cycle has period 2, so it has no cyclic partition of size 3
+    path = tmp_path / "manifest.json"
+    code, out, err = run(capsys, ["partition", "0 1 / 1 0", "-m", "3",
+                                  "--manifest", str(path)])
+    assert code == 1 and out == ""
+    assert "stabdyn: error:" in err
+    manifest = json.loads(path.read_text())
+    assert manifest["exit_code"] == 1
+    assert manifest["subcommand"] == "partition"
 
 
 def test_manifest_on_stderr_by_default(capsys):

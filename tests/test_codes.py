@@ -16,7 +16,7 @@ from stabdyn.codes import (AutomorphismSet, SlidingBlockCode, WordMap,
                            identity_code, images, partition_action,
                            rotation_index, shift_code, symbol_map_code,
                            word_map_commutes_with_power, word_map_from_code)
-from stabdyn.sft import (derived_shift, full_shift, power_shift,
+from stabdyn.sft import (derived_shift, full_shift, make_edge_shift, power_shift,
                          strongly_connected_components)
 from stabdyn.spectral import cyclic_partition
 
@@ -236,7 +236,7 @@ def test_find_inverse_rejects_xor():
 # -- enumeration ---------------------------------------------------------------------
 
 def test_enumerate_full_two_radius0():
-    autos = enumerate_automorphisms(full_shift(2), 0, 0)
+    autos = enumerate_automorphisms(full_shift(2), 0)
     assert len(autos) == 2
     assert identity_code(full_shift(2)) in autos.elements
     assert flip_code(full_shift(2)) in autos.elements
@@ -245,20 +245,20 @@ def test_enumerate_full_two_radius0():
 def test_enumerate_full_two_power_two_radius0():
     # sigma^2 of the full 2-shift is the full 4-shift: every bijection of its
     # four symbols is a radius-0 automorphism
-    autos = enumerate_automorphisms(power_shift(full_shift(2), 2), 0, 0)
+    autos = enumerate_automorphisms(power_shift(full_shift(2), 2), 0)
     assert len(autos) == 24
     assert autos.power == 2
 
 
 def test_enumerate_golden_mean_radius0():
-    autos = enumerate_automorphisms(golden_mean(), 0, 0)
+    autos = enumerate_automorphisms(golden_mean(), 0)
     assert len(autos) == 1
     assert autos.elements[0].is_identity()
 
 
 def test_enumerate_full_three_radius0():
     # all six symbol bijections are automorphisms of the full 3-shift
-    autos = enumerate_automorphisms(full_shift(3), 0, 0)
+    autos = enumerate_automorphisms(full_shift(3), 0)
     assert len(autos) == 6
 
 
@@ -282,7 +282,7 @@ def test_enumerate_golden_mean_radius1_shifts_only():
 
 
 def test_enumerate_doubled_cycle_radius0_side_swaps():
-    autos = enumerate_automorphisms(doubled_cycle_period2(), 0, 0)
+    autos = enumerate_automorphisms(doubled_cycle_period2(), 0)
     assert len(autos) == 8
 
 
@@ -302,6 +302,7 @@ def test_enumerated_sets_satisfy_group_laws():
         (doubled_loop_period2(), 1, 1),
         (cycle_graph(2), 1, 2), (cycle_graph(3), 2, 2),
         (doubled_cycle_period3(), 1, 1),
+        (power_shift(doubled_loop_period2(), 2), 1, 0),  # lifted from components
     ]
     for sft, n, r in cases:
         autos = enumerate_automorphisms(sft, r)
@@ -360,13 +361,36 @@ def test_enumeration_is_the_brute_force_over_every_rule_table():
                 filtered_out += 1
                 assert inverse is None, (domain.states, r, table)
             if inverse is not None:
-                accepted.append((code, inverse))
-        accepted.sort(key=lambda pair: pair[0].canonical_key())
-        found = enumerate_conjugacies(domain, codomain, r, 2 * r)
-        assert [(c.rule, i.rule) for c, i in found] == \
-            [(c.rule, i.rule) for c, i in accepted], (domain.states, r)
+                accepted.append(code)
+        accepted.sort(key=SlidingBlockCode.canonical_key)
+        found = enumerate_conjugacies(domain, codomain, r)
+        assert [c.rule for c in found] == [c.rule for c in accepted], (domain.states, r)
         assert accepted
     assert filtered_out  # the reference filters reject some tables
+
+
+def test_radius0_bijection_skip_is_exact_between_presentations():
+    # the 2-block presentation of the full 2-shift has 4 symbols, the full
+    # 2-shift 2; enumeration skips every radius-0 table that repeats a symbol,
+    # which is exact because a radius-0 code with a radius-0 inverse is a
+    # symbol bijection
+    block = make_edge_shift(["0", "1"], [[1, 1], [1, 1]])
+    full2 = full_shift(2)
+    for domain, codomain, r, count in [(block, full2, 0, 0), (full2, block, 0, 0),
+                                       (full2, block, 1, 4)]:
+        accepted = []
+        for table in itertools.product(codomain.alphabet,
+                                       repeat=len(domain.language(2 * r + 1))):
+            try:
+                code = SlidingBlockCode(domain, codomain, r, table)
+            except WordError:
+                continue
+            if find_inverse(code, 2 * r) is not None:
+                accepted.append(code)
+        accepted.sort(key=SlidingBlockCode.canonical_key)
+        found = enumerate_conjugacies(domain, codomain, r)
+        assert [c.rule for c in found] == [c.rule for c in accepted]
+        assert len(found) == count, (domain.states, r)
 
 
 def test_enumerated_codes_preserve_admissibility():
@@ -387,7 +411,7 @@ def test_enumeration_is_deterministic():
 
 
 def test_automorphism_set_document():
-    autos = enumerate_automorphisms(full_shift(2), 0, 0)
+    autos = enumerate_automorphisms(full_shift(2), 0)
     doc = autos.to_document()
     assert doc["count"] == 2 and doc["schema_version"] == 1
 
@@ -410,7 +434,7 @@ def test_partition_action_class_swap():
     sft = doubled_cycle_period2()
     part = cyclic_partition(sft, 2)
     swap = None
-    for code in enumerate_automorphisms(sft, 0, 0).elements:
+    for code in enumerate_automorphisms(sft, 0).elements:
         if partition_action(code, part) == (1, 0):
             swap = code
             break
@@ -420,7 +444,7 @@ def test_partition_action_class_swap():
 def test_partition_action_homomorphism():
     sft = doubled_cycle_period2()
     part = cyclic_partition(sft, 2)
-    autos = enumerate_automorphisms(sft, 0, 0)
+    autos = enumerate_automorphisms(sft, 0)
     for f in autos.elements:
         pf = partition_action(f, part)
         for g in autos.elements:

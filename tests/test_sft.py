@@ -14,7 +14,7 @@ from stabdyn.sft import (EdgeShift, charpoly_coefficients, entropy, full_shift,
                          is_irreducible, is_mixing, make_edge_shift, mat_mul,
                          mat_pow, parse_edge_shift, period, period_by_cycles,
                          perron_root_by_charpoly, power_shift, state_words,
-                         strongly_connected_components, word_count, words,
+                         strongly_connected_components, word_count,
                          words_of_length)
 
 from stabdyn.spectral import class_restriction, cyclic_partition, divisors, smale
@@ -128,8 +128,7 @@ def test_is_mixing_examples():
 # -- language ----------------------------------------------------------------
 
 def test_words_full_two_shift():
-    table = words(full_shift(2), 2)
-    assert table.words(2) == (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
+    assert full_shift(2).language(2) == (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
 
 
 def test_words_golden_mean_vertex_labeling():
@@ -157,10 +156,9 @@ def test_word_count_matches_matrix_power(graph_catalog):
 
 def test_language_is_composable(graph_catalog):
     for name, sft, _ in graph_catalog:
-        table = words(sft, 5)
         for length in range(1, 5):
-            shorter = set(table.words(length))
-            for w in table.words(length + 1):
+            shorter = set(sft.language(length))
+            for w in sft.language(length + 1):
                 assert w[:-1] in shorter and w[1:] in shorter, name
 
 

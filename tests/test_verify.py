@@ -166,7 +166,7 @@ def test_shifted_key_is_the_composed_canonical_key():
 
 
 def test_quotient_of_an_empty_stage_is_none():
-    empty = AutomorphismSet(full_shift(2), 1, 2, (), ())
+    empty = AutomorphismSet(full_shift(2), 1, ())
     assert _quotient_group(empty, 1) is None
 
 
