@@ -191,7 +191,7 @@ def _dual_path_checks(sft, p, ent, dec) -> bool:
     paths (raises VerificationError on a mismatch)."""
     from .errors import VerificationError
     from .sft import is_mixing, period_by_cycles, perron_root_by_charpoly
-    from .spectral import exhaustive_partition_search, divisors
+    from .spectral import exhaustive_partition_search
     if period_by_cycles(sft) != p:
         raise VerificationError("cycle-enumeration period disagrees with BFS period")
     if sft.n_states <= 6:
@@ -507,9 +507,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.monotonic()
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help and --version exit 0 with no manifest
+        if exc.code == EXIT_USAGE:  # --manifest is not parsed, so to stderr
+            words = [a for a in (sys.argv[1:] if argv is None else argv) if a[:1] != "-"]
+            command = words[0] if words and words[0] in SCHEMA_BY_COMMAND else None
+            _manifest(argparse.Namespace(command=command, _hashes={}), started, EXIT_USAGE)
+        raise
     args._hashes = {}
     try:
         code = args.func(args)

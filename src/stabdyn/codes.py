@@ -260,13 +260,19 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     Exhaustive: a DFS over rule tables checks each window pair of an
     admissible (2r+2)-word once, when its later window gets a symbol, and
     every complete table goes to ``find_inverse`` at radius 2r, which decides
-    exactly whether the code has an inverse of that radius.
+    exactly whether the code has an inverse of that radius.  Rules and node
+    count are memoized on ``domain.root`` by (adjacencies, radius); a repeat
+    raises BudgetExceededError exactly when the deterministic search would.
     """
     budget = budget or default_budget()
+    memo, key = domain.root._stages, (domain.adjacency, codomain.adjacency, radius)
+    if key in memo:
+        rules, nodes = memo[key]
+        if nodes > budget.enum_nodes:
+            raise BudgetExceededError(f"rule enumeration exceeded {budget.enum_nodes} nodes")
+        return [SlidingBlockCode(domain, codomain, radius, r, validate=False) for r in rules]
     width = 2 * radius + 1
     size = len(domain.language(width))
-    if not size:
-        return []
     # pairs[k]: the (left, right) window pairs whose later window is k
     pairs: list = [[] for _ in range(size)]
     for li, ri in zip(*domain.subwindow_ids(width + 1, width)):
@@ -303,6 +309,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
 
     assign(0)
     found.sort(key=SlidingBlockCode.canonical_key)
+    memo[key] = (tuple(code.rule for code in found), nodes)
     return found
 
 
@@ -390,7 +397,7 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
     The result is sorted canonically; enumeration order never affects the
     output.  For a stage of Aut(sigma^n), pass ``power_shift(sft, n)``.  On a
     disjoint union of components each member permutes the components, so the
-    stage is assembled from the stages between components.
+    stage is assembled from the (memoized) conjugacy sets between components.
     """
     budget = budget or default_budget()
     comps = _disjoint_components(sft)

@@ -6,7 +6,7 @@ restriction, a component) records its provenance: parent shift, parent states
 and step.  All values are immutable after construction and every operation is
 a pure function, so the module is safe for concurrent use; languages, their
 word indices, sub-window index tables and path dictionaries are computed on
-first use and cached on the shift.
+first use and cached on the shift, and automorphism stages on its ``root``.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ class EdgeShift:
         self._languages: dict = {}
         self._word_ids: dict = {}
         self._subwindows: dict = {}
+        self._stages: dict = {}  # see codes.enumerate_conjugacies
 
         # edges run in (tail, head, parallel-index) order, so the edges of
         # block (i, j) are the symbols starts[i*n + j] up to starts[i*n + j + 1]
@@ -108,6 +109,11 @@ class EdgeShift:
             to_edge = {word: sym for sym, word in to_path.items()}
             self._path_tables = (to_path, to_edge)
         return self._path_tables
+
+    @property
+    def root(self) -> "EdgeShift":
+        """The input presentation this shift derives from (itself if none)."""
+        return self if self.provenance is None else self.provenance.parent.root
 
     @property
     def parent_paths(self) -> Optional[Mapping]:

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .budgets import Budget, check, default_budget
 from .errors import AmbientMismatchError, BudgetExceededError

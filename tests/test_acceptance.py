@@ -12,13 +12,11 @@ import random
 import time
 
 from stabdyn.codes import compose, enumerate_automorphisms, identity_code
-from stabdyn.groups import (compose_perm, cyclic_group, direct_product,
-                            identity_perm, is_isomorphic, klein_group,
-                            klein_subset_sym4, symmetric_group)
+from stabdyn.groups import (cyclic_group, identity_perm, klein_subset_sym4,
+                            symmetric_group)
 from stabdyn.seqs import (check_example1_residues, check_example2_markers,
-                          example1_marker, example1_word, example2_word)
-from stabdyn.sft import (entropy, full_shift, is_irreducible, mat_pow,
-                         power_shift, strongly_connected_components)
+                          example1_marker, example2_word)
+from stabdyn.sft import entropy, full_shift, is_irreducible, power_shift
 from stabdyn.spectral import (divisors, exhaustive_partition_search,
                               is_power_transitive, rational_eigs)
 from stabdyn.verify import (check_wreath_rigidity, entropy_ratio,

@@ -98,6 +98,31 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["quotients", "0 2 / 1 0", "--m", "2", "--inv-radius", "2"], "quotients"),
+    (["partition", "0 1 / 1 0"], "partition"),  # -m is required
+    (["--json"], None),
+])
+def test_usage_error_writes_manifest_to_stderr(capsys, argv, command):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    usage, line = capsys.readouterr().err.splitlines()[-2:]
+    assert usage.startswith("stabdyn")
+    manifest = json.loads(line)
+    assert (manifest["exit_code"], manifest["subcommand"]) == (1, command)
+    assert manifest["flags"] == {} and manifest["input_hashes"] == {}
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["autos", "--help"]])
+def test_help_and_version_write_no_manifest(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
 def test_verify_wreath_keystone(capsys):
     code, out, _ = run(capsys, ["verify-wreath", "0 2 / 1 0",
                                 "--n", "1", "--m", "2", "--radius", "1", "--json"])

@@ -7,9 +7,12 @@ import itertools
 
 import pytest
 
-from stabdyn.errors import (ImageSplitsClassesError, ShiftMismatchError,
-                            WordError)
-from stabdyn.codes import (AutomorphismSet, SlidingBlockCode, WordMap,
+from stabdyn import codes
+from stabdyn.budgets import Budget
+from stabdyn.cli import main
+from stabdyn.errors import (BudgetExceededError, ImageSplitsClassesError,
+                            ShiftMismatchError, WordError)
+from stabdyn.codes import (SlidingBlockCode, WordMap,
                            apply_code, commutes_with_power, compose,
                            enumerate_automorphisms, enumerate_conjugacies,
                            find_inverse,
@@ -408,6 +411,58 @@ def test_enumeration_is_deterministic():
     b = enumerate_automorphisms(full_shift(2), 1)
     assert [c.canonical_key() for c in a.elements] == \
         [c.canonical_key() for c in b.elements]
+
+
+def test_stage_memo_hit_is_the_fresh_search(graph_catalog):
+    for name, sft, _ in graph_catalog:
+        r = 0 if name in SLOW_STAGES else 1
+        first = enumerate_conjugacies(sft, sft, r)
+        hit = enumerate_conjugacies(sft, sft, r)
+        fresh = enumerate_conjugacies(make_edge_shift(sft.states, sft.adjacency), sft, r)
+        assert [c.rule for c in hit] == [c.rule for c in first] \
+            == [c.rule for c in fresh], name
+        assert all(c.domain is sft and c.codomain is sft for c in hit)
+    # the key holds the codomain too: one domain, two codomains
+    full2, block = full_shift(2), make_edge_shift(["0", "1"], [[1, 1], [1, 1]])
+    assert [len(enumerate_conjugacies(full2, y, 1)) for y in (full2, block)] == [6, 4]
+
+
+def test_stage_memo_hit_keeps_the_node_budget():
+    sft = full_shift(2)
+    stage = enumerate_conjugacies(sft, sft, 1)
+    (_, nodes), = sft._stages.values()
+    with pytest.raises(BudgetExceededError):  # the search itself stops at N - 1
+        enumerate_conjugacies(full_shift(2), full_shift(2), 1,
+                              budget=Budget(enum_nodes=nodes - 1))
+    with pytest.raises(BudgetExceededError):
+        enumerate_conjugacies(sft, sft, 1, budget=Budget(enum_nodes=nodes - 1))
+    hit = enumerate_conjugacies(sft, sft, 1, budget=Budget(enum_nodes=nodes))
+    assert [c.rule for c in hit] == [c.rule for c in stage]
+
+
+def test_stage_memo_is_not_shared_between_inputs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(codes, "find_inverse",
+                        lambda code, r: calls.append(code) or find_inverse(code, r))
+    for _ in range(2):
+        sft = full_shift(2)
+        assert len(enumerate_conjugacies(sft, sft, 1)) == 6
+        assert len(calls) == 256  # every separately built input runs the DFS
+        calls.clear()
+
+
+def test_stage_memo_runs_each_split_search_once(monkeypatch, capsys):
+    # the power presentation of the doubled 3-cycle falls into three full
+    # 2-shift pieces, and the component is the full 2-shift too: one 256-leaf
+    # DFS serves the 9 conjugacy sets between pieces and the component stage,
+    # where separate searches would make 2,566 find_inverse calls
+    calls = []
+    monkeypatch.setattr(codes, "find_inverse",
+                        lambda code, r: calls.append(code) or find_inverse(code, r))
+    assert main(["verify-wreath", "0 2 0 / 0 0 1 / 1 0 0",
+                 "--n", "1", "--m", "3", "--radius", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 256 + 6  # the leaves, and the component inverses
 
 
 def test_automorphism_set_document():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from stabdyn.budgets import Budget
@@ -12,7 +10,7 @@ from stabdyn.groups import (FiniteGroup, all_perms, alternating_subset,
                             compose_perm, cyclic_group, dihedral_square,
                             direct_product, from_permutations, is_isomorphic,
                             klein_group, klein_subset_sym4, perm_name,
-                            perm_orbits, quaternion_group, symmetric_group,
+                            quaternion_group, symmetric_group,
                             transposition, trivial_group)
 from stabdyn.wreath import wreath_group
 

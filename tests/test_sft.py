@@ -12,7 +12,7 @@ from stabdyn.errors import (EmptyShiftError, ParseError, ReducibleShiftError,
                             VerificationError)
 from stabdyn.sft import (EdgeShift, charpoly_coefficients, entropy, full_shift,
                          is_irreducible, is_mixing, make_edge_shift, mat_mul,
-                         mat_pow, parse_edge_shift, period, period_by_cycles,
+                         parse_edge_shift, period, period_by_cycles,
                          perron_root_by_charpoly, power_shift, state_words,
                          strongly_connected_components, word_count,
                          words_of_length)

@@ -4,7 +4,6 @@ comparison, entropy ratios."""
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import pytest
 

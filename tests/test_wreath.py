@@ -10,7 +10,7 @@ import random
 import pytest
 
 from stabdyn.groups import (alternating_subset, compose_perm, cyclic_group,
-                            dihedral_square, identity_perm, invert_perm,
+                            dihedral_square, identity_perm,
                             is_isomorphic, is_transitive_perm_set, klein_group,
                             klein_subset_sym4, quaternion_group,
                             symmetric_group, transposition, trivial_group)
@@ -292,7 +292,6 @@ def test_wreath_group_table_is_wr_mul(base, n):
 
 def _diag_times_perms_indices(base_order: int, n: int):
     """Indices (in wreath_group element order) of (diag(x), s) elements."""
-    import math
     perms = sorted(itertools.permutations(range(n)))
     nperms = len(perms)
 
