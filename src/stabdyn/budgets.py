@@ -24,23 +24,20 @@ class Budget:
     enum_nodes: int = 5_000_000       # search-tree nodes in rule enumeration
     sym_normal_m: int = 7             # largest Sym(m) for normal-subgroup sweeps
 
-    @staticmethod
-    def from_env() -> "Budget":
-        raw = os.environ.get(ENV_VAR)
-        if raw is None:
-            return Budget()
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise BudgetExceededError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
-        if cap <= 0:
-            raise BudgetExceededError(f"{ENV_VAR} must be positive, got {cap}")
-        return Budget(word_count=cap, path_count=cap, group_order=cap,
-                      enum_nodes=cap, sym_normal_m=max(2, min(cap, 8)))
-
 
 def default_budget() -> Budget:
-    return Budget.from_env()
+    """The default caps, or every cap set to STABDYN_BUDGET when it is set."""
+    raw = os.environ.get(ENV_VAR)
+    if raw is None:
+        return Budget()
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise BudgetExceededError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
+    if cap <= 0:
+        raise BudgetExceededError(f"{ENV_VAR} must be positive, got {cap}")
+    return Budget(word_count=cap, path_count=cap, group_order=cap,
+                  enum_nodes=cap, sym_normal_m=max(2, min(cap, 8)))
 
 
 def check(value: int, cap: int, what: str) -> None:

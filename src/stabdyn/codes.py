@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -207,8 +208,8 @@ def commutes_with_power(code: SlidingBlockCode, n: int) -> bool:
     """Word-level check that code . sigma^n = sigma^n . code.
 
     Both sides are block maps of window 2r+n+1, so agreement on all admissible
-    words of that length decides equality.  Any total positional rule passes;
-    the check that can fail is ``word_map_commutes_with_power``, on point maps.
+    words of that length decides equality.  Any total positional rule passes,
+    so on a sliding block code this is a consistency check.
     """
     if n < 1:
         raise ValueError("power must be >= 1")
@@ -261,11 +262,12 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     admissible (2r+2)-word once, when its later window gets a symbol, and
     every complete table goes to ``find_inverse`` at radius 2r, which decides
     exactly whether the code has an inverse of that radius.  Rules and node
-    count are memoized on ``domain.root`` by (adjacencies, radius); a repeat
+    count are memoized in the tables that ``domain`` shares with the equal
+    presentations of its input, by (codomain adjacency, radius); a repeat
     raises BudgetExceededError exactly when the deterministic search would.
     """
     budget = budget or default_budget()
-    memo, key = domain.root._stages, (domain.adjacency, codomain.adjacency, radius)
+    memo, key = domain._stages, (codomain.adjacency, radius)
     if key in memo:
         rules, nodes = memo[key]
         if nodes > budget.enum_nodes:
@@ -397,7 +399,9 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
     The result is sorted canonically; enumeration order never affects the
     output.  For a stage of Aut(sigma^n), pass ``power_shift(sft, n)``.  On a
     disjoint union of components each member permutes the components, so the
-    stage is assembled from the (memoized) conjugacy sets between components.
+    stage is assembled from the (memoized) conjugacy sets between components;
+    BudgetExceededError is raised before any member is built when there are
+    more than ``budget.enum_nodes`` of them.
     """
     budget = budget or default_budget()
     comps = _disjoint_components(sft)
@@ -407,6 +411,11 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
     k = len(comps)
     table = {(i, j): enumerate_conjugacies(comps[i], comps[j], radius, budget=budget)
              for i in range(k) for j in range(k)}
+    count = sum(math.prod(len(table[(i, pi[i])]) for i in range(k))
+                for pi in itertools.permutations(range(k)))
+    if count > budget.enum_nodes:
+        raise BudgetExceededError(
+            f"lifted stage of {count} codes exceeds {budget.enum_nodes} nodes")
     windows = _component_windows(sft, comps, radius)
     symbols = [{sym: sub.to_parent((sym,))[0] for sym in sub.alphabet}
                for sub in comps]
@@ -502,18 +511,3 @@ class WordMap:
             raise WordError("radius smaller than the word map's losses")
         rule = [self.apply(w)[r - self.left_loss] for w in self.domain.language(2 * r + 1)]
         return SlidingBlockCode(self.domain, self.codomain, r, rule)
-
-
-def word_map_from_code(code: SlidingBlockCode) -> WordMap:
-    return WordMap(code.domain, code.codomain, code.radius, code.radius, code.apply)
-
-
-def word_map_commutes_with_power(wm: WordMap, n: int, length: int) -> bool:
-    """Word-level commutation of a point map with sigma^n; genuinely fails for
-    phase maps checked against the wrong power."""
-    if length < wm.left_loss + wm.right_loss + n + 1:
-        raise WordError("length too short to decide commutation")
-    for w in wm.domain.language(length):
-        if wm.apply(w)[n:] != wm.apply(w[n:]):
-            return False
-    return True

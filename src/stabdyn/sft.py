@@ -4,9 +4,9 @@ adjacency matrices on a finite directed multigraph.
 Edges are the alphabet.  A derived presentation (a power shift, a class
 restriction, a component) records its provenance: parent shift, parent states
 and step.  All values are immutable after construction and every operation is
-a pure function, so the module is safe for concurrent use; languages, their
-word indices, sub-window index tables and path dictionaries are computed on
-first use and cached on the shift, and automorphism stages on its ``root``.
+a pure function, so the module is safe for concurrent use; tables are built on
+first use: path dictionaries per shift, and languages, word indices, sub-window
+index tables and automorphism stages once per (``root``, adjacency).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (EmptyShiftError, IterationCapError, ParseError,
 
 # Symbols for small alphabets stay single characters so words print compactly.
 _CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+ENTROPY_TOL, CHARPOLY_TOL = 1e-12, 1e-13  # power iteration gap, root bracket
 
 Word = tuple  # tuple of edge symbols (strings)
 
@@ -71,10 +72,10 @@ class EdgeShift:
         self.normalization_log = tuple(normalization_log)
         self.provenance = provenance
         self._path_tables = None
-        self._languages: dict = {}
-        self._word_ids: dict = {}
-        self._subwindows: dict = {}
-        self._stages: dict = {}  # see codes.enumerate_conjugacies
+        if provenance is None:  # adjacency -> tables shared by equal presentations
+            self._tables: dict = {}
+        self._languages, self._word_ids, self._subwindows, self._stages = \
+            self.root._tables.setdefault(self.adjacency, ({}, {}, {}, {}))
 
         # edges run in (tail, head, parallel-index) order, so the edges of
         # block (i, j) are the symbols starts[i*n + j] up to starts[i*n + j + 1]
@@ -87,10 +88,8 @@ class EdgeShift:
         self._heads = dict(zip(symbols, chain.from_iterable(
             repeat(b % n, a) for b, a in enumerate(counts))))
         self.out_edges = tuple(tuple(symbols[starts[i * n]:starts[i * n + n]]) for i in range(n))
-        self.in_edges = tuple(tuple(chain.from_iterable(
-            symbols[starts[i * n + j]:starts[i * n + j + 1]] for i in range(n))) for j in range(n))
-        for i in range(n):
-            if not self.out_edges[i] or not self.in_edges[i]:
+        for i, column in enumerate(zip(*self.adjacency)):
+            if not any(self.adjacency[i]) or not any(column):
                 raise ParseError(f"state {states[i]!r} is not essential; normalize first")
 
     # -- provenance and language ------------------------------------------
@@ -354,11 +353,11 @@ def is_irreducible(sft: EdgeShift) -> bool:
     return len(strongly_connected_components(sft)) == 1
 
 
-def bfs_levels(sft: EdgeShift, start: int = 0) -> list:
+def bfs_levels(sft: EdgeShift) -> list:
+    """Each state's BFS distance from state 0 (-1 when unreachable)."""
     succ = _successors(sft.adjacency)
-    levels = [-1] * sft.n_states
-    levels[start] = 0
-    queue = [start]
+    levels = [0] + [-1] * (sft.n_states - 1)
+    queue = [0]
     while queue:
         nxt = []
         for u in queue:
@@ -374,7 +373,7 @@ def period(sft: EdgeShift) -> int:
     """gcd of all cycle lengths; computed from BFS level differences."""
     if not is_irreducible(sft):
         raise ReducibleShiftError("period requires an irreducible edge shift")
-    levels = bfs_levels(sft, 0)
+    levels = bfs_levels(sft)
     succ = _successors(sft.adjacency)
     return math.gcd(*(levels[u] + 1 - levels[v]
                       for u in range(sft.n_states) for v in succ[u])) or 1
@@ -419,14 +418,14 @@ class EntropyResult:
                 "perron_eigenvalue": self.perron_value, "iterations": self.iterations}
 
 
-def _perron_irreducible(matrix, tol: float, cap: int):
+def _perron_irreducible(matrix, cap: int):
     """Perron value of an irreducible nonnegative matrix by float power
-    iteration on A + I with Collatz-Wielandt bounds.  Each row sum is the
-    sequential IEEE adds ((t0 + t1) + t2) ... over the row's nonzero entries
-    and the diagonal in column order, the same bits on every interpreter.
-    Column k gathers every row's k-th term; a shorter row reads the 0.0 kept
-    at v[n] (x + 0.0 == x), and only columns holding a coefficient other than
-    1.0 multiply.  Cost per step: n times the widest row."""
+    iteration on A + I, to Collatz-Wielandt bounds within relative ENTROPY_TOL.
+    Each row sum is the sequential IEEE adds ((t0 + t1) + t2) ... over the
+    row's nonzero entries and the diagonal in column order, the same bits on
+    every interpreter.  Column k gathers every row's k-th term; a shorter row
+    reads the 0.0 kept at v[n] (x + 0.0 == x), and only columns holding a
+    coefficient other than 1.0 multiply.  Cost per step: n times the widest row."""
     n = len(matrix)
     rows = [[(j, float(a) + (1.0 if i == j else 0.0))
              for j, a in enumerate(row) if a or i == j]
@@ -445,7 +444,7 @@ def _perron_irreducible(matrix, tol: float, cap: int):
         w = list(w)
         ratios = [x / y for x, y in zip(w, v)]
         lo, hi = min(ratios), max(ratios)
-        if hi - lo <= tol * lo:
+        if hi - lo <= ENTROPY_TOL * lo:
             return (lo + hi) / 2.0 - 1.0, it
         norm = max(w)
         v = [x / norm for x in w]
@@ -453,8 +452,8 @@ def _perron_irreducible(matrix, tol: float, cap: int):
     raise IterationCapError(f"power iteration did not converge in {cap} steps")
 
 
-def entropy(sft: EdgeShift, tol: float = 1e-12, iteration_cap: int = 200_000) -> EntropyResult:
-    """log of the Perron eigenvalue of the adjacency matrix.
+def entropy(sft: EdgeShift, iteration_cap: int = 200_000) -> EntropyResult:
+    """log of the Perron eigenvalue of the adjacency matrix (to ENTROPY_TOL).
 
     For reducible shifts the value is the maximum over strongly connected
     components (the spectral radius of the full matrix).
@@ -466,7 +465,7 @@ def entropy(sft: EdgeShift, tol: float = 1e-12, iteration_cap: int = 200_000) ->
         sub = [[sft.adjacency[i][j] for j in comp] for i in comp]
         if len(comp) == 1 and sub[0][0] == 0:
             continue
-        lam, it = _perron_irreducible(sub, tol, iteration_cap)
+        lam, it = _perron_irreducible(sub, iteration_cap)
         its += it
         best = max(best, lam)
     if best <= 0.0:
@@ -503,9 +502,9 @@ def charpoly_coefficients(matrix) -> list:
     return coeffs[::-1]
 
 
-def perron_root_by_charpoly(matrix, tol: float = 1e-13) -> float:
+def perron_root_by_charpoly(matrix) -> float:
     """Independent oracle: largest real root of the exact characteristic
-    polynomial, located in floats by downward scan plus bisection."""
+    polynomial, located by downward scan plus bisection to CHARPOLY_TOL."""
     coeffs = charpoly_coefficients(matrix)
 
     def p(x: float) -> float:
@@ -526,7 +525,7 @@ def perron_root_by_charpoly(matrix, tol: float = 1e-13) -> float:
             hi = mid
         else:
             lo = mid
-        if hi - lo < tol:
+        if hi - lo < CHARPOLY_TOL:
             break
     return (lo + hi) / 2.0
 

@@ -45,7 +45,6 @@ class CyclicPartition:
     size: int
     classes: tuple  # tuple of frozenset of state indices
     shift: EdgeShift
-    base_class_index: int = 0
 
     @property
     def matrix_hash(self) -> str:
@@ -62,7 +61,7 @@ class CyclicPartition:
             "schema_version": 1,
             "size": self.size,
             "classes": [sorted(sft.states[i] for i in cls) for cls in self.classes],
-            "base_class_index": self.base_class_index,
+            "base_class_index": 0,
             "matrix_hash": self.matrix_hash,
         }
 
@@ -72,7 +71,7 @@ def cyclic_partition(sft: EdgeShift, m: int) -> CyclicPartition:
     p = period(sft)
     if m < 1 or p % m != 0:
         raise NoSuchEigenvalueError(f"{m} is not a rational eigenvalue (period {p})")
-    levels = bfs_levels(sft, 0)
+    levels = bfs_levels(sft)
     classes = tuple(frozenset(v for v in range(sft.n_states) if levels[v] % m == k)
                     for k in range(m))
     part = CyclicPartition(m, classes, sft)

@@ -56,7 +56,7 @@ class SplitInstance:
     piece: dict                  # Y symbol -> the class c of its piece Y_c
     to_power: dict               # Z symbol -> the Y_0 symbol of the same path
     to_component: dict           # the inverse of to_power
-    _phases: dict = field(default_factory=dict, repr=False)
+    _phases: dict = field(default_factory=dict, repr=False, init=False)
     _conjugates: dict = field(default_factory=dict, repr=False, init=False)
 
     @staticmethod
@@ -604,10 +604,6 @@ class EntropyRatioReport:
     residual: float
     verdict: str                 # "rational-within-tolerance" or "inconclusive"
     exact_integer_relation: Optional[bool]
-
-    @property
-    def best(self) -> Fraction:
-        return Fraction(self.best_numerator, self.best_denominator)
 
     def to_document(self) -> dict:
         return {

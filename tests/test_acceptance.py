@@ -132,7 +132,7 @@ def test_acceptance_03_normal_subgroup_structure():
 
 def test_acceptance_04_rigidity_sweep():
     with _Timer(4, "wreath-rigidity-sweep", 600):
-        pairs = rigidity_sweep_pairs(order_cap=2000)
+        pairs = rigidity_sweep_pairs()
         assert len(pairs) >= 4
         seen_162 = False
         for name_g, g, n, name_h, h, m in pairs:

@@ -17,9 +17,9 @@ from stabdyn.codes import (SlidingBlockCode, WordMap,
                            enumerate_automorphisms, enumerate_conjugacies,
                            find_inverse,
                            identity_code, images, partition_action,
-                           rotation_index, shift_code, symbol_map_code,
-                           word_map_commutes_with_power, word_map_from_code)
-from stabdyn.sft import (derived_shift, full_shift, make_edge_shift, power_shift,
+                           rotation_index, shift_code, symbol_map_code)
+from stabdyn.sft import (derived_shift, full_shift, make_edge_shift,
+                         parse_edge_shift, power_shift,
                          strongly_connected_components)
 from stabdyn.spectral import cyclic_partition
 
@@ -153,21 +153,10 @@ def test_codes_commute_with_all_powers():
             assert commutes_with_power(code, n)
 
 
-def test_word_map_commutation_detects_phase_maps():
-    # a word reversal is not shift-commuting
-    sft = full_shift(2)
-    rev = WordMap(sft, sft, 1, 1, lambda w: tuple(reversed(w[1:-1])))
-    assert not word_map_commutes_with_power(rev, 1, 6)
-    # genuine codes, viewed as word maps, commute
-    wm = word_map_from_code(shift_code(sft, 1))
-    assert word_map_commutes_with_power(wm, 1, 6)
-    assert word_map_commutes_with_power(wm, 3, 8)
-
-
 def test_word_map_to_code_roundtrip():
     sft = golden_mean()
     s = shift_code(sft, 1)
-    assert word_map_from_code(s).to_code() == s
+    assert WordMap(sft, sft, 1, 1, s.apply).to_code() == s
 
 
 # -- inverses ---------------------------------------------------------------------
@@ -289,6 +278,22 @@ def test_enumerate_doubled_cycle_radius0_side_swaps():
     assert len(autos) == 8
 
 
+def test_transient_edge_stage_is_searched_directly():
+    # two loops joined by a transient edge: not a disjoint union of pieces,
+    # so the stage comes from one search over the whole graph
+    sft = parse_edge_shift("1 1 / 0 1")
+    assert [len(enumerate_automorphisms(sft, r)) for r in (0, 1)] == [1, 3]
+    assert shift_code(sft, 1) in enumerate_automorphisms(sft, 1).elements
+
+
+def test_lifted_stage_respects_the_node_budget():
+    # four 2-symbol pieces: each piece search needs 510 nodes, but the lifted
+    # stage has 4! * 6^4 = 31,104 members, and none is built
+    y = power_shift(parse_edge_shift("0 2 0 0 / 0 0 1 0 / 0 0 0 1 / 1 0 0 0"), 4)
+    with pytest.raises(BudgetExceededError):
+        enumerate_automorphisms(y, 1, budget=Budget(enum_nodes=600))
+
+
 def test_enumerate_power_presentation_components():
     # sigma^2 automorphisms of the period-2 doubled-loop graph, enumerated on
     # the power presentation: two full-2 components, radius 1 each
@@ -306,6 +311,7 @@ def test_enumerated_sets_satisfy_group_laws():
         (cycle_graph(2), 1, 2), (cycle_graph(3), 2, 2),
         (doubled_cycle_period3(), 1, 1),
         (power_shift(doubled_loop_period2(), 2), 1, 0),  # lifted from components
+        (parse_edge_shift("1 1 / 0 1"), 1, 1),  # transient edge: direct search
     ]
     for sft, n, r in cases:
         autos = enumerate_automorphisms(sft, r)

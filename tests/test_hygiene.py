@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of the package imports is read
-somewhere in that module (stdlib ``ast`` only, no linter needed)."""
+somewhere in that module, and every private helper the package defines is
+named somewhere in it (stdlib ``ast`` only, no linter needed)."""
 
 from __future__ import annotations
 
@@ -48,3 +49,41 @@ def test_package_modules_read_every_import():
     unused = {p.name: names for p in modules
               if (names := unused_imports(p.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def orphaned_private_helpers(sources: dict) -> list:
+    """(module, name) for every single-underscore function, method or class
+    defined in ``sources`` (module name -> source) that no name, attribute
+    or import in any of them names, sorted."""
+    defined, named = set(), set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.add((module, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+    return sorted((module, name) for module, name in defined if name not in named)
+
+
+def test_helper_scan_finds_orphans_and_keeps_named_ones():
+    sources = {
+        "a": ("class _Used:\n"
+              "    def _called(self): return self\n"
+              "    def _orphan(self): return 1\n"
+              "    def __repr__(self): return ''\n"
+              "def _imported(): return _Used()._called()\n"
+              "def _unread(): '_unread is named only in this string'\n"),
+        "b": "from a import _imported\n",
+    }
+    assert orphaned_private_helpers(sources) == [("a", "_orphan"), ("a", "_unread")]
+
+
+def test_package_names_every_private_helper():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert sources
+    assert orphaned_private_helpers(sources) == []

@@ -60,12 +60,11 @@ def test_parse_structured_document():
 
 
 def test_edge_tables_follow_the_edge_order(graph_catalog):
-    # edges run in (tail, head, parallel-index) order; each state's out- and
-    # in-edges keep that order
+    # edges run in (tail, head, parallel-index) order; each state's out-edges
+    # keep that order
     sft = make_edge_shift(["0", "1", "2"], [[0, 2, 1], [1, 0, 3], [2, 1, 1]])
     assert sft.alphabet == tuple("0123456789a")
     assert sft.out_edges == (("0", "1", "2"), ("3", "4", "5", "6"), ("7", "8", "9", "a"))
-    assert sft.in_edges == (("3", "7", "8"), ("0", "1", "9"), ("2", "4", "5", "6", "a"))
     shifts = [sft] + [s for _, s, _ in graph_catalog] + \
         [power_shift(s, 3) for _, s, _ in graph_catalog]
     for sft in shifts:
@@ -78,9 +77,15 @@ def test_edge_tables_follow_the_edge_order(graph_catalog):
         assert [(tail, head) for _, tail, head in edges] == sorted(pairs)
         for i in range(sft.n_states):
             assert sft.out_edges[i] == tuple(sym for sym, tail, _ in edges if tail == i)
-            assert sft.in_edges[i] == tuple(sym for sym, _, head in edges if head == i)
         assert all(sft.tail(sym) == tail and sft.head(sym) == head
                    for sym, tail, head in edges)
+
+
+def test_edge_shift_requires_essential_states():
+    EdgeShift(["0", "1"], [[1, 1], [0, 1]])  # a transient edge is fine
+    for adjacency in ([[1, 1], [0, 0]], [[0, 1], [0, 1]]):  # no out-, no in-edge
+        with pytest.raises(ParseError, match="not essential"):
+            EdgeShift(["0", "1"], adjacency)
 
 
 def test_normalization_log_records_removals():
