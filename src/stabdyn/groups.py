@@ -227,10 +227,6 @@ class FiniteGroup:
                     elems = new
         return frozenset(elems)
 
-    def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(self.order) for b in range(a))
-
     def subgroups(self) -> list:
         """All subgroups, as frozensets of element indices (order <= ~50)."""
         singles = {frozenset(self.closure([x])) for x in range(self.order)}
@@ -425,17 +421,24 @@ def _invariants(g: FiniteGroup) -> tuple:
     class_size = {x: len(c) for c in classes for x in c}
     signature = (g.order, sorted(orders),
                  sorted((len(c), min(orders[x] for x in c)) for c in classes),
-                 len(g.center()), len(g.derived_subgroup()), g.is_abelian())
+                 len(g.center()), len(g.derived_subgroup()))
     return signature, [(orders[x], class_size[x]) for x in range(g.order)]
 
 
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
                   budget: Optional[Budget] = None) -> Optional[dict]:
-    """Exact isomorphism search: backtracking over generator images with
-    invariant pruning.  Returns an explicit index bijection or None.
+    """Exact isomorphism search.  Returns an explicit index bijection or None.
 
-    The first (lexicographically least over generator-image indices) map
-    found is reported, so the result is deterministic.
+    Each generator of g is sent to an element of h with the same (element
+    order, class size); the candidate tuples are tried in
+    ``itertools.product`` order and the first that extends to an injective
+    homomorphism is reported, so the result is deterministic.  A candidate
+    is extended by one pass over g in BFS order (right products by the
+    generators), setting or checking phi(x g_i) = phi(x) images[i], and is
+    rejected at the first conflicting product or repeated image.  A map that
+    respects every such relation is a homomorphism (induction on word
+    length), and an injective one between groups of equal order is a
+    bijection.
     """
     budget = budget or default_budget()
     check(g.order, budget.group_order, "isomorphism search order")
@@ -446,47 +449,31 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
     if signature_g != signature_h:
         return None
 
-    gens = list(g.generators)
-    # express every element of g as a word in the generators (BFS tree)
-    parent = {g.identity: None}
-    order_seen = [g.identity]
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, gen in enumerate(gens):
-                y = g.mul(x, gen)
-                if y not in parent:
-                    parent[y] = (x, gi)
-                    order_seen.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    if len(parent) != g.order:
-        raise StabdynError("generators do not generate (internal)")
-
+    gens = g.generators
     candidates = [[y for y in range(h.order) if elements_h[y] == elements_g[gen]]
                   for gen in gens]
+    g_table, h_table = g.table, h.table
 
-    def try_images(images) -> Optional[dict]:
-        phi = {g.identity: h.identity}
-        for x in order_seen[1:]:
-            px, gi = parent[x]
-            phi[x] = h.mul(phi[px], images[gi])
-        if len(set(phi.values())) != g.order:
-            return None
-        for a in range(g.order):
-            fa = phi[a]
-            row_g = g.table[a]
-            for b in range(g.order):
-                if phi[row_g[b]] != h.mul(fa, phi[b]):
+    def extend(images) -> Optional[dict]:
+        phi = [None] * g.order
+        used = [False] * h.order
+        phi[g.identity], used[h.identity] = h.identity, True
+        queue = [g.identity]
+        for x in queue:  # grows while it is read: FIFO order
+            row, h_row = g_table[x], h_table[phi[x]]
+            for gen, image in zip(gens, images):
+                y, z = row[gen], h_row[image]
+                if phi[y] is None and not used[z]:
+                    phi[y], used[z] = z, True
+                    queue.append(y)
+                elif phi[y] != z:
                     return None
-        return phi
+        if len(queue) != g.order:
+            raise StabdynError("generators do not generate (internal)")
+        return {x: phi[x] for x in queue}
 
     for images in itertools.product(*candidates):
-        sub = h.closure(images)
-        if len(sub) != h.order:
-            continue
-        phi = try_images(images)
+        phi = extend(images)
         if phi is not None:
             return phi
     return None

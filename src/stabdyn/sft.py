@@ -31,10 +31,14 @@ ENTROPY_TOL, CHARPOLY_TOL = 1e-12, 1e-13  # power iteration gap, root bracket
 Word = tuple  # tuple of edge symbols (strings)
 
 
+_E_NAMES: list = []  # "e0", "e1", ...: one shared sequence, grown on demand and sliced
+
+
 def _edge_symbols(count: int) -> list:
     if count <= len(_CHARS):
         return [_CHARS[i] for i in range(count)]
-    return [f"e{i}" for i in range(count)]
+    _E_NAMES.extend(f"e{i}" for i in range(len(_E_NAMES), count))
+    return _E_NAMES[:count]
 
 
 @dataclass(frozen=True)

@@ -220,12 +220,13 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
     """G wr Sym(n) as an explicit multiplication table.
 
     Element (g, s) has the flat index ``v * n! + p``, where v is the index of
-    the vector g in ``itertools.product(range(|G|), repeat=n)`` order and p
-    the index of s in ``all_perms(n)``: the order of
-    ``WreathContext.elements()``.  The table is read off three small integer
-    tables, the product table of ``symmetric_group(n)``, the permuted-vector
-    table ``permuted[t][g] = (g[t[0]], ..., g[t[n-1]])`` and the
-    coordinatewise product table of G^n, as
+    the vector g in ``itertools.product(range(|G|), repeat=n)`` order (g read
+    in mixed radix |G|, first coordinate most significant) and p the index
+    of s in ``all_perms(n)``: the order of ``WreathContext.elements()``.  The
+    table is read off three small integer tables, the product table of
+    ``symmetric_group(n)``, the permuted-vector table
+    ``permuted[t][g] = (g[t[0]], ..., g[t[n-1]])`` and the coordinatewise
+    product table of G^n, computed in that radix from G's table, as
     (g,s)(h,t) = (vmul[permuted[t][g]][h], s t).
     ``wr_mul`` stays the definition; the tests pin this table to it.
 
@@ -240,8 +241,9 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
     sym = symmetric_group(n, budget)
     nf = sym.order
     permuted = [[vindex[tuple(g[i] for i in t)] for g in vecs] for t in all_perms(n)]
-    vmul = [[vindex[tuple(base.table[x][y] for x, y in zip(g, h))] for h in vecs]
-            for g in vecs]
+    vmul = [[0]]  # products in G^w for w = 0 .. n; a prepended coordinate is worth |G|^w
+    for step in (base.order ** w for w in range(n)):
+        vmul = [[c * step + x for c in a_row for x in row] for a_row in base.table for row in vmul]
     # cells store these shared int objects, not one fresh int per cell
     ids = list(range(ctx.order))
     nv = len(vecs)
@@ -254,13 +256,11 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
             table.append(tuple(map(ids.__getitem__, map(add, offsets, ps * nv))))
     vec_names = [",".join(base.names[x] for x in v) for v in vecs]
     names = [f"(({vn}),{pn})" for vn in vec_names for pn in sym.names]
-    idvec = (base.identity,) * n
+    identity = vindex[(base.identity,) * n] * nf
     gens = [vindex[tuple(g if i == 0 else base.identity for i in range(n))] * nf
             for g in base.generators]
-    gens += [vindex[idvec] * nf + p for p in sym.generators if p != sym.identity]
-    if not gens:
-        gens = [vindex[idvec] * nf]
-    return FiniteGroup(table, names=names, generators=gens, check_axioms=False)
+    gens += [identity + p for p in sym.generators if p != sym.identity]
+    return FiniteGroup(table, names=names, generators=gens or [identity], check_axioms=False)
 
 
 # -- normal subgroups of Sym(m) ------------------------------------------------------

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from stabdyn.budgets import Budget
 from stabdyn.errors import BudgetExceededError
-from stabdyn.groups import (FiniteGroup, all_perms, alternating_subset,
+from stabdyn.groups import (FiniteGroup, _invariants, all_perms, alternating_subset,
                             compose_perm, cyclic_group, dihedral_square,
                             direct_product, from_permutations, is_isomorphic,
                             klein_group, klein_subset_sym4, perm_name,
@@ -145,6 +147,87 @@ def test_is_isomorphic_accepts_relabelled_tables():
 
 def test_is_isomorphic_distinguishes_d4_q8():
     assert is_isomorphic(dihedral_square(), quaternion_group()) is None
+
+
+def _is_isomorphic_reference(g: FiniteGroup, h: FiniteGroup):
+    """The earlier search: every element as a BFS-tree word in the
+    generators, candidates filtered by ``h.closure(images) == h``, then the
+    full n^2 table check; the first hit in product order."""
+    if g.order != h.order:
+        return None
+    signature_g, elements_g = _invariants(g)
+    signature_h, elements_h = _invariants(h)
+    if signature_g != signature_h:
+        return None
+    gens = list(g.generators)
+    parent = {g.identity: None}
+    order_seen = [g.identity]
+    frontier = [g.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, gen in enumerate(gens):
+                y = g.mul(x, gen)
+                if y not in parent:
+                    parent[y] = (x, gi)
+                    order_seen.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    candidates = [[y for y in range(h.order) if elements_h[y] == elements_g[gen]]
+                  for gen in gens]
+    for images in itertools.product(*candidates):
+        if len(h.closure(images)) != h.order:
+            continue
+        phi = {g.identity: h.identity}
+        for x in order_seen[1:]:
+            px, gi = parent[x]
+            phi[x] = h.mul(phi[px], images[gi])
+        if len(set(phi.values())) != g.order:
+            continue
+        if all(phi[g.mul(a, b)] == h.mul(phi[a], phi[b])
+               for a in range(g.order) for b in range(g.order)):
+            return phi
+    return None
+
+
+def test_is_isomorphic_matches_the_reference_search():
+    groups = ([trivial_group()] + [cyclic_group(n) for n in range(1, 9)]
+              + [klein_group(), dihedral_square(), quaternion_group(), symmetric_group(3),
+                 wreath_group(cyclic_group(2), 2)])
+    found = 0
+    for g, h in itertools.product(groups, repeat=2):
+        expected = _is_isomorphic_reference(g, h)
+        phi = is_isomorphic(g, h)
+        if expected is None:
+            assert phi is None, (g, h)
+        else:
+            assert list(phi.items()) == list(expected.items()), (g, h)
+            found += 1
+    # the self-pairs, trivial ~ C1 both ways and D4 ~ C2 wr 2 both ways
+    assert found == len(groups) + 2 + 2
+
+
+def test_is_isomorphic_skips_a_non_injective_homomorphism():
+    k = klein_group()
+    n = k.order
+    involutions = [x for x in range(n) if k.element_order(x) == 2]
+    assert len(k.generators) == 2 and set(k.generators) <= set(involutions)
+    # every generator image is an involution, so the least tuple in product
+    # order sends both generators to the least involution t
+    t = involutions[0]
+    phi = {k.identity: k.identity}
+    frontier = [k.identity]
+    for x in frontier:
+        for gen in k.generators:
+            y = k.mul(x, gen)
+            if y not in phi:
+                phi[y] = k.mul(phi[x], t)
+                frontier.append(y)
+    assert all(phi[k.mul(a, b)] == k.mul(phi[a], phi[b]) for a in range(n) for b in range(n))
+    assert len(set(phi.values())) < n
+    iso = is_isomorphic(k, k)
+    assert iso is not None and sorted(iso.values()) == list(range(n))
+    assert all(iso[k.mul(a, b)] == k.mul(iso[a], iso[b]) for a in range(n) for b in range(n))
 
 
 def test_direct_product_order_and_commuting_factors():
