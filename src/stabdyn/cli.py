@@ -13,6 +13,7 @@ Exit codes: 0 pass/inconclusive, 1 usage/parse/budget error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -402,6 +403,7 @@ def cmd_sweep(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: nothing rebinds the cmd_* handlers
 def build_parser() -> _Parser:
     parser = _Parser(prog="stabdyn", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

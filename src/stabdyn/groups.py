@@ -188,9 +188,10 @@ class FiniteGroup:
     # structure
 
     def center(self) -> frozenset:
-        """The elements whose table row equals their table column."""
-        return frozenset(x for x, (row, col) in enumerate(zip(self.table, zip(*self.table)))
-                         if row == col)
+        """The elements that commute with every generator."""
+        t = self.table
+        return frozenset(x for x, row in enumerate(t)
+                         if all(row[g] == t[g][x] for g in self.generators))
 
     def centralizer(self, subset: Iterable[int]) -> frozenset:
         subset = list(subset)
@@ -445,7 +446,7 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
     if g.order != h.order:
         return None
     signature_g, elements_g = _invariants(g)
-    signature_h, elements_h = _invariants(h)
+    signature_h, elements_h = (signature_g, elements_g) if h is g else _invariants(h)
     if signature_g != signature_h:
         return None
 

@@ -551,7 +551,8 @@ def check_wreath_rigidity(base_g: FiniteGroup, n: int, base_h: FiniteGroup, m: i
     A found isomorphism with n != m, or n = m >= 4 with non-isomorphic bases,
     contradicts wreath rigidity and is flagged THEOREM-VIOLATION."""
     wg = wreath_group(base_g, n, budget)
-    wh = wreath_group(base_h, m, budget)
+    # the search reads only h's table, so an equal base table needs no second copy
+    wh = wg if m == n and base_h.table == base_g.table else wreath_group(base_h, m, budget)
     if wg.order != wh.order:
         return RigidityReport(name_g, n, name_h, m, wg.order, wh.order, None,
                               "consistent", "orders differ; no isomorphism possible")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add
 from typing import Optional, Sequence
 
 from .budgets import Budget, check, default_budget
@@ -227,7 +226,11 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
     ``symmetric_group(n)``, the permuted-vector table
     ``permuted[t][g] = (g[t[0]], ..., g[t[n-1]])`` and the coordinatewise
     product table of G^n, computed in that radix from G's table, as
-    (g,s)(h,t) = (vmul[permuted[t][g]][h], s t).
+    (g,s)(h,t) = (vmul[permuted[t][g]][h], s t).  So the stride
+    ``row[t::n!]`` of row (g, s), the columns (h, t) for one t, depends only
+    on (u, q) = (permuted[t][g], s t), and each row is written as n! strided
+    slice copies of the precomputed columns ``cols[u][q]``, the flat indices
+    of (vmul[u][h], q) over h.
     ``wr_mul`` stays the definition; the tests pin this table to it.
 
     Generators: the base group's generators in coordinate 0, plus the Coxeter
@@ -246,14 +249,16 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
         vmul = [[c * step + x for c in a_row for x in row] for a_row in base.table for row in vmul]
     # cells store these shared int objects, not one fresh int per cell
     ids = list(range(ctx.order))
-    nv = len(vecs)
+    by_perm = [ids[q::nf] for q in range(nf)]  # by_perm[q][v] = v * n! + q
+    cols = [[tuple(map(col.__getitem__, u_row)) for col in by_perm] for u_row in vmul]
+    buf = ids[:]
     table = []
-    for gi in range(nv):
-        # offsets[h * n! + t] = n! * (index of g_{t^{-1}} h)
-        rows = [vmul[p[gi]] for p in permuted]
-        offsets = [row[hi] * nf for hi in range(nv) for row in rows]
+    for gi in range(len(vecs)):
+        row_cols = [cols[t_row[gi]] for t_row in permuted]
         for ps in sym.table:
-            table.append(tuple(map(ids.__getitem__, map(add, offsets, ps * nv))))
+            for t, (u_cols, q) in enumerate(zip(row_cols, ps)):
+                buf[t::nf] = u_cols[q]
+            table.append(tuple(buf))
     vec_names = [",".join(base.names[x] for x in v) for v in vecs]
     names = [f"(({vn}),{pn})" for vn in vec_names for pn in sym.names]
     identity = vindex[(base.identity,) * n] * nf

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from stabdyn import groups
 from stabdyn.budgets import Budget
 from stabdyn.errors import BudgetExceededError
 from stabdyn.groups import (FiniteGroup, _invariants, all_perms, alternating_subset,
@@ -87,6 +88,18 @@ def test_center_and_classes_are_the_definitional_ones():
         assert g.conjugacy_classes() == sorted(classes, key=lambda c: (len(c), sorted(c)))
 
 
+@pytest.mark.parametrize("make", [
+    trivial_group, lambda: cyclic_group(6), klein_group, dihedral_square, quaternion_group,
+    lambda: symmetric_group(3), lambda: symmetric_group(4),
+    lambda: wreath_group(symmetric_group(3), 2), lambda: wreath_group(klein_group(), 3),
+    lambda: wreath_group(quaternion_group(), 2),
+], ids=["1", "Z6", "V4", "D4", "Q8", "S3", "S4", "S3wr2", "V4wr3", "Q8wr2"])
+def test_center_is_the_set_of_rows_equal_to_their_columns(make):
+    g = make()
+    assert g.center() == {x for x, (row, col) in enumerate(zip(g.table, zip(*g.table)))
+                          if row == col}
+
+
 def test_subgroups_of_sym4_census():
     s4 = symmetric_group(4)
     subs = s4.subgroups()
@@ -128,6 +141,23 @@ def test_is_isomorphic_identity_map():
     for a in range(g.order):
         for b in range(g.order):
             assert phi[g.mul(a, b)] == g.mul(phi[a], phi[b])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cyclic_group(6), klein_group, dihedral_square, quaternion_group,
+    lambda: symmetric_group(4), lambda: wreath_group(symmetric_group(3), 2),
+    lambda: wreath_group(cyclic_group(2), 3),
+], ids=["Z6", "V4", "D4", "Q8", "S4", "S3wr2", "Z2wr3"])
+def test_is_isomorphic_to_itself_matches_a_separate_copy(make, monkeypatch):
+    # g against itself computes the invariants once; the search and its first
+    # hit are those of g against a copy built from the same table
+    g = make()
+    copy = FiniteGroup(g.table, check_axioms=False)
+    calls = []
+    monkeypatch.setattr(groups, "_invariants", lambda x: calls.append(x) or _invariants(x))
+    same, separate = is_isomorphic(g, g), is_isomorphic(g, copy)
+    assert same is not None and list(same.items()) == list(separate.items())
+    assert calls == [g, g, copy]
 
 
 def test_is_isomorphic_rejects_z4_vs_klein():

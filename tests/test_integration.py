@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 
+from stabdyn import cli
 from stabdyn.sft import entropy, full_shift
 from stabdyn.spectral import cyclic_partition, decompose_power, smale
 
@@ -114,3 +115,18 @@ def test_cli_sweep_subprocess():
     doc = json.loads(proc.stdout)
     assert doc["all_pass"] is True
     assert len(doc["instances"]) >= 13
+
+
+def test_one_process_reuses_the_parser_with_fresh_results(capsys):
+    # one parser serves every main() call in a process; each call's stdout
+    # and manifest flags are those of a fresh process
+    rigidity = ["rigidity", "--group-g", "cyclic:2", "--n", "2",
+                "--group-h", "cyclic:2", "--m", "2", "--json"]
+    autos = ["autos", "2", "--power", "2", "--json"]
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (rigidity, autos, rigidity):
+        fresh = run_cli(argv)
+        assert cli.main(argv) == fresh.returncode == 0
+        captured = capsys.readouterr()
+        assert captured.out == fresh.stdout
+        assert json.loads(captured.err)["flags"] == json.loads(fresh.stderr)["flags"]

@@ -12,13 +12,15 @@ from stabdyn import verify
 from stabdyn.codes import (AutomorphismSet, compose, enumerate_automorphisms,
                            shift_code)
 from stabdyn.errors import VerificationError, ZeroEntropyError
-from stabdyn.groups import cyclic_group, klein_group
+from stabdyn.groups import (cyclic_group, dihedral_square, is_isomorphic, klein_group,
+                            quaternion_group)
 from stabdyn.sft import entropy, full_shift, parse_edge_shift, power_shift
 from stabdyn.verify import (MAX_PAIRS, SplitInstance, _quotient_group,
                             _sampled_pairs, _stage_escape,
                             check_wreath_rigidity, compare_rational_eigs,
                             entropy_ratio, shifted_key, verify_quotient_isos,
                             verify_split_sequence)
+from stabdyn.wreath import wreath_group
 
 from conftest import (SLOW_STAGES, catalog, cycle_graph,
                       doubled_cycle_period3, doubled_loop_period2,
@@ -219,6 +221,32 @@ def test_rigidity_klein_versus_z2_order384():
                                    "V4", "Z2")
     assert report.passes
     assert report.isomorphic is False
+
+
+@pytest.mark.parametrize("base_g, n, base_h, m, tables", [
+    (klein_group(), 3, klein_group(), 3, 1),
+    (cyclic_group(2), 2, cyclic_group(2), 3, 2),
+    (cyclic_group(2), 4, cyclic_group(4), 3, 2),
+], ids=["V4wr3-self", "Z2wr2-Z2wr3", "Z2wr4-Z4wr3"])
+def test_rigidity_builds_each_distinct_wreath_table_once(monkeypatch, base_g, n,
+                                                         base_h, m, tables):
+    built = []
+    monkeypatch.setattr(verify, "wreath_group",
+                        lambda base, k, budget=None: built.append(k) or wreath_group(base, k, budget))
+    check_wreath_rigidity(base_g, n, base_h, m)
+    assert len(built) == tables
+
+
+@pytest.mark.parametrize("make, n", [
+    (klein_group, 3), (lambda: cyclic_group(2), 4), (dihedral_square, 2),
+    (quaternion_group, 2), (lambda: cyclic_group(3), 1),
+], ids=["V4wr3", "Z2wr4", "D4wr2", "Q8wr2", "Z3wr1"])
+def test_rigidity_self_pair_matches_two_separate_tables(make, n):
+    report = check_wreath_rigidity(make(), n, make(), n, "B", "B")
+    wg, wh = wreath_group(make(), n), wreath_group(make(), n)
+    assert wg is not wh and is_isomorphic(wg, wh) is not None
+    assert report == verify.RigidityReport("B", n, "B", n, wg.order, wh.order, True,
+                                           "consistent", "isomorphic")
 
 
 def test_rigidity_different_orders_consistent():

@@ -274,7 +274,8 @@ def test_wreath_group_z3_sym2_order():
     # nonabelian bases, where the coordinate order of g_{t^{-1}} h matters
     (symmetric_group(3), 2), (dihedral_square(), 2), (quaternion_group(), 2),
     (trivial_group(), 3), (cyclic_group(3), 1),
-], ids=["Z2wr4", "V4wr3", "S3wr2", "D4wr2", "Q8wr2", "1wr3", "Z3wr1"])
+    (cyclic_group(4), 3), (cyclic_group(9), 2),
+], ids=["Z2wr4", "V4wr3", "S3wr2", "D4wr2", "Q8wr2", "1wr3", "Z3wr1", "Z4wr3", "Z9wr2"])
 def test_wreath_group_table_is_wr_mul(base, n):
     c = WreathContext(base, n)
     elems = c.elements()
