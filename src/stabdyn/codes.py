@@ -20,8 +20,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from operator import eq, itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .budgets import Budget, default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
@@ -162,17 +162,29 @@ def images(code: SlidingBlockCode, length: int) -> list:
                       for column in code.domain.subwindow_ids(length, width)]))
 
 
+def _image_ids(code: SlidingBlockCode, length: int, ids: dict):
+    """``map(ids.__getitem__, images(code, length))`` as a lazy stream: a
+    consumer that stops early computes no further image word."""
+    rule = code.rule.__getitem__
+    columns = code.domain.subwindow_ids(length, 2 * code.radius + 1)
+    return map(ids.__getitem__, zip(*[map(rule, column) for column in columns]))
+
+
 def gather(values: Sequence, ids: Sequence) -> tuple:
     """``tuple(values[i] for i in ids)``."""
     return itemgetter(*ids)(values) if len(ids) > 1 else tuple(values[i] for i in ids)
 
 
-def regroup(ids, values, size: int) -> Optional[list]:
-    """The list t with t[ids[k]] = values[k] for every k, or None when one
-    index in range(size) gets two different values or none."""
-    pairs = set(zip(ids, values))
-    table = dict(pairs)
-    if len(table) != len(pairs) or len(table) != size:
+def regroup(ids: Iterable, values: Sequence, size: int) -> Optional[list]:
+    """The list t with t[i] = v for every pair (i, v) of zip(ids, values),
+    or None when one index in range(size) gets two different values or none.
+
+    One pass over the pairs, and ``ids`` may be any iterable (consumed
+    once): the pass stops at the first index that gets a second, different
+    value, so a lazy ``ids`` is computed no further than that conflict."""
+    table: dict = {}
+    if (not all(map(eq, map(table.setdefault, ids, values), values))
+            or len(table) != size):
         return None
     return [table[i] for i in range(size)]
 
@@ -227,15 +239,17 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
 
     Built by center recovery: for every admissible (2(R+r)+1)-word u of the
     domain, the image word f(u) (length 2R+1) must determine the center of u.
-    Conflicts mean no radius-R inverse exists; image words that never occur
-    mean f is not surjective.  The candidate g then satisfies g.f = id by
-    construction, since it sends the image of every such u to u's centre;
-    f.g = id is verified.
+    One conflict already proves that no radius-R inverse exists, so the
+    image words are computed lazily, in language order, and the search stops
+    at the first image word that meets a second centre (``regroup``).  Image
+    words that never occur mean f is not surjective.  The candidate g then
+    satisfies g.f = id by construction, since it sends the image of every
+    such u to u's centre; f.g = id is verified.
     """
     r, R = code.radius, inv_radius
     length = 2 * (R + r) + 1
     ids = code.codomain.word_ids(2 * R + 1)
-    centres = regroup([ids[v] for v in images(code, length)],
+    centres = regroup(_image_ids(code, length, ids),
                       code.domain.subwindow_ids(length, 1)[R + r], len(ids))
     if centres is None:
         return None

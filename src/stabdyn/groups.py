@@ -200,15 +200,26 @@ class FiniteGroup:
             if all(self.mul(g, k) == self.mul(k, g) for k in subset))
 
     def conjugacy_classes(self) -> list:
+        """The orbits of x -> g x g^-1 over the generators g, sorted by
+        (size, members).  They are the conjugacy classes: in a finite group
+        every element is a product of generators, so an orbit closed under
+        conjugation by each generator is closed under every conjugation."""
         t, inv = self.table, self.inverses
-        seen = set()
+        conjugations = [[t[y][inv[g]] for y in t[g]] for g in self.generators]
+        seen = [False] * self.order
         classes = []
         for x in range(self.order):
-            if x in seen:
+            if seen[x]:
                 continue
-            cls = {t[t[g][x]][inv[g]] for g in range(self.order)}
-            seen |= cls
-            classes.append(frozenset(cls))
+            seen[x] = True
+            orbit = [x]
+            for y in orbit:  # grows while it is scanned: a BFS over the orbit
+                for conj in conjugations:
+                    z = conj[y]
+                    if not seen[z]:
+                        seen[z] = True
+                        orbit.append(z)
+            classes.append(frozenset(orbit))
         return sorted(classes, key=lambda c: (len(c), sorted(c)))
 
     def derived_subgroup(self) -> frozenset:

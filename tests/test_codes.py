@@ -4,6 +4,7 @@ automorphism enumeration, partition actions."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -223,6 +224,93 @@ def test_find_inverse_rejects_xor():
     xor = SlidingBlockCode(sft, sft, 1, rule)
     for R in range(0, 4):
         assert find_inverse(xor, R) is None
+
+
+def _regroup_reference(ids, values, size):
+    """The set/dict definition of ``regroup``: build every pair, then
+    compare sizes."""
+    pairs = set(zip(ids, values))
+    table = dict(pairs)
+    if len(table) != len(pairs) or len(table) != size:
+        return None
+    return [table[i] for i in range(size)]
+
+
+def test_regroup_is_the_set_definition_on_lists_and_one_shot_iterators():
+    cases = [([], [], 0), ([], [], 1), ([0], ["a"], 1),
+             ([2, 0, 1], ["c", "a", "b"], 3),
+             ([1, 0, 1, 0], ["b", "a", "b", "a"], 2),  # repeats that agree
+             ([0, 1, 0], ["a", "b", "c"], 2),  # a conflicting index
+             ([0, 2], ["a", "c"], 3),  # a missing index
+             ([0, 1, 1, 0], ["a", "b", "b", "b"], 2)]  # a conflict after repeats
+    rng = random.Random(0)
+    for _ in range(200):
+        size, n = rng.randint(0, 5), rng.randint(0, 12)
+        ids = [rng.randrange(size) for _ in range(n)] if size else []
+        cases.append((ids, [rng.choice("ab") for _ in ids], size))
+    for ids, values, size in cases:
+        expected = _regroup_reference(ids, values, size)
+        assert codes.regroup(ids, values, size) == expected, (ids, values, size)
+        assert codes.regroup(iter(ids), tuple(values), size) == expected, (ids, values)
+
+
+def test_regroup_stops_at_the_first_conflict():
+    ids = iter([0, 1, 0, 2, 3])
+    assert codes.regroup(ids, ["a", "b", "c", "d", "e"], 4) is None
+    assert list(ids) == [2, 3]  # nothing after the conflicting index is read
+
+
+def _find_inverse_full_list(code, inv_radius):
+    """``find_inverse`` with every image id computed before the set/dict
+    ``regroup``: the route without the first-conflict exit."""
+    r, R = code.radius, inv_radius
+    length = 2 * (R + r) + 1
+    ids = code.codomain.word_ids(2 * R + 1)
+    centres = _regroup_reference([ids[v] for v in images(code, length)],
+                                 code.domain.subwindow_ids(length, 1)[R + r], len(ids))
+    if centres is None:
+        return None
+    symbols = [u[0] for u in code.domain.language(1)]
+    try:
+        candidate = SlidingBlockCode(code.codomain, code.domain, R,
+                                     [symbols[c] for c in centres])
+    except WordError:
+        return None
+    return candidate if compose(code, candidate).is_identity() else None
+
+
+def test_find_inverse_is_the_full_list_route_on_every_radius1_table():
+    sft = full_shift(2)
+    found = 0
+    for table in itertools.product(sft.alphabet, repeat=len(sft.language(3))):
+        code = SlidingBlockCode(sft, sft, 1, table)
+        inverse, expected = find_inverse(code, 2), _find_inverse_full_list(code, 2)
+        assert (inverse is None) == (expected is None), table
+        if inverse is not None:
+            assert (inverse.radius, inverse.rule) == (expected.radius, expected.rule)
+            found += 1
+    assert found == 6
+
+
+def test_find_inverse_reads_few_image_words_per_rejected_table(monkeypatch):
+    # a radius-2 table of the full 2-shift has 8,192 13-words to check at
+    # inverse radius 4; a table without an inverse shows a conflict early
+    consumed = []
+    regroup = codes.regroup
+
+    def counting(ids, values, size):
+        consumed.append(0)
+
+        def counted():
+            for i in ids:
+                consumed[-1] += 1
+                yield i
+        return regroup(counted(), values, size)
+
+    monkeypatch.setattr(codes, "regroup", counting)
+    with pytest.raises(BudgetExceededError):
+        enumerate_automorphisms(full_shift(2), 2, budget=Budget(enum_nodes=2000))
+    assert consumed and max(consumed) <= 512
 
 
 # -- enumeration ---------------------------------------------------------------------
