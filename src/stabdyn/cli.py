@@ -50,7 +50,8 @@ SCHEMA_BY_COMMAND = {
 
 
 def schema_for(command: str) -> dict:
-    """The shipped JSON schema for a subcommand's stdout document."""
+    """The shipped JSON schema for a subcommand's stdout document; the
+    schema tests validate every subcommand's stdout against it."""
     from importlib import resources
     name = SCHEMA_BY_COMMAND[command]
     path = resources.files("stabdyn").joinpath(f"schemas/{name}.json")
@@ -220,7 +221,7 @@ def cmd_eigs(args) -> int:
 def cmd_partition(args) -> int:
     sft = _load_shift(args, "input")
     part = cyclic_partition(sft, args.m)
-    _emit(args, part.to_document(sft))
+    _emit(args, part.to_document())
     return EXIT_OK
 
 

@@ -60,15 +60,17 @@ class SlidingBlockCode:
     # -- evaluation ------------------------------------------------------
 
     def apply(self, word: Word) -> Word:
+        """The image of an admissible domain word: one output symbol per
+        window, so 2r symbols shorter than ``word``."""
         width = 2 * self.radius + 1
         if len(word) < width:
             raise WordError(f"word of length {len(word)} shorter than window {width}")
+        word = tuple(word)
+        if not self.domain.is_admissible(word):
+            raise WordError(f"word {word!r} is not admissible")
         ids = self.domain.word_ids(width)
-        try:
-            return tuple(self.rule[ids[tuple(word[i:i + width])]]
-                         for i in range(len(word) - width + 1))
-        except KeyError as exc:
-            raise WordError(f"inadmissible window {exc.args[0]!r}") from exc
+        return tuple(self.rule[ids[word[i:i + width]]]
+                     for i in range(len(word) - width + 1))
 
     # -- canonical form ----------------------------------------------------
 
@@ -135,20 +137,6 @@ def shift_code(sft: EdgeShift, k: int) -> SlidingBlockCode:
         return identity_code(sft)
     rule = [w[r + k] for w in sft.language(2 * r + 1)]
     return SlidingBlockCode(sft, sft, r, rule, validate=False)
-
-
-def symbol_map_code(sft: EdgeShift, mapping: dict) -> SlidingBlockCode:
-    """Radius-0 code from a symbol-to-symbol mapping, total on the alphabet."""
-    if set(mapping) != set(sft.alphabet):
-        raise WordError("mapping is not a map on the alphabet")
-    return SlidingBlockCode(sft, sft, 0, [mapping[w[0]] for w in sft.language(1)])
-
-
-def apply_code(code: SlidingBlockCode, word: Word) -> Word:
-    word = tuple(word)
-    if not code.domain.is_admissible(word):
-        raise WordError(f"word {word!r} is not admissible")
-    return code.apply(word)
 
 
 def images(code: SlidingBlockCode, length: int) -> list:
@@ -482,17 +470,6 @@ def partition_action(code: SlidingBlockCode, part: CyclicPartition) -> tuple:
     if set(mapping) != set(range(m)) or set(mapping.values()) != set(range(m)):
         raise ImageSplitsClassesError("induced class map is not a permutation")
     return tuple(mapping[k] for k in range(m))
-
-
-def rotation_index(code: SlidingBlockCode, part: CyclicPartition) -> int:
-    """j with code(X_m) = T^j X_m, for codes commuting with the full shift;
-    the induced action must be the rotation k -> k + j."""
-    pi = partition_action(code, part)
-    j = pi[0]
-    m = part.size
-    if any(pi[k] != (k + j) % m for k in range(m)):
-        raise ImageSplitsClassesError(f"action {pi} is not a rotation")
-    return j
 
 
 # -- word maps: point maps evaluated on finite words ----------------------------

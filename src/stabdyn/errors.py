@@ -8,7 +8,7 @@ class StabdynError(Exception):
 
 
 class ParseError(StabdynError):
-    """Input text or document does not encode a valid edge shift."""
+    """Input text or document does not encode a valid edge shift or group."""
 
 
 class EmptyShiftError(ParseError):
@@ -21,14 +21,6 @@ class ReducibleShiftError(StabdynError):
 
 class NoSuchEigenvalueError(StabdynError):
     """Requested cyclic-partition size is not a rational eigenvalue."""
-
-
-class NoPowerDecompositionError(StabdynError):
-    """No factorization n = k*l with l dividing the period and gcd(k, period) = 1.
-
-    Happens exactly when some prime divides n with multiplicity exceeding its
-    multiplicity in the period (e.g. period 2, n = 4).
-    """
 
 
 class BudgetExceededError(StabdynError):

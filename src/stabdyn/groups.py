@@ -55,7 +55,8 @@ def perm_orbits(s: tuple) -> list:
 
 
 def is_transitive_perm_set(perms: Iterable[tuple], n: int) -> bool:
-    """True when the group generated by the given permutations has one orbit."""
+    """True when the group generated by the given permutations has one orbit
+    (the product-decomposition lemma test reads it)."""
     perms = list(perms)
     if not perms:
         return n <= 1
@@ -95,6 +96,8 @@ class FiniteGroup:
                  generators: Optional[Sequence[int]] = None, check_axioms: bool = True):
         self.order = len(table)
         self.table = tuple(tuple(row) for row in table)
+        if check_axioms:
+            self._check_indices(names, generators)
         self.names = tuple(names) if names else tuple(str(i) for i in range(self.order))
         all_elems = tuple(range(self.order))
         identity = None
@@ -124,6 +127,20 @@ class FiniteGroup:
             raise ParseError("declared generators do not generate the group")
 
     # construction helpers
+
+    def _check_indices(self, names, generators) -> None:
+        """Raise ParseError unless the table is square with entries in
+        range(order), and the names and generators fit that order."""
+        n = self.order
+        if any(len(row) != n for row in self.table):
+            raise ParseError("table is not square")
+        if not all(type(x) is int and 0 <= x < n for row in self.table for x in row):
+            raise ParseError(f"table entries must be integers in range({n})")
+        if names is not None and len(names) != n:
+            raise ParseError(f"{len(names)} names for a group of order {n}")
+        if generators is not None and not all(type(g) is int and 0 <= g < n
+                                              for g in generators):
+            raise ParseError(f"generators must be integers in range({n})")
 
     def _check_associativity(self) -> None:
         n = self.order
@@ -194,6 +211,8 @@ class FiniteGroup:
                          if all(row[g] == t[g][x] for g in self.generators))
 
     def centralizer(self, subset: Iterable[int]) -> frozenset:
+        """The elements that commute with every member of ``subset``, by
+        brute force: the oracle of acceptance 02 (the centralizer theorem)."""
         subset = list(subset)
         return frozenset(
             g for g in range(self.order)
@@ -240,7 +259,9 @@ class FiniteGroup:
         return frozenset(elems)
 
     def subgroups(self) -> list:
-        """All subgroups, as frozensets of element indices (order <= ~50)."""
+        """All subgroups, as frozensets of element indices (order <= ~50).
+        The subgroup census, product-decomposition and fix-by-null lemma
+        tests read it."""
         singles = {frozenset(self.closure([x])) for x in range(self.order)}
         found = set(singles)
         frontier = list(singles)
@@ -274,28 +295,12 @@ class FiniteGroup:
         return sorted(set(result), key=lambda s: (len(s), sorted(s)))
 
     def subgroup_table(self, subset: Iterable[int]) -> "FiniteGroup":
+        """The subgroup on ``subset`` as a group of its own, for the
+        equal-size normal-chain lemma tests."""
         elems = sorted(set(subset))
         index = {x: i for i, x in enumerate(elems)}
         table = [[index[self.mul(a, b)] for b in elems] for a in elems]
         return FiniteGroup(table, names=[self.names[x] for x in elems], check_axioms=False)
-
-    def quotient_table(self, normal: frozenset) -> "FiniteGroup":
-        cosets = []
-        seen = set()
-        for x in range(self.order):
-            if x in seen:
-                continue
-            coset = frozenset(self.mul(x, n) for n in normal)
-            seen |= coset
-            cosets.append(coset)
-        cosets.sort(key=lambda c: min(c))
-        index = {c: i for i, c in enumerate(cosets)}
-        rep = [min(c) for c in cosets]
-        lookup = {x: i for i, c in enumerate(cosets) for x in c}
-        table = [[lookup[self.mul(rep[i], rep[j])] for j in range(len(cosets))]
-                 for i in range(len(cosets))]
-        names = ["{" + self.names[rep[i]] + "}" for i in range(len(cosets))]
-        return FiniteGroup(table, names=names, check_axioms=False)
 
     def to_document(self) -> dict:
         return {

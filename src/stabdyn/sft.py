@@ -180,8 +180,8 @@ class EdgeShift:
         return self._heads[a] == self._tails[b]
 
     def is_admissible(self, word: Word) -> bool:
-        return all(self.follows(a, b) for a, b in zip(word, word[1:])) and \
-            all(w in self._tails for w in word)
+        return all(w in self._tails for w in word) and \
+            all(map(self.follows, word, word[1:]))
 
     def matrix_hash(self) -> str:
         doc = {"states": list(self.states), "adjacency": [list(r) for r in self.adjacency]}
@@ -241,13 +241,15 @@ def _check_matrix(n: int, adjacency: Sequence[Sequence[int]]) -> None:
         raise ParseError("adjacency matrix is not square of size |states|")
     for row in adjacency:
         for a in row:
-            if not isinstance(a, int) or a < 0:
+            if type(a) is not int or a < 0:
                 raise ParseError(f"adjacency entries must be nonnegative integers, got {a!r}")
 
 
 def make_edge_shift(states: Sequence[str], adjacency: Sequence[Sequence[int]]) -> EdgeShift:
     """Normalize to the essential subgraph and build the shift."""
     _check_matrix(len(states), adjacency)
+    if len(set(map(str, states))) != len(states):
+        raise ParseError("state identifiers are not distinct")
     kept, adj, removed = _essential_part(states, adjacency)
     if not kept:
         raise EmptyShiftError("graph is empty after removing non-essential states")
@@ -592,22 +594,6 @@ def words_of_length(sft: EdgeShift, length: int,
     budget = budget or default_budget()
     check(word_count(sft, length), budget.word_count, "word count")
     return tuple(sorted(word for _, word, _ in _paths_from(sft, range(sft.n_states), length)))
-
-
-def state_words(sft: EdgeShift, length: int) -> tuple:
-    """Words in the vertex labeling: admissible state sequences of the given
-    length (length-1 words are single states).  Useful for 0/1 matrices
-    ingested as vertex shifts."""
-    if length < 1:
-        raise ParseError("length must be >= 1")
-    seqs = {(sft.states[i],) for i in range(sft.n_states)}
-    if length == 1:
-        return tuple(sorted(seqs))
-    out = set()
-    for w in words_of_length(sft, length - 1):
-        seq = (sft.states[sft.tail(w[0])],) + tuple(sft.states[sft.head(s)] for s in w)
-        out.add(seq)
-    return tuple(sorted(out))
 
 
 def word_to_str(word: Word) -> str:

@@ -1,11 +1,11 @@
 """Rational eigenvalues, cyclic partitions, Smale decompositions and the
-transitive/eigenvalue factorization of shift powers, for irreducible edge
-shifts.
+transitivity of shift powers, for irreducible edge shifts.
 
 For an irreducible SFT the rational eigenvalue set equals the set of divisors
 of the period, and cyclic almost-partitions coincide with genuine cyclic
-partitions; the number-theoretic formulas below all carry a graph-level
-cross-check (``verify=True``) through strong connectivity of power shifts.
+partitions.  ``is_power_transitive`` decides transitivity of sigma^n by the
+formula gcd(n, period) = 1; with ``verify=True`` it cross-checks that answer
+against strong connectivity of the n-th power shift.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import (NoPowerDecompositionError, NoSuchEigenvalueError,
-                     ReducibleShiftError, VerificationError)
+from .errors import (NoSuchEigenvalueError, ReducibleShiftError,
+                     VerificationError)
 from .sft import (EdgeShift, bfs_levels, derived_shift, is_irreducible,
                   is_mixing, period, power_shift)
 
@@ -46,23 +46,20 @@ class CyclicPartition:
     classes: tuple  # tuple of frozenset of state indices
     shift: EdgeShift
 
-    @property
-    def matrix_hash(self) -> str:
-        return self.shift.matrix_hash()
-
     def class_of_state(self, state: int) -> int:
         for k, cls in enumerate(self.classes):
             if state in cls:
                 return k
         raise ValueError(f"state {state} not in any class")
 
-    def to_document(self, sft: EdgeShift) -> dict:
+    def to_document(self) -> dict:
+        states = self.shift.states
         return {
             "schema_version": 1,
             "size": self.size,
-            "classes": [sorted(sft.states[i] for i in cls) for cls in self.classes],
+            "classes": [sorted(states[i] for i in cls) for cls in self.classes],
             "base_class_index": 0,
-            "matrix_hash": self.matrix_hash,
+            "matrix_hash": self.shift.matrix_hash(),
         }
 
 
@@ -94,17 +91,6 @@ def _validate_partition(sft: EdgeShift, part: CyclicPartition) -> None:
         raise VerificationError("edge does not advance the class by one")
     if 0 not in part.classes[0]:
         raise VerificationError("base state missing from class 0")
-
-
-def coarsen_partition(part: CyclicPartition, p: int) -> CyclicPartition:
-    """Merge a size-m partition into the size-p one (p | m): output class k is
-    the union of input classes k, k+p, k+2p, ..."""
-    m = part.size
-    if p < 1 or m % p != 0:
-        raise NoSuchEigenvalueError(f"{p} does not divide partition size {m}")
-    classes = tuple(frozenset().union(*(part.classes[j] for j in range(k, m, p)))
-                    for k in range(p))
-    return CyclicPartition(p, classes, part.shift)
 
 
 def exhaustive_partition_search(sft: EdgeShift, m: int) -> Optional[tuple]:
@@ -142,14 +128,14 @@ class SmaleDecomposition:
         """Read-only map from each component edge symbol to its parent path."""
         return self.component_shift.parent_paths
 
-    def to_document(self, sft: EdgeShift) -> dict:
+    def to_document(self) -> dict:
         return {
             "schema_version": 1,
             "period": self.period,
             "component": self.component_shift.to_document(),
-            "partition": self.partition.to_document(sft),
+            "partition": self.partition.to_document(),
             "path_dictionary": {sym: list(w) for sym, w in sorted(self.path_dictionary.items())},
-            "matrix_hash": sft.matrix_hash(),
+            "matrix_hash": self.partition.shift.matrix_hash(),
         }
 
 
@@ -173,7 +159,7 @@ def smale(sft: EdgeShift) -> SmaleDecomposition:
     return SmaleDecomposition(m, component, part)
 
 
-# -- transitivity of powers and the k*l factorization ------------------------
+# -- transitivity of powers ---------------------------------------------------
 
 
 def is_power_transitive(sft: EdgeShift, n: int, verify: bool = False) -> bool:
@@ -190,68 +176,4 @@ def is_power_transitive(sft: EdgeShift, n: int, verify: bool = False) -> bool:
         if graph != answer:
             raise VerificationError(
                 f"transitivity formula ({answer}) disagrees with connectivity ({graph})")
-    return answer
-
-
-@dataclass(frozen=True)
-class PowerDecomposition:
-    """n = k * l with sigma^k transitive and l a rational eigenvalue."""
-    n: int
-    k: int
-    l: int
-
-    def to_document(self) -> dict:
-        return {"schema_version": 1, "n": self.n, "transitive_part": self.k,
-                "eigenvalue_part": self.l}
-
-
-def decompose_power(sft: EdgeShift, n: int) -> PowerDecomposition:
-    """Factor n = k * l with l = gcd(n, period) and k = n / l.
-
-    Such a factorization (with gcd(k, period) = 1) exists iff no prime divides
-    n more often than it divides the period; otherwise
-    NoPowerDecompositionError is raised (e.g. period 2, n = 4: the candidates
-    4 = 4*1 = 2*2 both have even transitive part).
-    """
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    p = period(sft)
-    l = math.gcd(n, p)
-    k = n // l
-    if math.gcd(k, p) != 1:
-        raise NoPowerDecompositionError(
-            f"n={n} admits no factorization k*l with l | period={p} and gcd(k, period)=1")
-    return PowerDecomposition(n, k, l)
-
-
-def power_decompositions_by_search(sft: EdgeShift, n: int) -> list:
-    """Test oracle: all factorizations n = k*l with l | period and
-    gcd(k, period) = 1, found exhaustively."""
-    p = period(sft)
-    found = []
-    for l in divisors(n):
-        k = n // l
-        if p % l == 0 and math.gcd(k, p) == 1:
-            found.append((k, l))
-    return found
-
-
-def restricted_transitivity(sft: EdgeShift, m: int, n: int, verify: bool = False) -> bool:
-    """True iff sigma^{n m} acts transitively on the class-0 piece X_m, i.e.
-    gcd(n, k/m) = 1 for every eigenvalue k that is a multiple of m
-    (equivalently gcd(n, period/m) = 1)."""
-    p = period(sft)
-    if m < 1 or p % m != 0:
-        raise NoSuchEigenvalueError(f"{m} is not a rational eigenvalue (period {p})")
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    answer = all(math.gcd(n, k // m) == 1 for k in divisors(p) if k % m == 0)
-    assert answer == (math.gcd(n, p // m) == 1)
-    if verify:
-        part = cyclic_partition(sft, m)
-        restriction = class_restriction(sft, part, n * m)
-        graph = is_irreducible(restriction)
-        if graph != answer:
-            raise VerificationError(
-                f"restricted transitivity formula ({answer}) disagrees with graph ({graph})")
     return answer

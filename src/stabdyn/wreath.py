@@ -22,7 +22,7 @@ from .budgets import Budget, check, default_budget
 from .errors import AmbientMismatchError, BudgetExceededError
 from .groups import (FiniteGroup, all_perms, alternating_subset, compose_perm,
                      identity_perm, invert_perm, klein_subset_sym4, perm_name,
-                     perm_orbits, symmetric_group)
+                     symmetric_group)
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,17 @@ class WreathContext:
         return WreathElement(self, (self.base.identity,) * self.n, identity_perm(self.n))
 
     def element(self, g_vec: Sequence[int], sigma: Sequence[int]) -> "WreathElement":
-        return WreathElement(self, tuple(g_vec), tuple(sigma))
+        """The element (g_vec, sigma), checked: every coordinate must lie in
+        range(|G|) and sigma must permute range(n).  The products build
+        their results unchecked."""
+        g_vec, sigma = tuple(g_vec), tuple(sigma)
+        if not all(type(x) is int and 0 <= x < self.base.order for x in g_vec):
+            raise AmbientMismatchError(
+                f"coordinates {list(g_vec)} not all in range({self.base.order})")
+        if not (all(type(i) is int for i in sigma) and sorted(sigma) == list(range(self.n))):
+            raise AmbientMismatchError(
+                f"sigma {list(sigma)} is not a permutation of range({self.n})")
+        return WreathElement(self, g_vec, sigma)
 
     def elements(self) -> list:
         """All elements in canonical (vector-major, permutation-minor) order."""
@@ -127,10 +137,14 @@ def wr_comm(x: WreathElement, y: WreathElement) -> WreathElement:
 
 
 def wr_conj_definitional(x: WreathElement, by: WreathElement) -> WreathElement:
+    """Test oracle: by x by^{-1} by products; acceptance 01 pins ``wr_conj``
+    to it."""
     return wr_mul(wr_mul(by, x), wr_inv(by))
 
 
 def wr_comm_definitional(x: WreathElement, y: WreathElement) -> WreathElement:
+    """Test oracle: x y x^{-1} y^{-1} by products; acceptance 01 pins
+    ``wr_comm`` to it."""
     return wr_mul(wr_mul(wr_mul(x, y), wr_inv(x)), wr_inv(y))
 
 
@@ -141,7 +155,8 @@ def imprimitive_permutation(a: WreathElement) -> tuple:
     """The left action on pairs (block, base element),
     (i, x) -> (sigma(i), g[i] * x), as a permutation of n * |G| points
     (block-major).  A faithful permutation representation; composing these
-    permutations must match wr_mul."""
+    permutations must match wr_mul (the test oracle of
+    ``test_wr_mul_matches_imprimitive_oracle``)."""
     ctx = a.context
     q = ctx.base.order
     images = [0] * (ctx.n * q)
@@ -151,12 +166,13 @@ def imprimitive_permutation(a: WreathElement) -> tuple:
     return tuple(images)
 
 
-# -- cycle products and constructive base conjugacy -----------------------------
+# -- cycle products ------------------------------------------------------------
 
 
 def cycle_product(context: WreathContext, g_vec: Sequence[int], sigma: tuple, j: int) -> int:
     """c_sigma(g, j): ordered product of g-coordinates backwards along the
-    sigma-orbit of j: g[s^{-|p|+1}(j)] ... g[s^{-1}(j)] g[j]."""
+    sigma-orbit of j: g[s^{-|p|+1}(j)] ... g[s^{-1}(j)] g[j].  The cycle
+    product, base conjugacy and fix-by-null lemma tests read it."""
     inv = invert_perm(sigma)
     chain = [j]
     at = inv[j]
@@ -167,49 +183,6 @@ def cycle_product(context: WreathContext, g_vec: Sequence[int], sigma: tuple, j:
     for idx in reversed(chain):
         acc = context.base.mul(acc, g_vec[idx])
     return acc
-
-
-def orbit_anchors(sigma: tuple) -> dict:
-    """Lowest index of each sigma-orbit, keyed by frozenset(orbit)."""
-    return {frozenset(orbit): min(orbit) for orbit in perm_orbits(sigma)}
-
-
-def conjugate_in_base(context: WreathContext, g_vec: Sequence[int], h_vec: Sequence[int],
-                      sigma: tuple) -> Optional[tuple]:
-    """A base vector k with (k,1)(g,sigma)(k,1)^{-1} = (h,sigma), or None
-    when there is none.
-
-    Such a k satisfies k[s(i)] = h[i] k[i] g[i]^{-1}, so on each sigma-orbit
-    it is fixed by its value at the orbit's anchor j (the lowest index), and
-    the orbit closes iff k[j] c_g k[j]^{-1} = c_h for the cycle products
-    c = ``cycle_product`` over sigma^{-1} at j.  k[j] is the first element
-    of G, identity first, that does this; on an abelian base that is the
-    identity whenever c_g = c_h.  The witness is verified before it is
-    returned."""
-    base = context.base
-    candidates = [base.identity] + [x for x in range(base.order) if x != base.identity]
-    # cycle products over sigma^{-1}, g[s^{|p|-1}(j)] ... g[s(j)] g[j]: wr_conj's order
-    forward = invert_perm(sigma)
-    k = [base.identity] * context.n
-    for orbit in perm_orbits(sigma):
-        j = min(orbit)
-        c_g = cycle_product(context, g_vec, forward, j)
-        c_h = cycle_product(context, h_vec, forward, j)
-        anchor = next((x for x in candidates if base.conj(c_g, x) == c_h), None)
-        if anchor is None:
-            return None
-        k[j] = anchor
-        at = j
-        for _ in range(len(orbit) - 1):
-            nxt = sigma[at]
-            k[nxt] = base.mul(base.mul(h_vec[at], k[at]), base.inv(g_vec[at]))
-            at = nxt
-    witness = tuple(k)
-    conj = wr_conj(context.element(g_vec, sigma),
-                   context.element(witness, identity_perm(context.n)))
-    if conj != context.element(tuple(h_vec), sigma):
-        return None
-    return witness
 
 
 # -- materialized wreath groups ---------------------------------------------------
@@ -274,7 +247,8 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
 def normal_subgroups_sym(m: int, budget: Optional[Budget] = None) -> list:
     """Exhaustively computed list of normal subgroups of Sym(m), sorted by
     size.  Raises if the result disagrees with the known classification
-    ({1}, A_m, Sym(m), plus the Klein subgroup V exactly at m = 4)."""
+    ({1}, A_m, Sym(m), plus the Klein subgroup V exactly at m = 4).
+    Acceptance 03 checks the normal subgroup structure with it."""
     budget = budget or default_budget()
     if m > budget.sym_normal_m:
         raise BudgetExceededError(f"normal subgroup sweep for Sym({m}) over budget")

@@ -215,6 +215,29 @@ def test_wreath_calc(tmp_path, capsys):
     assert doc["result"] == {"g": [0, 0], "sigma": [0, 1]}
 
 
+def _one_line_error_with_manifest(capsys, argv, tmp_path):
+    path = tmp_path / "manifest.json"
+    code, out, err = run(capsys, argv + ["--manifest", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("stabdyn: error:") and err.count("\n") == 1
+    assert json.loads(path.read_text())["exit_code"] == 1
+
+
+@pytest.mark.parametrize("extra", [{"generators": [7]}, {"names": ["e"]}])
+def test_rigidity_rejects_group_table_indices(tmp_path, capsys, extra):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"table": [[0, 1], [1, 0]], **extra}))
+    _one_line_error_with_manifest(capsys, ["rigidity", "--group-g", str(path), "--n", "2",
+                                           "--group-h", "cyclic:2", "--m", "3"], tmp_path)
+
+
+@pytest.mark.parametrize("binding", [{"g": [1, 5], "sigma": [1, 0]},
+                                     {"g": [1, 0], "sigma": [0, 0]}])
+def test_wreath_calc_rejects_bad_elements(tmp_path, capsys, binding):
+    expr = json.dumps({"n": 2, "bindings": {"x": binding}, "expr": ["inv", "x"]})
+    _one_line_error_with_manifest(capsys, ["wreath-calc", expr], tmp_path)
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["analyze", "1 1 / 1 0", "--json"]
     _, out1, _ = run(capsys, argv)

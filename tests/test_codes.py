@@ -14,11 +14,11 @@ from stabdyn.cli import main
 from stabdyn.errors import (BudgetExceededError, ImageSplitsClassesError,
                             ShiftMismatchError, WordError)
 from stabdyn.codes import (SlidingBlockCode, WordMap,
-                           apply_code, commutes_with_power, compose,
+                           commutes_with_power, compose,
                            enumerate_automorphisms, enumerate_conjugacies,
                            find_inverse,
                            identity_code, images, partition_action,
-                           rotation_index, shift_code, symbol_map_code)
+                           shift_code)
 from stabdyn.sft import (derived_shift, full_shift, make_edge_shift,
                          parse_edge_shift, power_shift,
                          strongly_connected_components)
@@ -30,7 +30,7 @@ from conftest import (SLOW_STAGES, aperiodic_three, cycle_graph,
 
 
 def flip_code(sft):
-    return symbol_map_code(sft, {"0": "1", "1": "0"})
+    return SlidingBlockCode(sft, sft, 0, ["1", "0"])
 
 
 def word(s: str):
@@ -41,23 +41,23 @@ def word(s: str):
 
 def test_apply_identity():
     code = identity_code(full_shift(2))
-    assert apply_code(code, word("010")) == word("010")
+    assert code.apply(word("010")) == word("010")
 
 
 def test_apply_flip():
     code = flip_code(full_shift(2))
-    assert apply_code(code, word("0110")) == word("1001")
+    assert code.apply(word("0110")) == word("1001")
 
 
 def test_apply_shift_by_one():
     # the true shift drops the left flank: windows (011),(110) -> (1,0)
     code = shift_code(full_shift(2), 1)
-    assert apply_code(code, word("0110")) == word("10")
+    assert code.apply(word("0110")) == word("10")
     # while the radius-1 rule selecting the window center is the identity
     # (its apply trims to the middle)
     padded_id = SlidingBlockCode(full_shift(2), full_shift(2), 1,
                                  [w[1] for w in full_shift(2).language(3)])
-    assert apply_code(padded_id, word("0110")) == word("11")
+    assert padded_id.apply(word("0110")) == word("11")
     assert padded_id.canonical() == identity_code(full_shift(2))
 
 
@@ -67,7 +67,9 @@ def test_apply_rejects_short_or_bad_words():
         code.apply(word("01"))
     gm = golden_mean()
     with pytest.raises(WordError):
-        apply_code(identity_code(gm), ("1", "1"))  # edge 1 (0->1) cannot repeat
+        identity_code(gm).apply(("1", "1"))  # edge 1 (0->1) cannot repeat
+    with pytest.raises(WordError):
+        identity_code(gm).apply(("0", "x"))  # x is no edge of gm
 
 
 # -- composition and canonical forms ------------------------------------------------
@@ -191,12 +193,13 @@ def test_code_rejects_an_inadmissible_image():
 
 
 def test_symbol_map_code_needs_a_total_mapping():
+    # a radius-0 code is a symbol map: total on the alphabet, into it
     sft = full_shift(3)
     with pytest.raises(WordError):
-        symbol_map_code(sft, {"0": "1", "1": "0"})
+        SlidingBlockCode(sft, sft, 0, ["1", "0"])
     with pytest.raises(WordError):
-        symbol_map_code(sft, {"0": "1", "1": "2", "2": "0", "3": "3"})
-    assert symbol_map_code(sft, {"0": "1", "1": "2", "2": "0"}).rule == ("1", "2", "0")
+        SlidingBlockCode(sft, sft, 0, ["1", "2", "3"])
+    assert SlidingBlockCode(sft, sft, 0, ["1", "2", "0"]).rule == ("1", "2", "0")
 
 
 def test_find_inverse_involution():
@@ -614,16 +617,15 @@ def test_partition_action_splitting_is_an_error():
 
 
 def test_rotation_index_examples():
+    # sigma^k rotates the classes by k mod m
     sft = cycle_graph(3)
     part = cyclic_partition(sft, 3)
-    assert rotation_index(identity_code(sft), part) == 0
-    assert rotation_index(shift_code(sft, 1), part) == 1
-    assert rotation_index(shift_code(sft, 5), part) == 2  # 5 mod 3
+    assert partition_action(identity_code(sft), part) == (0, 1, 2)
+    assert partition_action(shift_code(sft, 1), part) == (1, 2, 0)
+    assert partition_action(shift_code(sft, 5), part) == (2, 0, 1)  # 5 mod 3
 
 
 def test_rotation_index_rejects_non_rotation():
-    sft = doubled_cycle_period2()
-    part = cyclic_partition(sft, 2)
     # rotations and transpositions coincide at size 2, so build a size-4 case
     sft4 = cycle_graph(4)
     part4 = cyclic_partition(sft4, 4)
@@ -631,8 +633,9 @@ def test_rotation_index_rejects_non_rotation():
     # 1 and 3, fix 0 and 2 (outputs on the words 0..3)
     rule = ["0", "3", "2", "1"]
     broken = SlidingBlockCode(sft4, sft4, 0, rule, validate=False)
-    with pytest.raises(ImageSplitsClassesError):
-        rotation_index(broken, part4)
+    pi = partition_action(broken, part4)
+    assert pi == (0, 3, 2, 1)
+    assert all(pi != tuple((k + j) % 4 for k in range(4)) for j in range(4))
 
 
 def test_partition_action_on_power_presentation():

@@ -8,7 +8,7 @@ import pytest
 
 from stabdyn import groups
 from stabdyn.budgets import Budget
-from stabdyn.errors import BudgetExceededError
+from stabdyn.errors import BudgetExceededError, ParseError
 from stabdyn.groups import (FiniteGroup, _invariants, all_perms, alternating_subset,
                             compose_perm, cyclic_group, dihedral_square,
                             direct_product, from_permutations, is_isomorphic,
@@ -27,6 +27,17 @@ def test_cyclic_group_axioms_exhaustive():
                 for c in range(n):
                     assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
             assert g.mul(a, g.inv(a)) == g.identity
+
+
+def test_group_table_indices_are_checked():
+    z2 = [[0, 1], [1, 0]]
+    for kwargs in [{"table": [[0, 1], [1]]},  # not square
+                   {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 7]]},  # entry outside range(3)
+                   {"table": z2, "names": ["e"]},
+                   {"table": z2, "generators": [7]},
+                   {"table": z2, "generators": [-1]}]:
+        with pytest.raises(ParseError):
+            FiniteGroup(**kwargs)
 
 
 def test_symmetric_group_orders():
@@ -120,13 +131,6 @@ def test_normal_subgroups_sym4_include_klein():
     normals = s4.normal_subgroups()
     assert sorted(len(n) for n in normals) == [1, 4, 12, 24]
     assert klein_subset_sym4(s4) in normals
-
-
-def test_quotient_table():
-    s3 = symmetric_group(3)
-    a3 = alternating_subset(s3, 3)
-    q = s3.quotient_table(a3)
-    assert q.order == 2
 
 
 def test_centralizer_of_identity_is_whole_group():

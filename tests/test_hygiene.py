@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is read
-somewhere in that module, and every private helper the package defines is
-named somewhere in it (stdlib ``ast`` only, no linter needed)."""
+somewhere in that module, every private helper the package defines is named
+somewhere in it, and every public module-level name that no package module
+names has a stated reason to stay (stdlib ``ast`` only, no linter needed)."""
 
 from __future__ import annotations
 
@@ -51,22 +52,30 @@ def test_package_modules_read_every_import():
     assert unused == {}
 
 
+def names_in(tree: ast.AST) -> set:
+    """Every name, attribute and import alias that ``tree`` names."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+    return named
+
+
 def orphaned_private_helpers(sources: dict) -> list:
     """(module, name) for every single-underscore function, method or class
     defined in ``sources`` (module name -> source) that no name, attribute
     or import in any of them names, sorted."""
     defined, named = set(), set()
     for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defined.add((module, node.name))
-            elif isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.asname or node.name)
+        tree = ast.parse(source)
+        defined.update((module, node.name) for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and node.name.startswith("_") and not node.name.startswith("__"))
+        named |= names_in(tree)
     return sorted((module, name) for module, name in defined if name not in named)
 
 
@@ -87,3 +96,51 @@ def test_package_names_every_private_helper():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert sources
     assert orphaned_private_helpers(sources) == []
+
+
+def unreached_public_names(sources: dict) -> list:
+    """"module.name" for every public function or class defined at module
+    level in ``sources`` that no module other than ``__init__`` names, sorted:
+    the names that only the package's exports and outside callers reach."""
+    defined, named = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined.update((module, node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        if module != "__init__":
+            named |= names_in(tree)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in named)
+
+
+def test_public_scan_skips_init_and_nested_definitions():
+    sources = {
+        "a": ("def used(): return 1\n"
+              "def exported():\n"
+              "    def nested(): return used()\n"
+              "    return nested\n"
+              "class Kept: pass\n"),
+        "__init__": "from .a import exported, Kept\n",
+    }
+    assert unreached_public_names(sources) == ["a.Kept", "a.exported"]
+
+
+# Public names that no package module calls, each with the reason it stays.
+KEPT_PUBLIC = {
+    "sft.full_shift": "public constructor of the full k-shift",
+    "codes.shift_code": "public constructor of sigma^k as a code",
+    "codes.commutes_with_power": "bench/tracing.py rebinds it",
+    "codes.WordMap": "bench/tracing.py rebinds WordMap.to_code",
+    "wreath.wr_conj_definitional": "oracle of acceptance 01 for wr_conj",
+    "wreath.wr_comm_definitional": "oracle of acceptance 01 for wr_comm",
+    "wreath.normal_subgroups_sym": "acceptance 03 checks Sym(m) with it",
+    "wreath.imprimitive_permutation": "faithful-representation oracle for wr_mul",
+    "wreath.cycle_product": "the base conjugacy and fix-by-null lemma tests",
+    "groups.is_transitive_perm_set": "the product-decomposition lemma test",
+    "cli.schema_for": "accessor for the shipped stdout schemas",
+}
+
+
+def test_public_names_without_a_package_caller_are_kept_on_purpose():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreached_public_names(sources) == sorted(KEPT_PUBLIC)

@@ -10,7 +10,7 @@ import sys
 
 from stabdyn import cli
 from stabdyn.sft import entropy, full_shift
-from stabdyn.spectral import cyclic_partition, decompose_power, smale
+from stabdyn.spectral import cyclic_partition, smale
 
 from conftest import doubled_cycle, doubled_loop_period2
 
@@ -69,15 +69,9 @@ def test_entropy_result_document():
     assert doc["perron_eigenvalue"] == 4.0
 
 
-def test_power_decomposition_document():
-    doc = decompose_power(doubled_cycle(4), 12).to_document()
-    assert doc == {"schema_version": 1, "n": 12, "transitive_part": 3,
-                   "eigenvalue_part": 4}
-
-
 def test_smale_document_embeds_hash():
     sft = doubled_loop_period2()
-    doc = smale(sft).to_document(sft)
+    doc = smale(sft).to_document()
     assert doc["matrix_hash"] == sft.matrix_hash()
     assert doc["period"] == 2
     assert doc["component"]["adjacency"] == [[2]]
@@ -87,7 +81,7 @@ def test_smale_document_embeds_hash():
 
 def test_partition_document_embeds_hash():
     sft = doubled_cycle(4)
-    doc = cyclic_partition(sft, 4).to_document(sft)
+    doc = cyclic_partition(sft, 4).to_document()
     assert doc["matrix_hash"] == sft.matrix_hash()
     assert doc["size"] == 4
 

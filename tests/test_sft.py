@@ -13,7 +13,7 @@ from stabdyn.errors import (EmptyShiftError, ParseError, ReducibleShiftError,
 from stabdyn.sft import (EdgeShift, charpoly_coefficients, entropy, full_shift,
                          is_irreducible, is_mixing, make_edge_shift, mat_mul,
                          parse_edge_shift, period, period_by_cycles,
-                         perron_root_by_charpoly, power_shift, state_words,
+                         perron_root_by_charpoly, power_shift,
                          strongly_connected_components, word_count,
                          words_of_length)
 
@@ -36,8 +36,8 @@ def test_parse_full_two_shift():
 def test_parse_golden_mean_and_word_count_oracle():
     sft = parse_edge_shift("1 1 / 1 0")
     assert sft.n_states == 2
-    # validated by word count p_X(2) = 3 in the vertex labeling
-    assert len(state_words(sft, 2)) == 3
+    # the vertex labeling's 2-words are the edges: p_X(2) = 3
+    assert len(sft.language(1)) == 3
 
 
 def test_parse_degenerate_graph_is_empty():
@@ -52,6 +52,10 @@ def test_parse_rejects_bad_matrices():
         parse_edge_shift("1 -1 / 1 1")
     with pytest.raises(ParseError):
         parse_edge_shift("x y / 1 1")
+    with pytest.raises(ParseError):  # JSON true is no edge count
+        parse_edge_shift('{"states": ["a"], "adjacency": [[true]]}')
+    with pytest.raises(ParseError):  # two states named "a"
+        parse_edge_shift('{"states": ["a", "a"], "adjacency": [[0, 1], [1, 0]]}')
 
 
 def test_parse_structured_document():
@@ -137,13 +141,14 @@ def test_words_full_two_shift():
 
 
 def test_words_golden_mean_vertex_labeling():
-    # p_X(3) = 5 = F(5) in the vertex labeling (Fibonacci complexity)
-    assert len(state_words(golden_mean(), 3)) == 5
-    for n in range(1, 8):
+    # p_X(3) = 5 = F(5) in the vertex labeling (Fibonacci complexity); a
+    # vertex n-word is an edge (n-1)-word
+    assert len(golden_mean().language(2)) == 5
+    for n in range(2, 8):
         fib = [1, 1]
         while len(fib) < n + 3:
             fib.append(fib[-1] + fib[-2])
-        assert len(state_words(golden_mean(), n)) == fib[n + 1]
+        assert len(golden_mean().language(n - 1)) == fib[n + 1]
 
 
 def test_words_three_cycle():

@@ -1,4 +1,5 @@
-"""Eigenvalues, cyclic partitions, Smale decomposition, power factorization."""
+"""Eigenvalues, cyclic partitions, Smale decomposition, transitivity of
+powers and of their restrictions to partition pieces."""
 
 from __future__ import annotations
 
@@ -6,13 +7,11 @@ import math
 
 import pytest
 
-from stabdyn.errors import (NoPowerDecompositionError, NoSuchEigenvalueError)
-from stabdyn.sft import entropy, full_shift, is_mixing
-from stabdyn.spectral import (class_restriction, coarsen_partition,
-                              cyclic_partition, decompose_power, divisors,
+from stabdyn.errors import NoSuchEigenvalueError
+from stabdyn.sft import entropy, full_shift, is_irreducible, is_mixing
+from stabdyn.spectral import (class_restriction, cyclic_partition, divisors,
                               exhaustive_partition_search, is_power_transitive,
-                              power_decompositions_by_search, rational_eigs,
-                              restricted_transitivity, smale)
+                              rational_eigs, smale)
 
 from conftest import cycle_graph, doubled_loop_period2, golden_mean
 
@@ -63,22 +62,28 @@ def test_cyclic_partition_rejects_non_eigenvalue():
         cyclic_partition(golden_mean(), 2)
 
 
+def coarsen(part, q: int) -> tuple:
+    """The classes of a size-m partition merged into q | m classes: class k
+    is the union of classes k, k+q, k+2q, ..."""
+    return tuple(frozenset().union(*part.classes[k::q]) for k in range(q))
+
+
 def test_coarsen_partition_matches_direct():
     sft = cycle_graph(6)
     fine = cyclic_partition(sft, 6)
-    assert coarsen_partition(fine, 3).classes == cyclic_partition(sft, 3).classes
-    assert coarsen_partition(fine, 6).classes == fine.classes
+    assert coarsen(fine, 3) == cyclic_partition(sft, 3).classes
+    assert coarsen(fine, 6) == fine.classes
     with pytest.raises(NoSuchEigenvalueError):
-        coarsen_partition(fine, 4)
+        cyclic_partition(sft, 4)
 
 
 def test_coarsen_partition_all_divisor_pairs(graph_catalog):
+    # the canonical size-q partition is the coarsening of each size-m one, q | m
     for name, sft, p in graph_catalog:
         for m in divisors(p):
             fine = cyclic_partition(sft, m)
             for q in divisors(m):
-                assert coarsen_partition(fine, q).classes == \
-                    cyclic_partition(sft, q).classes, (name, m, q)
+                assert coarsen(fine, q) == cyclic_partition(sft, q).classes, (name, m, q)
 
 
 # -- Smale decomposition ---------------------------------------------------------
@@ -139,74 +144,30 @@ def test_power_transitivity_matches_connectivity(graph_catalog):
                 (name, n)
 
 
-# -- power factorization -------------------------------------------------------------
-
-def test_decompose_power_examples():
-    d = decompose_power(cycle_graph(2), 6)
-    assert (d.k, d.l) == (3, 2)
-    d = decompose_power(full_shift(2), 5)
-    assert (d.k, d.l) == (5, 1)
-    d = decompose_power(cycle_graph(4), 4)
-    assert (d.k, d.l) == (1, 4)
-
-
-def test_decompose_power_unique_when_it_exists(graph_catalog):
-    for name, sft, p in graph_catalog:
-        for n in range(1, 13):
-            candidates = power_decompositions_by_search(sft, n)
-            # direct criterion: no prime divides n more often than the period
-            ok = True
-            for q in range(2, n + 1):
-                if n % q == 0 and _is_prime(q) and p % q == 0:
-                    if _val(n, q) > _val(p, q):
-                        ok = False
-            if ok:
-                assert len(candidates) == 1, (name, n)
-                d = decompose_power(sft, n)
-                assert candidates[0] == (d.k, d.l)
-                assert d.k * d.l == n and p % d.l == 0 and math.gcd(d.k, p) == 1
-            else:
-                assert candidates == [], (name, n)
-                with pytest.raises(NoPowerDecompositionError):
-                    decompose_power(sft, n)
-
-
-def _is_prime(q: int) -> bool:
-    return q > 1 and all(q % d for d in range(2, int(q ** 0.5) + 1))
-
-
-def _val(n: int, q: int) -> int:
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
-
-
-def test_decompose_power_impossible_case():
-    # period 2, n = 4: both factorizations have even transitive part
-    assert power_decompositions_by_search(cycle_graph(2), 4) == []
-    with pytest.raises(NoPowerDecompositionError):
-        decompose_power(cycle_graph(2), 4)
-
-
 # -- restricted transitivity -----------------------------------------------------------
 
+def restricted_transitive(sft, m: int, n: int) -> bool:
+    """Whether sigma^{n m} acts transitively on the class-0 piece X_m: strong
+    connectivity of its class restriction."""
+    return is_irreducible(class_restriction(sft, cyclic_partition(sft, m), n * m))
+
+
 def test_restricted_transitivity_examples():
-    assert restricted_transitivity(cycle_graph(2), 2, 1, verify=True)
-    assert not restricted_transitivity(cycle_graph(4), 2, 2, verify=True)
+    assert restricted_transitive(cycle_graph(2), 2, 1)
+    assert not restricted_transitive(cycle_graph(4), 2, 2)
     for name_p in [2, 3, 5]:
         sft = cycle_graph(name_p)
         for n in range(1, 5):
-            assert restricted_transitivity(sft, name_p, n, verify=True)
+            assert restricted_transitive(sft, name_p, n)
 
 
 def test_restricted_transitivity_graph_crosscheck(graph_catalog):
+    # sigma^{n m} is transitive on X_m exactly when gcd(n, period / m) = 1
     for name, sft, p in graph_catalog:
         for m in divisors(p):
             for n in range(1, 7):
-                formula = restricted_transitivity(sft, m, n, verify=True)
-                assert formula == (math.gcd(n, p // m) == 1), (name, m, n)
+                assert restricted_transitive(sft, m, n) == (math.gcd(n, p // m) == 1), \
+                    (name, m, n)
 
 
 def test_restriction_induction_law(graph_catalog):

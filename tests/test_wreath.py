@@ -10,19 +10,32 @@ import random
 import pytest
 
 from stabdyn.groups import (alternating_subset, compose_perm, cyclic_group,
-                            dihedral_square, identity_perm,
+                            dihedral_square, identity_perm, invert_perm,
                             is_isomorphic, is_transitive_perm_set, klein_group,
-                            klein_subset_sym4, quaternion_group,
+                            klein_subset_sym4, perm_orbits, quaternion_group,
                             symmetric_group, transposition, trivial_group)
-from stabdyn.wreath import (WreathContext, conjugate_in_base, cycle_product,
+from stabdyn.wreath import (WreathContext, cycle_product,
                             imprimitive_permutation, normal_subgroups_sym,
-                            orbit_anchors, wr_comm, wr_comm_definitional,
+                            wr_comm, wr_comm_definitional,
                             wr_conj, wr_conj_definitional, wr_inv, wr_mul,
                             wreath_group)
 
 
 def ctx(base_order: int, n: int) -> WreathContext:
     return WreathContext(cyclic_group(base_order), n)
+
+
+def anchors(sigma: tuple) -> list:
+    """The lowest index of each sigma-orbit."""
+    return [orbit[0] for orbit in perm_orbits(sigma)]
+
+
+def base_conjugates(c: WreathContext, g: tuple, sigma: tuple) -> set:
+    """Every h with (h, sigma) = (k,1)(g, sigma)(k,1)^{-1} for some base
+    vector k, by brute force over k."""
+    x, ident = c.element(g, sigma), identity_perm(c.n)
+    return {wr_conj(x, c.element(k, ident)).g_vec
+            for k in itertools.product(range(c.base.order), repeat=c.n)}
 
 
 # -- formula vs definitional expansion ------------------------------------------
@@ -168,87 +181,74 @@ def test_cycle_product_conjugation_covariance():
         k = c.element(kvec, identity_perm(3))
         conj = wr_conj(a, k)
         assert conj.sigma == a.sigma
-        for orbit, anchor in orbit_anchors(a.sigma).items():
+        for anchor in anchors(a.sigma):
             before = cycle_product(c, a.g_vec, a.sigma, anchor)
             after = cycle_product(c, conj.g_vec, conj.sigma, anchor)
             base = c.base
             assert after == base.mul(base.mul(kvec[anchor], before), base.inv(kvec[anchor]))
 
 
-# -- constructive base conjugacy (Lemma-style behaviour) -----------------------------
+# -- base conjugacy (Lemma-style behaviour) -----------------------------------------
 
 def test_conjugate_in_base_equal_vectors():
+    # on one 3-cycle orbit, the base vectors fixing (g, sigma) are the constants
     c = ctx(3, 3)
-    sigma = (1, 2, 0)
-    k = conjugate_in_base(c, (1, 2, 0), (1, 2, 0), sigma)
-    assert k == (0, 0, 0)
+    x = c.element((1, 2, 0), (1, 2, 0))
+    fixers = {k for k in itertools.product(range(3), repeat=3)
+              if wr_conj(x, c.element(k, identity_perm(3))) == x}
+    assert fixers == {(0, 0, 0), (1, 1, 1), (2, 2, 2)}
 
 
 def test_conjugate_in_base_z2_swap_example():
     c = ctx(2, 2)
     swap = (1, 0)
-    k = conjugate_in_base(c, (1, 0), (0, 1), swap)
-    assert k is not None
-    conj = wr_conj(c.element((1, 0), swap), c.element(k, identity_perm(2)))
+    conj = wr_conj(c.element((1, 0), swap), c.element((1, 0), identity_perm(2)))
     assert conj == c.element((0, 1), swap)
-    # exhaustive search agrees that a conjugator exists
-    hits = [vec for vec in itertools.product(range(2), repeat=2)
-            if wr_conj(c.element((1, 0), swap), c.element(vec, identity_perm(2)))
-            == c.element((0, 1), swap)]
-    assert hits
+    assert base_conjugates(c, (1, 0), swap) == {(1, 0), (0, 1)}
 
 
 def test_conjugate_in_base_z3_obstruction():
+    # the anchor cycle products 1 and 2 differ, so no base vector conjugates
     c = ctx(3, 2)
     swap = (1, 0)
-    assert conjugate_in_base(c, (1, 0), (2, 0), swap) is None
-    # exhaustive: no base vector conjugates (1,0) to (2,0)
-    for vec in itertools.product(range(3), repeat=2):
-        conj = wr_conj(c.element((1, 0), swap), c.element(vec, identity_perm(2)))
-        assert conj != c.element((2, 0), swap)
+    assert cycle_product(c, (1, 0), swap, 0) != cycle_product(c, (2, 0), swap, 0)
+    assert (2, 0) not in base_conjugates(c, (1, 0), swap)
 
 
 def test_conjugate_in_base_exhaustive_small():
-    # |G| <= 4, n <= 3: construction succeeds exactly when cycle products
-    # agree at the anchors, and the recursion's witness verifies
+    # |G| <= 4, n <= 3, abelian base: (g, sigma) and (h, sigma) are conjugate
+    # by a base vector exactly when their cycle products agree at the anchors
     for base_order, n in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
         c = ctx(base_order, n)
         vectors = list(itertools.product(range(base_order), repeat=n))
         for sigma in itertools.permutations(range(n)):
-            anchors = orbit_anchors(sigma)
             for g in vectors:
+                reachable = base_conjugates(c, g, sigma)
                 for h in vectors:
-                    k = conjugate_in_base(c, g, h, sigma)
                     agree = all(
                         cycle_product(c, g, sigma, a) == cycle_product(c, h, sigma, a)
-                        for a in anchors.values())
-                    assert (k is not None) == agree
-                    if k is not None:
-                        conj = wr_conj(c.element(g, sigma),
-                                       c.element(k, identity_perm(n)))
-                        assert conj == c.element(h, sigma)
+                        for a in anchors(sigma))
+                    assert (h in reachable) == agree
 
 
 def test_conjugate_in_base_nonabelian_three_cycles():
     # S3 base, sigma a 3-cycle: the two orientations of the cycle product
-    # differ here, and the anchor products need only be conjugate in G.  A
-    # witness exists exactly when some k in G^n conjugates g to h (e.g.
-    # g = ((1 2),(),()) to h = ((),(),(0 1)) under sigma = (1 2 0)).
+    # differ here, and the anchor products need only be conjugate in G.  The
+    # cycle products over sigma^{-1}, g[s^2(0)] g[s(0)] g[0], decide it (e.g.
+    # g = ((1 2),(),()) is conjugate to h = ((),(),(0 1)) under sigma = (1 2 0)).
     base, n = symmetric_group(3), 3
     c = WreathContext(base, n)
     assert base.names[1] == "(1 2)" and base.names[2] == "(0 1)"
-    assert conjugate_in_base(c, (1, 0, 0), (0, 0, 2), (1, 2, 0)) is not None
+    assert (0, 0, 2) in base_conjugates(c, (1, 0, 0), (1, 2, 0))
     vectors = list(itertools.product(range(base.order), repeat=n))
     for sigma in [(1, 2, 0), (2, 0, 1)]:
+        forward = invert_perm(sigma)
         for g in vectors:
-            x = c.element(g, sigma)
-            reachable = {wr_conj(x, c.element(k, identity_perm(n))).g_vec
-                         for k in vectors}
+            reachable = base_conjugates(c, g, sigma)
+            c_g = cycle_product(c, g, forward, 0)
+            klass = {base.conj(c_g, x) for x in range(base.order)}
             for h in vectors:
-                k = conjugate_in_base(c, g, h, sigma)
-                assert (k is not None) == (h in reachable)
-                if k is not None:
-                    assert wr_conj(x, c.element(k, identity_perm(n))) == c.element(h, sigma)
+                assert (h in reachable) == (cycle_product(c, h, forward, 0) in klass)
 
 
 # -- materialized wreath groups ------------------------------------------------------
@@ -420,10 +420,9 @@ def test_fix_by_null_property():
                     for k in base_vectors)
                 if not closed:
                     continue
-                anchors = orbit_anchors(h_el.sigma)
                 for g in base_vectors:
                     if all(cycle_product(c, g, h_el.sigma, a) == 0
-                           for a in anchors.values()):
+                           for a in anchors(h_el.sigma)):
                         assert pos[(g, identity_perm(n))] in h_set
 
 
