@@ -22,7 +22,7 @@ import time
 
 from . import __version__
 from .codes import enumerate_automorphisms
-from .errors import StabdynError
+from .errors import ParseError, StabdynError
 from .groups import (FiniteGroup, cyclic_group, direct_product, dihedral_square,
                      klein_group, quaternion_group, symmetric_group,
                      trivial_group)
@@ -109,9 +109,25 @@ def load_group(spec: str) -> tuple:
     if lowered == "z2xz2xz2":
         return direct_product(klein_group(), cyclic_group(2)), spec
     text, origin = _read_source(spec)
-    doc = json.loads(text)
-    return FiniteGroup(doc["table"], names=doc.get("names"),
-                       generators=doc.get("generators")), origin
+    return _table_group(json.loads(text)), origin
+
+
+def _shaped(value, kind: type, what: str):
+    """``value`` when it is a ``kind``, else ParseError, so that the checked
+    constructors see documents in shape."""
+    if isinstance(value, kind):
+        return value
+    names = {dict: "an object", list: "a list", int: "an integer"}
+    raise ParseError(f"{what} must be {names[kind]}")
+
+
+def _table_group(doc) -> FiniteGroup:
+    """The group of a document {"table": rows, "names": [...], "generators": [...]}."""
+    doc = _shaped(doc, dict, "a group document")
+    optional = {key: _shaped(doc[key], list, repr(key)) for key in ("names", "generators")
+                if doc.get(key) is not None}
+    rows = [_shaped(row, list, "a table row") for row in _shaped(doc["table"], list, "'table'")]
+    return FiniteGroup(rows, **optional)
 
 
 def _hash(text: str) -> str:
@@ -248,35 +264,31 @@ def cmd_quotients(args) -> int:
 
 def cmd_wreath_calc(args) -> int:
     text, _ = _read_source(args.expr)
-    doc = json.loads(text)
-    base_spec = doc.get("base", {"cyclic": 2})
+    doc = _shaped(json.loads(text), dict, "an expression document")
+    base_spec = _shaped(doc.get("base", {"cyclic": 2}), dict, "'base'")
     if "cyclic" in base_spec:
-        base = cyclic_group(int(base_spec["cyclic"]))
+        base = cyclic_group(_shaped(base_spec["cyclic"], int, "'cyclic'"))
     else:
-        base = FiniteGroup(base_spec["table"], names=base_spec.get("names"))
-    ctx = WreathContext(base, int(doc["n"]))
-    bindings = {
-        name: ctx.element(tuple(val["g"]), tuple(val["sigma"]))
-        for name, val in doc.get("bindings", {}).items()
-    }
+        base = _table_group(base_spec)
+    ctx = WreathContext(base, _shaped(doc["n"], int, "'n'"))
+    bindings = {}
+    for name, val in _shaped(doc.get("bindings", {}), dict, "'bindings'").items():
+        val = _shaped(val, dict, f"binding {name!r}")
+        bindings[name] = ctx.element(_shaped(val["g"], list, "'g'"),
+                                     _shaped(val["sigma"], list, "'sigma'"))
+    fixed_arity = {"inv": (wr_inv, 1), "conj": (wr_conj, 2), "comm": (wr_comm, 2)}
 
     def evaluate(node):
         if isinstance(node, str):
             return bindings[node]
-        op, *rest = node
+        op, *rest = _shaped(node, list, "an operation") or [None]  # [] names no operation
         operands = [evaluate(x) for x in rest]
-        if op == "mul":
-            acc = operands[0]
-            for other in operands[1:]:
-                acc = wr_mul(acc, other)
-            return acc
-        if op == "inv":
-            return wr_inv(operands[0])
-        if op == "conj":
-            return wr_conj(operands[0], operands[1])
-        if op == "comm":
-            return wr_comm(operands[0], operands[1])
-        raise StabdynError(f"unknown operation {op!r}")
+        if op == "mul" and operands:
+            return functools.reduce(wr_mul, operands)
+        if op in fixed_arity and len(operands) == fixed_arity[op][1]:
+            return fixed_arity[op][0](*operands)
+        raise ParseError(f"operation {op!r} with {len(operands)} operands; the operations are "
+                         "mul (one or more), inv (one), conj and comm (two)")
 
     result = evaluate(doc["expr"])
     args._hashes = {"expr": _hash(text)}

@@ -323,6 +323,8 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ParseError(f"cyclic group order must be at least 1, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, names=[str(i) for i in range(n)], generators=[1 % n])
 

@@ -6,7 +6,8 @@ restriction, a component) records its provenance: parent shift, parent states
 and step.  All values are immutable after construction and every operation is
 a pure function, so the module is safe for concurrent use; tables are built on
 first use: path dictionaries per shift, and languages, word indices, sub-window
-index tables and automorphism stages once per (``root``, adjacency).
+index tables, automorphism stages and the state graph's successors,
+predecessors, SCCs and BFS levels once per (``root``, adjacency).
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ class EdgeShift:
     """An essential directed multigraph presenting an SFT.
 
     ``states`` are identifier strings; ``adjacency[i][j]`` counts parallel
-    edges from state i to state j.  The edge alphabet is derived from the
-    adjacency in (tail, head, parallel-index) order.
+    edges from state i to state j.  The adjacency must be a square matrix of
+    nonnegative integers: ``make_edge_shift`` checks outside input, and
+    derived presentations compute theirs.  The edge alphabet is derived from
+    the adjacency in (tail, head, parallel-index) order.
 
     ``provenance`` is set when this shift presents a power, a class
     restriction or a component of another shift (see ``derived_shift``);
@@ -67,33 +70,33 @@ class EdgeShift:
                  normalization_log: Sequence[str] = (),
                  provenance: Optional[Provenance] = None):
         states = tuple(str(s) for s in states)
-        n = len(states)
-        _check_matrix(n, adjacency)
-        if n == 0:
+        if not states:
             raise EmptyShiftError("empty graph")
         self.states = states
-        self.adjacency = tuple(tuple(int(a) for a in row) for row in adjacency)
+        self.adjacency = tuple(tuple(map(int, row)) for row in adjacency)
         self.normalization_log = tuple(normalization_log)
         self.provenance = provenance
         self._path_tables = None
         if provenance is None:  # adjacency -> tables shared by equal presentations
             self._tables: dict = {}
-        self._languages, self._word_ids, self._subwindows, self._stages = \
-            self.root._tables.setdefault(self.adjacency, ({}, {}, {}, {}))
+        self._languages, self._word_ids, self._subwindows, self._stages, self._graph = \
+            self.root._tables.setdefault(self.adjacency, ({}, {}, {}, {}, {}))
+        succ = self._graph.get("succ") or \
+            self._graph.setdefault("succ", _successors(self.adjacency))
 
-        # edges run in (tail, head, parallel-index) order, so the edges of
-        # block (i, j) are the symbols starts[i*n + j] up to starts[i*n + j + 1]
-        counts = [a for row in self.adjacency for a in row]
-        starts = list(accumulate(counts, initial=0))
+        # edges run in (tail, head, parallel-index) order, read off the
+        # nonzero cells only: state i's out-edges are symbols starts[i]..starts[i+1]
+        sums = list(map(sum, self.adjacency))
+        starts = list(accumulate(sums, initial=0))
         symbols = _edge_symbols(starts[-1])
         self.alphabet = tuple(symbols)
-        self._tails = dict(zip(symbols, chain.from_iterable(
-            repeat(b // n, a) for b, a in enumerate(counts))))
+        self._tails = dict(zip(symbols, chain.from_iterable(map(repeat, range(len(sums)), sums))))
         self._heads = dict(zip(symbols, chain.from_iterable(
-            repeat(b % n, a) for b, a in enumerate(counts))))
-        self.out_edges = tuple(tuple(symbols[starts[i * n]:starts[i * n + n]]) for i in range(n))
-        for i, column in enumerate(zip(*self.adjacency)):
-            if not any(self.adjacency[i]) or not any(column):
+            repeat(j, row[j]) for row, nbrs in zip(self.adjacency, succ) for j in nbrs)))
+        self.out_edges = tuple(tuple(symbols[a:b]) for a, b in zip(starts, starts[1:]))
+        entered = set(chain.from_iterable(succ))
+        for i, nbrs in enumerate(succ):
+            if not nbrs or i not in entered:
                 raise ParseError(f"state {states[i]!r} is not essential; normalize first")
 
     # -- provenance and language ------------------------------------------
@@ -214,41 +217,29 @@ class EdgeShift:
 
 def _essential_part(states: Sequence[str], adjacency: Sequence[Sequence[int]]):
     """Iteratively drop states without outgoing or incoming edges."""
-    states = list(states)
-    adj = [list(row) for row in adjacency]
-    removed = []
-    changed = True
-    while changed and states:
-        changed = False
-        n = len(states)
-        keep = []
-        for i in range(n):
-            if sum(adj[i]) == 0 or sum(adj[j][i] for j in range(n)) == 0:
-                removed.append(states[i])
-                changed = True
-            else:
-                keep.append(i)
-        if changed:
-            states = [states[i] for i in keep]
-            adj = [[adj[i][j] for j in keep] for i in keep]
+    states, adj, removed = list(states), [list(row) for row in adjacency], []
+    while states:
+        essential = [bool(sum(row) and sum(column)) for row, column in zip(adj, zip(*adj))]
+        if all(essential):
+            break
+        removed += [s for s, kept in zip(states, essential) if not kept]
+        keep = [i for i, kept in enumerate(essential) if kept]
+        states = [states[i] for i in keep]
+        adj = [[adj[i][j] for j in keep] for i in keep]
     return states, adj, removed
 
 
-def _check_matrix(n: int, adjacency: Sequence[Sequence[int]]) -> None:
-    """Raise ParseError unless adjacency is an n x n matrix of nonnegative
-    integers."""
+def make_edge_shift(states: Sequence[str], adjacency: Sequence[Sequence[int]]) -> EdgeShift:
+    """Check the matrix (square, of nonnegative integers) and the state
+    identifiers, normalize to the essential subgraph and build the shift."""
+    n = len(states)
     if len(adjacency) != n or any(len(row) != n for row in adjacency):
         raise ParseError("adjacency matrix is not square of size |states|")
     for row in adjacency:
         for a in row:
             if type(a) is not int or a < 0:
                 raise ParseError(f"adjacency entries must be nonnegative integers, got {a!r}")
-
-
-def make_edge_shift(states: Sequence[str], adjacency: Sequence[Sequence[int]]) -> EdgeShift:
-    """Normalize to the essential subgraph and build the shift."""
-    _check_matrix(len(states), adjacency)
-    if len(set(map(str, states))) != len(states):
+    if len(set(map(str, states))) != n:
         raise ParseError("state identifiers are not distinct")
     kept, adj, removed = _essential_part(states, adjacency)
     if not kept:
@@ -285,6 +276,9 @@ def edge_shift_from_document(doc: dict) -> EdgeShift:
         adjacency = doc["adjacency"]
     except (KeyError, TypeError) as exc:
         raise ParseError("document must contain 'states' and 'adjacency'") from exc
+    if not (isinstance(states, list) and isinstance(adjacency, list)
+            and all(isinstance(row, list) for row in adjacency)):
+        raise ParseError("'states' must be a list and 'adjacency' a list of rows")
     return make_edge_shift([str(s) for s in states], adjacency)
 
 
@@ -322,12 +316,12 @@ def mat_pow(a, n: int):
 # -- connectivity, period, mixing -----------------------------------------
 
 
-def _successors(adjacency) -> list:
+def _successors(adjacency) -> tuple:
     """Each state's distinct successors in ascending order (its predecessors
     when given the transposed adjacency).  They are read off the nonzero
     entries, so parallel edges cost nothing (a power shift can have hundreds
     of thousands of them)."""
-    return [[j for j, a in enumerate(row) if a] for row in adjacency]
+    return tuple(tuple(j for j, a in enumerate(row) if a) for row in adjacency)
 
 
 def _reachable(nbrs, start: int) -> set:
@@ -341,55 +335,65 @@ def _reachable(nbrs, start: int) -> set:
     return seen
 
 
+def _state_graph(sft: EdgeShift) -> dict:
+    """The shared facts of ``sft``'s state graph, as tuples: ``succ`` (built
+    with the shift), ``pred``, ``sccs`` (sorted, in ascending order of
+    minimum) and ``levels`` (BFS distance from state 0, -1 when unreachable).
+    Built on first use, once per (``root``, adjacency)."""
+    graph = sft._graph
+    if "sccs" not in graph:
+        succ = graph["succ"]
+        pred = graph["pred"] = _successors(zip(*sft.adjacency))
+        remaining, comps = set(range(sft.n_states)), []
+        while remaining:
+            s = min(remaining)
+            comp = _reachable(succ, s) & _reachable(pred, s)
+            comps.append(tuple(sorted(comp)))
+            remaining -= comp
+        levels = [0] + [-1] * (sft.n_states - 1)
+        queue = [0]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in succ[u]:
+                    if levels[v] < 0:
+                        levels[v] = levels[u] + 1
+                        nxt.append(v)
+            queue = nxt
+        graph.update(sccs=tuple(comps), levels=tuple(levels))
+    return graph
+
+
 def strongly_connected_components(sft: EdgeShift) -> list:
     """SCCs as sorted lists of state indices, in ascending order of minimum."""
-    succ, pred = _successors(sft.adjacency), _successors(zip(*sft.adjacency))
-    remaining = set(range(sft.n_states))
-    comps = []
-    while remaining:
-        s = min(remaining)
-        comp = _reachable(succ, s) & _reachable(pred, s)
-        comps.append(sorted(comp))
-        remaining -= comp
-    return comps
+    return [list(comp) for comp in _state_graph(sft)["sccs"]]
 
 
 def is_irreducible(sft: EdgeShift) -> bool:
     """True iff the underlying digraph is strongly connected."""
-    return len(strongly_connected_components(sft)) == 1
+    return len(_state_graph(sft)["sccs"]) == 1
 
 
 def bfs_levels(sft: EdgeShift) -> list:
     """Each state's BFS distance from state 0 (-1 when unreachable)."""
-    succ = _successors(sft.adjacency)
-    levels = [0] + [-1] * (sft.n_states - 1)
-    queue = [0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in succ[u]:
-                if levels[v] < 0:
-                    levels[v] = levels[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    return levels
+    return list(_state_graph(sft)["levels"])
 
 
 def period(sft: EdgeShift) -> int:
     """gcd of all cycle lengths; computed from BFS level differences."""
-    if not is_irreducible(sft):
+    graph = _state_graph(sft)
+    if len(graph["sccs"]) != 1:
         raise ReducibleShiftError("period requires an irreducible edge shift")
-    levels = bfs_levels(sft)
-    succ = _successors(sft.adjacency)
+    levels = graph["levels"]
     return math.gcd(*(levels[u] + 1 - levels[v]
-                      for u in range(sft.n_states) for v in succ[u])) or 1
+                      for u, nbrs in enumerate(graph["succ"]) for v in nbrs)) or 1
 
 
 def period_by_cycles(sft: EdgeShift) -> int:
     """Test oracle: gcd of the lengths of all simple cycles (exhaustive DFS)."""
     if not is_irreducible(sft):
         raise ReducibleShiftError("period requires an irreducible edge shift")
-    succ = _successors(sft.adjacency)
+    succ = sft._graph["succ"]
     g = 0
     for root in range(sft.n_states):
         # simple paths from root using states >= root only (canonical cycles)
@@ -431,7 +435,13 @@ def _perron_irreducible(matrix, cap: int):
     row's nonzero entries and the diagonal in column order, the same bits on
     every interpreter.  Column k gathers every row's k-th term; a shorter row
     reads the 0.0 kept at v[n] (x + 0.0 == x), and only columns holding a
-    coefficient other than 1.0 multiply.  Cost per step: n times the widest row."""
+    coefficient other than 1.0 multiply.  Cost per step: n times the widest row.
+
+    A step scans all n ratios w_i/v_i only when ra and rb, the ratios at the
+    argmin and argmax of the last scan, pass the test.  This is exact: the scan
+    makes the same divisions, so lo <= min(ra, rb) and hi >= max(ra, rb); IEEE
+    rounding is monotone, so fl(hi - lo) >= |ra - rb| and fl(TOL lo) <=
+    fl(TOL min(ra, rb)); so a step the pretest rejects fails the full test."""
     n = len(matrix)
     rows = [[(j, float(a) + (1.0 if i == j else 0.0))
              for j, a in enumerate(row) if a or i == j]
@@ -442,16 +452,20 @@ def _perron_irreducible(matrix, cap: int):
         get = itemgetter(*idx) if n > 1 else itemgetter(slice(0, 1))  # a list, not a scalar
         cols.append((get, None if set(coef) == {1.0} else coef))
     v = [1.0] * n + [0.0]
+    a = b = 0
     for it in range(1, cap + 1):
         w = None
         for get, coef in cols:
             t = get(v) if coef is None else map(mul, coef, get(v))
             w = t if w is None else map(add, w, t)
         w = list(w)
-        ratios = [x / y for x, y in zip(w, v)]
-        lo, hi = min(ratios), max(ratios)
-        if hi - lo <= ENTROPY_TOL * lo:
-            return (lo + hi) / 2.0 - 1.0, it
+        ra, rb = w[a] / v[a], w[b] / v[b]
+        if abs(ra - rb) <= ENTROPY_TOL * min(ra, rb):
+            ratios = [x / y for x, y in zip(w, v)]
+            lo, hi = min(ratios), max(ratios)
+            if hi - lo <= ENTROPY_TOL * lo:
+                return (lo + hi) / 2.0 - 1.0, it
+            a, b = ratios.index(lo), ratios.index(hi)
         norm = max(w)
         v = [x / norm for x in w]
         v.append(0.0)
@@ -464,7 +478,7 @@ def entropy(sft: EdgeShift, iteration_cap: int = 200_000) -> EntropyResult:
     For reducible shifts the value is the maximum over strongly connected
     components (the spectral radius of the full matrix).
     """
-    comps = strongly_connected_components(sft)
+    comps = _state_graph(sft)["sccs"]
     best = 0.0
     its = 0
     for comp in comps:

@@ -238,6 +238,23 @@ def test_wreath_calc_rejects_bad_elements(tmp_path, capsys, binding):
     _one_line_error_with_manifest(capsys, ["wreath-calc", expr], tmp_path)
 
 
+RIGIDITY_G = ["rigidity", "--group-g", "DOC", "--n", "2", "--group-h", "cyclic:2", "--m", "3"]
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["wreath-calc", "DOC"], {"n": 2, "bindings": {"x": {"g": 1, "sigma": [1, 0]}},
+                              "expr": "x"}),
+    (["wreath-calc", "DOC"], {"n": 2, "bindings": {"x": {"g": [1, 0], "sigma": [1, 0]}},
+                              "expr": ["inv"]}),
+    (RIGIDITY_G, {"table": [0]}),
+    ([a.replace("DOC", "cyclic:0") for a in RIGIDITY_G], None),
+], ids=["binding-g-not-a-list", "inv-without-operand", "table-row-not-a-list", "cyclic-0"])
+def test_misshapen_documents_are_usage_errors(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    _one_line_error_with_manifest(capsys, [a.replace("DOC", str(path)) for a in argv], tmp_path)
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["analyze", "1 1 / 1 0", "--json"]
     _, out1, _ = run(capsys, argv)

@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from stabdyn.codes import compose, find_inverse, shift_code
 from stabdyn.groups import cyclic_group, symmetric_group
-from stabdyn.sft import full_shift, make_edge_shift, word_count, words_of_length
+from stabdyn.sft import (ENTROPY_TOL, entropy, full_shift, make_edge_shift, word_count,
+                         words_of_length)
 from stabdyn.wreath import (WreathContext, wr_comm, wr_comm_definitional,
                             wr_conj, wr_conj_definitional, wr_inv, wr_mul)
+
+from test_sft import _dense_perron
 
 CONTEXTS = {
     "z6wr3": WreathContext(cyclic_group(6), 3),
@@ -59,3 +62,27 @@ def test_language_extension_property(k, length):
     shorter = set(words_of_length(sft, length - 1)) if length > 1 else {()}
     for w in words:
         assert w[:-1] in shorter and w[1:] in shorter
+
+
+@st.composite
+def irreducible_graphs(draw):
+    """1-40 states on a cycle through every state (weights 1-3), plus up to
+    2n chords or self-loops with weights 0-3."""
+    n = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(n)))
+    adj = [[0] * n for _ in range(n)]
+    for k in range(n):
+        adj[order[k]][order[(k + 1) % n]] = draw(st.integers(1, 3))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3))
+    for i, j, a in draw(st.lists(cell, max_size=2 * n)):
+        adj[i][j] = max(adj[i][j], a)
+    return adj
+
+
+@settings(max_examples=20, deadline=None)
+@given(irreducible_graphs())
+def test_entropy_is_the_dense_iteration_on_random_graphs(adj):
+    # the two-index pretest of the Perron kernel skips full Collatz-Wielandt
+    # scans; value and iteration count must still be the dense iteration's
+    result = entropy(make_edge_shift([str(i) for i in range(len(adj))], adj))
+    assert (result.perron_value, result.iterations) == _dense_perron(adj, ENTROPY_TOL, 200_000)

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter
 
 import pytest
 
+from stabdyn import sft as sft_mod
+from stabdyn.cli import main
 from stabdyn.errors import (EmptyShiftError, ParseError, ReducibleShiftError,
                             VerificationError)
-from stabdyn.sft import (EdgeShift, charpoly_coefficients, entropy, full_shift,
+from stabdyn.sft import (EdgeShift, bfs_levels, charpoly_coefficients, entropy, full_shift,
                          is_irreducible, is_mixing, make_edge_shift, mat_mul,
                          parse_edge_shift, period, period_by_cycles,
                          perron_root_by_charpoly, power_shift,
@@ -56,6 +59,10 @@ def test_parse_rejects_bad_matrices():
         parse_edge_shift('{"states": ["a"], "adjacency": [[true]]}')
     with pytest.raises(ParseError):  # two states named "a"
         parse_edge_shift('{"states": ["a", "a"], "adjacency": [[0, 1], [1, 0]]}')
+    for doc in ('{"states": ["a"], "adjacency": 5}', '{"states": ["a"], "adjacency": [5]}',
+                '{"states": 3, "adjacency": [[1]]}'):
+        with pytest.raises(ParseError):
+            parse_edge_shift(doc)
 
 
 def test_parse_structured_document():
@@ -333,6 +340,39 @@ def test_entropy_is_the_dense_iteration_bit_for_bit(graph_catalog):
                 best, its = max(best, lam), its + it
         result = entropy(sft)
         assert (result.perron_value, result.iterations) == (best, its), sft
+
+
+@pytest.mark.parametrize("seed", [1, 2])  # period 2, then period 1
+def test_one_analyze_builds_each_successor_table_once(monkeypatch, capsys, seed):
+    real, built = sft_mod._successors, Counter()
+
+    def counting(rows):
+        rows = tuple(map(tuple, rows))
+        built[rows] += 1
+        return real(rows)
+
+    sft = cycle_with_chords(64, 2, seed=seed)
+    text = " / ".join(" ".join(map(str, row)) for row in sft.adjacency)
+    monkeypatch.setattr(sft_mod, "_successors", counting)
+    assert main(["analyze", text]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # successors and predecessors of the input, and of the Smale component
+    # unless it is the input itself (period 1)
+    assert set(built.values()) == {1}
+    assert len(built) == (2 if doc["period"] == 1 else 4), doc["period"]
+
+
+def test_graph_facts_survive_caller_mutation():
+    sft = cycle_with_chords(64, 2, seed=1)
+    comps, levels = strongly_connected_components(sft), bfs_levels(sft)
+    expected_levels = list(levels)
+    comps[0].clear()
+    comps.append([99])
+    levels.reverse()
+    levels[0] = 5
+    assert strongly_connected_components(sft) == [list(range(64))]
+    assert bfs_levels(sft) == expected_levels and expected_levels[0] == 0
+    assert is_irreducible(sft) and period(sft) == period_by_cycles(sft) == 2
 
 
 def test_entropy_bits_do_not_depend_on_the_interpreter():
