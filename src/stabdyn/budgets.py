@@ -3,7 +3,9 @@
 Every potentially exponential operation checks a cap before it starts and
 raises BudgetExceededError instead of silently truncating.  The environment
 variable STABDYN_BUDGET (a positive integer) overrides every numeric cap at
-once; individual operations also accept an explicit ``budget=`` argument.
+once.  Language, power-shift, wreath, Sym(n) and rule-enumeration operations
+also accept an explicit ``budget=`` argument; the rest read
+``default_budget()`` where they check their cap.
 """
 
 from __future__ import annotations

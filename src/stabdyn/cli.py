@@ -22,15 +22,16 @@ import time
 
 from . import __version__
 from .codes import enumerate_automorphisms
-from .errors import ParseError, StabdynError
+from .errors import ParseError, StabdynError, VerificationError
 from .groups import (FiniteGroup, cyclic_group, direct_product, dihedral_square,
                      klein_group, quaternion_group, symmetric_group,
                      trivial_group)
 from .seqs import (check_example1_residues, check_example2_markers,
                    example1_word, example2_word)
 from .sft import (EdgeShift, entropy, is_irreducible, parse_edge_shift, period,
-                  power_shift)
-from .spectral import cyclic_partition, rational_eigs, smale
+                  period_by_cycles, perron_root_by_charpoly, power_shift)
+from .spectral import (cyclic_partition, exhaustive_partition_search,
+                       rational_eigs, smale)
 from .verify import (check_wreath_rigidity, compare_rational_eigs,
                      entropy_ratio, verify_quotient_isos, verify_split_sequence)
 from .wreath import (WreathContext, wr_comm, wr_conj, wr_inv, wr_mul)
@@ -207,9 +208,6 @@ def cmd_analyze(args) -> int:
 def _dual_path_checks(sft, p, ent) -> bool:
     """Runtime cross-checks: independent oracles must agree with the fast
     paths (raises VerificationError on a mismatch)."""
-    from .errors import VerificationError
-    from .sft import period_by_cycles, perron_root_by_charpoly
-    from .spectral import exhaustive_partition_search
     if period_by_cycles(sft) != p:
         raise VerificationError("cycle-enumeration period disagrees with BFS period")
     if sft.n_states <= 6:

@@ -26,8 +26,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .budgets import Budget, default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
                      ShiftMismatchError, WordError)
-from .sft import (EdgeShift, Word, derived_shift,
-                  strongly_connected_components)
+from .sft import (EdgeShift, Word, _state_graph, derived_shift,
+                  strongly_connected_components, word_to_str)
 from .spectral import CyclicPartition
 
 class SlidingBlockCode:
@@ -109,7 +109,6 @@ class SlidingBlockCode:
                                in zip(self.domain.language(1), outputs))
 
     def to_document(self) -> dict:
-        from .sft import word_to_str
         r2, outputs = self.canonical_key()
         return {
             "schema_version": 1,
@@ -317,24 +316,24 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     return found
 
 
-def _disjoint_components(sft: EdgeShift) -> Optional[list]:
+def _disjoint_components(sft: EdgeShift) -> Optional[tuple]:
     """When the graph is a disjoint union of strongly connected pieces,
-    return the per-component subshifts (step-1 derived presentations);
-    otherwise None."""
+    return the per-component subshifts (step-1 derived presentations) and
+    each state's component index; otherwise None."""
     comps = strongly_connected_components(sft)
     if len(comps) <= 1:
         return None
     comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
-    if any(a and comp_of[i] != comp_of[j]
-           for i, row in enumerate(sft.adjacency) for j, a in enumerate(row)):
+    if any(comp_of[j] != comp_of[i]
+           for i, succ in enumerate(_state_graph(sft)["succ"]) for j in succ):
         return None  # transient edge: fall back to direct search
-    return [derived_shift(sft, comp, 1) for comp in comps]
+    return [derived_shift(sft, comp, 1) for comp in comps], comp_of
 
 
-def _component_windows(sft: EdgeShift, comps: list, radius: int) -> list:
+def _component_windows(sft: EdgeShift, comps: list, comp_of: dict, radius: int) -> list:
     """(component index i, window id in comps[i]) for every admissible
-    (2r+1)-word of a disjoint union of components, in language order."""
-    comp_of = {s: i for i, sub in enumerate(comps) for s in sub.provenance.states}
+    (2r+1)-word of a disjoint union of components, in language order;
+    ``comp_of`` gives each state's component index."""
     width = 2 * radius + 1
     found = []
     for w in sft.language(width):
@@ -406,10 +405,11 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
     more than ``budget.enum_nodes`` of them.
     """
     budget = budget or default_budget()
-    comps = _disjoint_components(sft)
-    if comps is None:
+    split = _disjoint_components(sft)
+    if split is None:
         return AutomorphismSet(sft, radius, tuple(
             enumerate_conjugacies(sft, sft, radius, budget=budget)))
+    comps, comp_of = split
     k = len(comps)
     table = {(i, j): enumerate_conjugacies(comps[i], comps[j], radius, budget=budget)
              for i in range(k) for j in range(k)}
@@ -418,7 +418,7 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
     if count > budget.enum_nodes:
         raise BudgetExceededError(
             f"lifted stage of {count} codes exceeds {budget.enum_nodes} nodes")
-    windows = _component_windows(sft, comps, radius)
+    windows = _component_windows(sft, comps, comp_of, radius)
     symbols = [{sym: sub.to_parent((sym,))[0] for sym in sub.alphabet}
                for sub in comps]
     elements = [
@@ -496,9 +496,7 @@ class WordMap:
             raise WordError(f"word map produced {len(out)} symbols, expected {expected}")
         return out
 
-    def to_code(self, radius: Optional[int] = None) -> SlidingBlockCode:
-        r = max(self.left_loss, self.right_loss) if radius is None else radius
-        if r < self.left_loss or r < self.right_loss:
-            raise WordError("radius smaller than the word map's losses")
+    def to_code(self) -> SlidingBlockCode:
+        r = max(self.left_loss, self.right_loss)
         rule = [self.apply(w)[r - self.left_loss] for w in self.domain.language(2 * r + 1)]
         return SlidingBlockCode(self.domain, self.codomain, r, rule)

@@ -302,15 +302,6 @@ class FiniteGroup:
         table = [[index[self.mul(a, b)] for b in elems] for a in elems]
         return FiniteGroup(table, names=[self.names[x] for x in elems], check_axioms=False)
 
-    def to_document(self) -> dict:
-        return {
-            "schema_version": 1,
-            "order": self.order,
-            "table": [list(r) for r in self.table],
-            "generators": list(self.generators),
-            "names": list(self.names),
-        }
-
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
 
@@ -444,8 +435,7 @@ def _invariants(g: FiniteGroup) -> tuple:
     return signature, [(orders[x], class_size[x]) for x in range(g.order)]
 
 
-def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
-                  budget: Optional[Budget] = None) -> Optional[dict]:
+def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[dict]:
     """Exact isomorphism search.  Returns an explicit index bijection or None.
 
     Each generator of g is sent to an element of h with the same (element
@@ -459,8 +449,7 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
     length), and an injective one between groups of equal order is a
     bijection.
     """
-    budget = budget or default_budget()
-    check(g.order, budget.group_order, "isomorphism search order")
+    check(g.order, default_budget().group_order, "isomorphism search order")
     if g.order != h.order:
         return None
     signature_g, elements_g = _invariants(g)

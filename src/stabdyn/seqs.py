@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .budgets import Budget, check, default_budget
+from .budgets import check, default_budget
 
 MARKER_SYMBOL = "a"
 
@@ -33,12 +33,11 @@ def example1_marker(n: int) -> str:
     return "1" + "0" * (2 ** n - 1)
 
 
-def example1_word(level: int, budget: Optional[Budget] = None) -> str:
+def example1_word(level: int) -> str:
     """A_level with A_0 = "" and A_n = A_{n-1} A_{n-1} b_n; len = level*2^level."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    budget = budget or default_budget()
-    check(2 ** (level + 2), budget.word_count, "scheme-1 word length")
+    check(2 ** (level + 2), default_budget().word_count, "scheme-1 word length")
     word = ""
     for n in range(1, level + 1):
         word = word + word + example1_marker(n)
@@ -58,12 +57,11 @@ def sturmian_symbol(i: int) -> int:
     return _mechanical_floor(i + 1) - _mechanical_floor(i)
 
 
-def sturmian_prefix(length: int, budget: Optional[Budget] = None) -> str:
+def sturmian_prefix(length: int) -> str:
     """The mechanical word s(1) s(2) ... s(length); starts "10110"."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    budget = budget or default_budget()
-    check(length, budget.word_count, "Sturmian prefix length")
+    check(length, default_budget().word_count, "Sturmian prefix length")
     return "".join(str(sturmian_symbol(i)) for i in range(1, length + 1))
 
 
@@ -77,7 +75,7 @@ def example2_marker(n: int) -> str:
     return MARKER_SYMBOL + sturmian_prefix(3 ** n - 2) + MARKER_SYMBOL
 
 
-def example2_word(level: int, budget: Optional[Budget] = None) -> str:
+def example2_word(level: int) -> str:
     """A_level with A_0 = "aaa" and A_{n+1} = A_n b_{n+1} A_n.
 
     The recursion index is pinned by the length law len(A_n) = 3^(n+1),
@@ -85,8 +83,7 @@ def example2_word(level: int, budget: Optional[Budget] = None) -> str:
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    budget = budget or default_budget()
-    check(3 ** (level + 2), budget.word_count, "scheme-2 word length")
+    check(3 ** (level + 2), default_budget().word_count, "scheme-2 word length")
     word = MARKER_SYMBOL * 3
     for n in range(level):
         word = word + example2_marker(n + 1) + word
@@ -161,25 +158,23 @@ def marker_residues(text: str, marker: str, modulus: int, scheme: str = "custom"
                          residues, passes, residue, notes)
 
 
-def _prefix(word_of, n: int, level: int, depth: Optional[int],
-            budget: Optional[Budget]) -> tuple:
+def _prefix(word_of, n: int, level: int, depth: Optional[int]) -> tuple:
     """(level, word): the scheme's A_level for a marker-level-n check, grown
     level by level until it reaches ``depth`` and then cut to it (uncut when
     depth is None)."""
     if n < 1:
         raise ValueError("marker level must be >= 1")
-    word = word_of(level, budget)
+    word = word_of(level)
     while depth is not None and len(word) < depth:
         level += 1
-        word = word_of(level, budget)
+        word = word_of(level)
     return level, word[:depth]
 
 
-def check_example1_residues(n: int, depth: Optional[int] = None,
-                            budget: Optional[Budget] = None) -> ResidueReport:
+def check_example1_residues(n: int, depth: Optional[int] = None) -> ResidueReport:
     """Occurrences of b_n in the scheme-1 limit word, scanned to ``depth``
     (default: len(A_{n+3}))."""
-    _, word = _prefix(example1_word, n, n + 3, depth, budget)
+    _, word = _prefix(example1_word, n, n + 3, depth)
     return marker_residues(word, example1_marker(n), 2 ** n,
                            scheme="example1", marker_level=n)
 
@@ -188,12 +183,11 @@ _SCHEME2_NOTE = ("recursion index pinned by the length law len(A_n) = 3^(n+1): "
                  "A_{n+1} = A_n b_{n+1} A_n",)
 
 
-def check_example2_markers(n: int, depth: Optional[int] = None,
-                           budget: Optional[Budget] = None) -> ResidueReport:
+def check_example2_markers(n: int, depth: Optional[int] = None) -> ResidueReport:
     """Occurrences of b_n in the scheme-2 word, scanned to ``depth``
     (default: len(A_{n+2})), share a residue mod 3^n, and every marker-symbol
     position lies on the A_0 grid or inside a marker."""
-    level, word = _prefix(example2_word, n, n + 2, depth, budget)
+    level, word = _prefix(example2_word, n, n + 2, depth)
     report = marker_residues(word, example2_marker(n), 3 ** n,
                              scheme="example2", marker_level=n,
                              notes=_SCHEME2_NOTE)

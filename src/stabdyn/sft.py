@@ -191,16 +191,6 @@ class EdgeShift:
         blob = json.dumps(doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def to_document(self) -> dict:
-        return {
-            "schema_version": 1,
-            "states": list(self.states),
-            "adjacency": [list(r) for r in self.adjacency],
-            "alphabet": list(self.alphabet),
-            "normalization_log": list(self.normalization_log),
-            "matrix_hash": self.matrix_hash(),
-        }
-
     def __repr__(self) -> str:
         return f"EdgeShift(states={self.states!r}, adjacency={self.adjacency!r})"
 
@@ -422,10 +412,6 @@ class EntropyResult:
     log_value: float
     perron_value: float
     iterations: int
-
-    def to_document(self) -> dict:
-        return {"schema_version": 1, "entropy": self.log_value,
-                "perron_eigenvalue": self.perron_value, "iterations": self.iterations}
 
 
 def _perron_irreducible(matrix, cap: int):

@@ -4,8 +4,8 @@ transitivity of shift powers, for irreducible edge shifts.
 For an irreducible SFT the rational eigenvalue set equals the set of divisors
 of the period, and cyclic almost-partitions coincide with genuine cyclic
 partitions.  ``is_power_transitive`` decides transitivity of sigma^n by the
-formula gcd(n, period) = 1; with ``verify=True`` it cross-checks that answer
-against strong connectivity of the n-th power shift.
+formula gcd(n, period) = 1; the tests cross-check it against strong
+connectivity of the n-th power shift.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .errors import (NoSuchEigenvalueError, ReducibleShiftError,
                      VerificationError)
-from .sft import (EdgeShift, bfs_levels, derived_shift, is_irreducible,
-                  is_mixing, period, power_shift)
+from .sft import (EdgeShift, _state_graph, bfs_levels, derived_shift,
+                  is_irreducible, is_mixing, period)
 
 
 def divisors(n: int) -> tuple:
@@ -86,8 +86,8 @@ def _validate_partition(sft: EdgeShift, part: CyclicPartition) -> None:
         raise VerificationError("partition classes do not cover the states")
     m = part.size
     lookup = {v: k for k, cls in enumerate(part.classes) for v in cls}
-    if any(a and lookup[j] != (lookup[i] + 1) % m
-           for i, row in enumerate(sft.adjacency) for j, a in enumerate(row)):
+    if any(lookup[j] != (lookup[i] + 1) % m
+           for i, succ in enumerate(_state_graph(sft)["succ"]) for j in succ):
         raise VerificationError("edge does not advance the class by one")
     if 0 not in part.classes[0]:
         raise VerificationError("base state missing from class 0")
@@ -118,25 +118,11 @@ def exhaustive_partition_search(sft: EdgeShift, m: int) -> Optional[tuple]:
 @dataclass(frozen=True)
 class SmaleDecomposition:
     """Splitting into period-many cyclically permuted clopen pieces, each
-    mixing for the corresponding shift power."""
+    mixing for the corresponding shift power.  The component presents the
+    class-0 piece under sigma^period; its ``parent_paths`` map each component
+    symbol to the parent path it stands for."""
     period: int
     component_shift: EdgeShift
-    partition: CyclicPartition
-
-    @property
-    def path_dictionary(self) -> Mapping:
-        """Read-only map from each component edge symbol to its parent path."""
-        return self.component_shift.parent_paths
-
-    def to_document(self) -> dict:
-        return {
-            "schema_version": 1,
-            "period": self.period,
-            "component": self.component_shift.to_document(),
-            "partition": self.partition.to_document(),
-            "path_dictionary": {sym: list(w) for sym, w in sorted(self.path_dictionary.items())},
-            "matrix_hash": self.partition.shift.matrix_hash(),
-        }
 
 
 def class_restriction(sft: EdgeShift, part: CyclicPartition, power: int) -> EdgeShift:
@@ -156,24 +142,14 @@ def smale(sft: EdgeShift) -> SmaleDecomposition:
     component = class_restriction(sft, part, m)
     if not is_mixing(component):
         raise VerificationError("Smale component is not mixing")
-    return SmaleDecomposition(m, component, part)
+    return SmaleDecomposition(m, component)
 
 
 # -- transitivity of powers ---------------------------------------------------
 
 
-def is_power_transitive(sft: EdgeShift, n: int, verify: bool = False) -> bool:
-    """True iff sigma^n acts transitively, i.e. gcd(n, period) = 1.
-
-    With ``verify`` the answer is cross-checked against strong connectivity of
-    the n-th power shift.
-    """
+def is_power_transitive(sft: EdgeShift, n: int) -> bool:
+    """True iff sigma^n acts transitively, i.e. gcd(n, period) = 1."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    answer = math.gcd(n, period(sft)) == 1
-    if verify:
-        graph = is_irreducible(power_shift(sft, n))
-        if graph != answer:
-            raise VerificationError(
-                f"transitivity formula ({answer}) disagrees with connectivity ({graph})")
-    return answer
+    return math.gcd(n, period(sft)) == 1

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .budgets import Budget
 from .codes import (AutomorphismSet, SlidingBlockCode, compose,
                     enumerate_automorphisms, factor_key, gather,
                     partition_action, regroup)
@@ -243,8 +242,8 @@ def _check(name: str, failures) -> CheckResult:
     return CheckResult(name, fail is None, fail or "")
 
 
-def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
-                          budget: Optional[Budget] = None) -> WreathDecompositionReport:
+def verify_split_sequence(sft: EdgeShift, n: int, m: int,
+                          radius: int) -> WreathDecompositionReport:
     """Verify the split exact sequence
     1 -> Aut(s^{nm} on X_m)^m -> Aut(s^{nm}) -> Sym(m) -> 1 on the enumerated
     radius-bounded stage: pi.rho = id, ker pi = im psi, the conjugation
@@ -258,7 +257,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
     if r_eff != radius:
         notes.append(f"enumeration radius reduced from {radius} to {r_eff} "
                      f"(power-presentation language size)")
-    autos = enumerate_automorphisms(inst.power, r_eff, budget=budget)
+    autos = enumerate_automorphisms(inst.power, r_eff)
 
     # pi on the enumerated stage
     pi_of: dict = {}
@@ -299,7 +298,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int, radius: int,
 
     # component stage and psi tuples
     r_comp = _effective_radius(inst.component, max(radius, 1))
-    comp_autos = enumerate_automorphisms(inst.component, r_comp, budget=budget)
+    comp_autos = enumerate_automorphisms(inst.component, r_comp)
     tuples = list(itertools.islice(
         itertools.product(range(len(comp_autos.elements)), repeat=m), MAX_TUPLES))
 
@@ -484,8 +483,7 @@ def _quotient_group(autos: AutomorphismSet, step: int):
         return None
 
 
-def verify_quotient_isos(sft: EdgeShift, m: int, radius: int, *,
-                         budget: Optional[Budget] = None) -> QuotientReport:
+def verify_quotient_isos(sft: EdgeShift, m: int, radius: int) -> QuotientReport:
     """Check, on radius-bounded stages, that
     (ii) Aut(T)/<T> ~ Aut(T^m on X_m)/<T^m on X_m> and
     (i)  Aut(T)/<T^m> ~ (that group) x Z/mZ,
@@ -494,9 +492,9 @@ def verify_quotient_isos(sft: EdgeShift, m: int, radius: int, *,
     if m != p:
         raise NoSuchEigenvalueError(f"quotient comparison needs m = period = {p}")
     dec = smale(sft)
-    lhs = enumerate_automorphisms(sft, radius, budget=budget)
+    lhs = enumerate_automorphisms(sft, radius)
     r_comp = _effective_radius(dec.component_shift, max(radius, 1))
-    rhs = enumerate_automorphisms(dec.component_shift, r_comp, budget=budget)
+    rhs = enumerate_automorphisms(dec.component_shift, r_comp)
 
     lhs_mod_shift = _quotient_group(lhs, 1)
     lhs_mod_power = _quotient_group(lhs, m)
@@ -545,25 +543,24 @@ class RigidityReport:
 
 
 def check_wreath_rigidity(base_g: FiniteGroup, n: int, base_h: FiniteGroup, m: int,
-                          name_g: str = "G", name_h: str = "H",
-                          budget: Optional[Budget] = None) -> RigidityReport:
+                          name_g: str = "G", name_h: str = "H") -> RigidityReport:
     """Materialize G wr Sym(n) and H wr Sym(m) and search for an isomorphism.
     A found isomorphism with n != m, or n = m >= 4 with non-isomorphic bases,
     contradicts wreath rigidity and is flagged THEOREM-VIOLATION."""
-    wg = wreath_group(base_g, n, budget)
+    wg = wreath_group(base_g, n)
     # the search reads only h's table, so an equal base table needs no second copy
-    wh = wg if m == n and base_h.table == base_g.table else wreath_group(base_h, m, budget)
+    wh = wg if m == n and base_h.table == base_g.table else wreath_group(base_h, m)
     if wg.order != wh.order:
         return RigidityReport(name_g, n, name_h, m, wg.order, wh.order, None,
                               "consistent", "orders differ; no isomorphism possible")
-    phi = is_isomorphic(wg, wh, budget)
+    phi = is_isomorphic(wg, wh)
     iso = phi is not None
     if iso and n != m and n >= 2 and m >= 2:
         return RigidityReport(name_g, n, name_h, m, wg.order, wh.order, True,
                               "THEOREM-VIOLATION",
                               "isomorphic wreath products with different arities")
     if iso and n == m and n >= 4:
-        if is_isomorphic(base_g, base_h, budget) is None:
+        if is_isomorphic(base_g, base_h) is None:
             return RigidityReport(name_g, n, name_h, m, wg.order, wh.order, True,
                                   "THEOREM-VIOLATION",
                                   "isomorphic wreaths, arity >= 4, bases differ")

@@ -1,14 +1,16 @@
-"""Source hygiene: every name a module of the package imports is read
-somewhere in that module, every private helper the package defines is named
-somewhere in it, and every public module-level name that no package module
-names has a stated reason to stay (stdlib ``ast`` only, no linter needed)."""
+"""Source hygiene: every name a module of the package or of the tests
+imports is read somewhere in that module, every private helper the package
+defines is named somewhere in it, and every public module-level name that no
+package module names, and every defaulted parameter that no package call
+sets, has a stated reason to stay (stdlib ``ast`` only, no linter needed)."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stabdyn"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "stabdyn"
 
 
 def unused_imports(source: str) -> list:
@@ -45,7 +47,9 @@ def test_scan_finds_unused_and_keeps_read_names():
 
 
 def test_package_modules_read_every_import():
+    # the test modules too: a fixture or helper is imported to be read
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules += sorted(TESTS.glob("*.py"))
     assert modules
     unused = {p.name: names for p in modules
               if (names := unused_imports(p.read_text(encoding="utf-8")))}
@@ -144,3 +148,80 @@ KEPT_PUBLIC = {
 def test_public_names_without_a_package_caller_are_kept_on_purpose():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreached_public_names(sources) == sorted(KEPT_PUBLIC)
+
+
+def unset_parameters(sources: dict) -> list:
+    """"module.function(parameter)" for every defaulted parameter of a
+    function or method defined in ``sources`` (module name -> source) that
+    no call in any of them sets, by keyword or by position, sorted.  Calls
+    are matched by the called name (``f(...)`` or ``x.f(...)``); a call of a
+    class name stands for its ``__init__``, and a ``*args`` or ``**kwargs``
+    argument sets every parameter it can reach."""
+    defaults, calls = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(node): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                cls = methods.get(id(node))
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                skip = 1 if cls is not None and not static else 0  # self or cls
+                called = cls.name if node.name == "__init__" and cls is not None else node.name
+                label = f"{module}.{cls.name + '.' if cls is not None else ''}{node.name}"
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                defaults += [(called, label, p.arg, i - skip)
+                             for i, p in enumerate(positional) if i >= first]
+                defaults += [(called, label, p.arg, None)
+                             for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, name, index):
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        return index is not None and (len(call.args) > index or any(
+            isinstance(a, ast.Starred) for a in call.args))
+
+    return sorted(f"{label}({name})" for called, label, name, index in defaults
+                  if not any(sets(call, name, index) for call in calls.get(called, ())))
+
+
+def test_parameter_scan_sees_keyword_positional_and_init_calls():
+    sources = {
+        "a": ("def f(x, k=1, *, flag=False): return x\n"
+              "def g(y=2): return y\n"
+              "def h(z=3): return z\n"
+              "class C:\n"
+              "    def __init__(self, size=0, name=''): self.size = size\n"
+              "    def m(self, step=1): return step\n"),
+        "b": ("from a import C, f, g, h\n"
+              "f(1, flag=True)\n"
+              "g(5)\n"
+              "h(*[])\n"
+              "C(3).m()\n"),
+    }
+    assert unset_parameters(sources) == ["a.C.__init__(name)", "a.C.m(step)", "a.f(k)"]
+
+
+# Defaulted parameters that no package call sets, each with the reason it stays.
+KEPT_PARAMETERS = {
+    "cli.main(argv)": "tests and bench/ pass the argument list",
+    "sft.entropy(iteration_cap)": "a test reaches IterationCapError through it",
+    "sft.words_of_length(budget)": "test_budgets sets this cap",
+    "sft.power_shift(budget)": "test_budgets sets this cap",
+    "wreath.wreath_group(budget)": "test_budgets sets this cap",
+    "wreath.normal_subgroups_sym(budget)": "test_budgets sets this cap",
+    "codes.enumerate_automorphisms(budget)": "test_budgets and test_codes set this cap",
+    "seqs.check_example1_residues(depth)": "the CLI passes --depth through its EXAMPLES table",
+    "seqs.check_example2_markers(depth)": "the CLI passes --depth through its EXAMPLES table",
+}
+
+
+def test_package_parameters_are_set_somewhere():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unset_parameters(sources) == sorted(KEPT_PARAMETERS)

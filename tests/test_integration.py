@@ -4,15 +4,13 @@ determinism, document serialization surfaces."""
 from __future__ import annotations
 
 import json
-import math
 import subprocess
 import sys
 
 from stabdyn import cli
-from stabdyn.sft import entropy, full_shift
-from stabdyn.spectral import cyclic_partition, smale
+from stabdyn.spectral import cyclic_partition
 
-from conftest import doubled_cycle, doubled_loop_period2
+from conftest import doubled_cycle
 
 
 def run_cli(argv):
@@ -60,23 +58,6 @@ def test_cli_partition_error_exit_code():
     proc = run_cli(["partition", "1 1 / 1 0", "-m", "2"])
     assert proc.returncode == 1
     assert "eigenvalue" in proc.stderr
-
-
-def test_entropy_result_document():
-    doc = entropy(full_shift(4)).to_document()
-    assert doc["schema_version"] == 1
-    assert abs(doc["entropy"] - math.log(4)) < 1e-12
-    assert doc["perron_eigenvalue"] == 4.0
-
-
-def test_smale_document_embeds_hash():
-    sft = doubled_loop_period2()
-    doc = smale(sft).to_document()
-    assert doc["matrix_hash"] == sft.matrix_hash()
-    assert doc["period"] == 2
-    assert doc["component"]["adjacency"] == [[2]]
-    assert doc["partition"]["classes"] == [["0"], ["1"]]
-    assert all(len(path) == 2 for path in doc["path_dictionary"].values())
 
 
 def test_partition_document_embeds_hash():

@@ -7,9 +7,10 @@ import math
 
 import pytest
 
-from stabdyn.errors import NoSuchEigenvalueError
-from stabdyn.sft import entropy, full_shift, is_irreducible, is_mixing
-from stabdyn.spectral import (class_restriction, cyclic_partition, divisors,
+from stabdyn.errors import NoSuchEigenvalueError, VerificationError
+from stabdyn.sft import entropy, full_shift, is_irreducible, is_mixing, power_shift
+from stabdyn.spectral import (CyclicPartition, _validate_partition,
+                              class_restriction, cyclic_partition, divisors,
                               exhaustive_partition_search, is_power_transitive,
                               rational_eigs, smale)
 
@@ -60,6 +61,13 @@ def test_cyclic_partition_size_one_is_everything(graph_catalog):
 def test_cyclic_partition_rejects_non_eigenvalue():
     with pytest.raises(NoSuchEigenvalueError):
         cyclic_partition(golden_mean(), 2)
+
+
+def test_partition_check_rejects_an_edge_that_keeps_its_class():
+    # the 3-cycle 0 -> 1 -> 2 -> 0 as {0}, {1, 2}: the edge 1 -> 2 stays in class 1
+    sft = cycle_graph(3)
+    with pytest.raises(VerificationError, match="advance"):
+        _validate_partition(sft, CyclicPartition(2, (frozenset({0}), frozenset({1, 2})), sft))
 
 
 def coarsen(part, q: int) -> tuple:
@@ -121,7 +129,7 @@ def test_smale_path_dictionary_consistent(graph_catalog):
     for name, sft, p in graph_catalog:
         dec = smale(sft)
         comp = dec.component_shift
-        for sym, path in dec.path_dictionary.items():
+        for sym, path in comp.parent_paths.items():
             assert len(path) == p
             assert sft.is_admissible(path)
             assert comp.states[comp.tail(sym)] == sft.states[sft.tail(path[0])]
@@ -131,17 +139,18 @@ def test_smale_path_dictionary_consistent(graph_catalog):
 # -- transitivity of powers --------------------------------------------------------
 
 def test_power_transitivity_examples():
-    assert not is_power_transitive(cycle_graph(2), 2, verify=True)
-    assert is_power_transitive(cycle_graph(2), 3, verify=True)
+    assert not is_power_transitive(cycle_graph(2), 2)
+    assert is_power_transitive(cycle_graph(2), 3)
     for n in range(1, 7):
-        assert is_power_transitive(full_shift(2), n, verify=True)
+        assert is_power_transitive(full_shift(2), n)
 
 
 def test_power_transitivity_matches_connectivity(graph_catalog):
     for name, sft, p in graph_catalog:
         for n in range(1, 13):
-            assert is_power_transitive(sft, n, verify=True) == (math.gcd(n, p) == 1), \
-                (name, n)
+            formula = is_power_transitive(sft, n)
+            assert formula == (math.gcd(n, p) == 1), (name, n)
+            assert formula == is_irreducible(power_shift(sft, n)), (name, n)
 
 
 # -- restricted transitivity -----------------------------------------------------------
