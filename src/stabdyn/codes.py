@@ -457,7 +457,7 @@ def partition_action(code: SlidingBlockCode, part: CyclicPartition) -> tuple:
         raise ShiftMismatchError(
             f"power step {step} is not a multiple of the partition size {m}")
 
-    clazz = {symbol: part.class_of_state(state_map[code.domain.tail(symbol)])
+    clazz = {symbol: part.class_of[state_map[code.domain.tail(symbol)]]
              for symbol in code.domain.alphabet}
     mapping: dict = {}
     r = code.radius

@@ -408,13 +408,14 @@ def klein_group() -> FiniteGroup:
 # -- alternating subgroup and the Klein normal subgroup of Sym(4) ------------------
 
 
-def alternating_subset(sym: FiniteGroup, n: int) -> frozenset:
+def alternating_subset(n: int) -> frozenset:
     """Indices of even permutations inside symmetric_group(n)."""
     perms = all_perms(n)
     return frozenset(i for i, p in enumerate(perms) if perm_sign(p) == 1)
 
 
-def klein_subset_sym4(sym4: FiniteGroup) -> frozenset:
+def klein_subset_sym4() -> frozenset:
+    """Indices of the Klein four-group inside symmetric_group(4)."""
     perms = all_perms(4)
     target = {identity_perm(4), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
     return frozenset(i for i, p in enumerate(perms) if p in target)

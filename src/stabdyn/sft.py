@@ -5,9 +5,11 @@ Edges are the alphabet.  A derived presentation (a power shift, a class
 restriction, a component) records its provenance: parent shift, parent states
 and step.  All values are immutable after construction and every operation is
 a pure function, so the module is safe for concurrent use; tables are built on
-first use: path dictionaries per shift, and languages, word indices, sub-window
-index tables, automorphism stages and the state graph's successors,
-predecessors, SCCs and BFS levels once per (``root``, adjacency).
+first use: path dictionaries per shift, and the edge tables (alphabet, tails,
+heads, out-edges), languages, word indices, sub-window index tables,
+automorphism stages and the state graph's predecessors, SCCs and BFS levels
+once per (``root``, adjacency).  So a shift costs its matrix, not its edge
+count, until something reads its edges.
 """
 
 from __future__ import annotations
@@ -32,14 +34,10 @@ ENTROPY_TOL, CHARPOLY_TOL = 1e-12, 1e-13  # power iteration gap, root bracket
 Word = tuple  # tuple of edge symbols (strings)
 
 
-_E_NAMES: list = []  # "e0", "e1", ...: one shared sequence, grown on demand and sliced
-
-
 def _edge_symbols(count: int) -> list:
     if count <= len(_CHARS):
-        return [_CHARS[i] for i in range(count)]
-    _E_NAMES.extend(f"e{i}" for i in range(len(_E_NAMES), count))
-    return _E_NAMES[:count]
+        return list(_CHARS[:count])
+    return [f"e{i}" for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class EdgeShift:
     edges from state i to state j.  The adjacency must be a square matrix of
     nonnegative integers: ``make_edge_shift`` checks outside input, and
     derived presentations compute theirs.  The edge alphabet is derived from
-    the adjacency in (tail, head, parallel-index) order.
+    the adjacency in (tail, head, parallel-index) order, on first read.
 
     ``provenance`` is set when this shift presents a power, a class
     restriction or a component of another shift (see ``derived_shift``);
@@ -79,25 +77,46 @@ class EdgeShift:
         self._path_tables = None
         if provenance is None:  # adjacency -> tables shared by equal presentations
             self._tables: dict = {}
-        self._languages, self._word_ids, self._subwindows, self._stages, self._graph = \
-            self.root._tables.setdefault(self.adjacency, ({}, {}, {}, {}, {}))
+        (self._languages, self._word_ids, self._subwindows, self._stages, self._graph,
+         self._edges, self._tails, self._heads) = self.root._tables.setdefault(
+            self.adjacency, tuple({} for _ in range(8)))
         succ = self._graph.get("succ") or \
             self._graph.setdefault("succ", _successors(self.adjacency))
-
-        # edges run in (tail, head, parallel-index) order, read off the
-        # nonzero cells only: state i's out-edges are symbols starts[i]..starts[i+1]
-        sums = list(map(sum, self.adjacency))
-        starts = list(accumulate(sums, initial=0))
-        symbols = _edge_symbols(starts[-1])
-        self.alphabet = tuple(symbols)
-        self._tails = dict(zip(symbols, chain.from_iterable(map(repeat, range(len(sums)), sums))))
-        self._heads = dict(zip(symbols, chain.from_iterable(
-            repeat(j, row[j]) for row, nbrs in zip(self.adjacency, succ) for j in nbrs)))
-        self.out_edges = tuple(tuple(symbols[a:b]) for a, b in zip(starts, starts[1:]))
         entered = set(chain.from_iterable(succ))
         for i, nbrs in enumerate(succ):
             if not nbrs or i not in entered:
                 raise ParseError(f"state {states[i]!r} is not essential; normalize first")
+
+    # -- edge tables ---------------------------------------------------------
+
+    def _edge_tables(self) -> dict:
+        """``alphabet`` and ``out_edges``, with the shared tail and head maps
+        filled in place: built on first use, once per (``root``, adjacency).
+        Edges run in (tail, head, parallel-index) order, read off the nonzero
+        cells only: state i's out-edges are symbols starts[i]..starts[i+1]."""
+        if not self._edges:
+            sums = list(map(sum, self.adjacency))
+            starts = list(accumulate(sums, initial=0))
+            symbols = _edge_symbols(starts[-1])
+            self._tails.update(zip(symbols, chain.from_iterable(
+                map(repeat, range(len(sums)), sums))))
+            self._heads.update(zip(symbols, chain.from_iterable(
+                repeat(j, row[j]) for row, nbrs in zip(self.adjacency, self._graph["succ"])
+                for j in nbrs)))
+            out_edges = tuple(tuple(symbols[a:b]) for a, b in zip(starts, starts[1:]))
+            self._edges.update(alphabet=tuple(symbols), out_edges=out_edges,
+                               tails=self._tails, heads=self._heads)
+        return self._edges
+
+    # properties, not cached attributes: a write through ``__dict__`` would cost
+    # the shift its compact attribute storage, and every hot method its speed
+    @property
+    def alphabet(self) -> tuple:
+        return self._edge_tables()["alphabet"]
+
+    @property
+    def out_edges(self) -> tuple:
+        return self._edge_tables()["out_edges"]
 
     # -- provenance and language ------------------------------------------
 
@@ -172,19 +191,20 @@ class EdgeShift:
     def n_states(self) -> int:
         return len(self.states)
 
+    # the tail and head maps are plain dict reads once ``_edge_tables`` has filled them
     def tail(self, symbol: str) -> int:
-        return self._tails[symbol]
+        return (self._tails or self._edge_tables()["tails"])[symbol]
 
     def head(self, symbol: str) -> int:
-        return self._heads[symbol]
+        return (self._heads or self._edge_tables()["heads"])[symbol]
 
     def follows(self, a: str, b: str) -> bool:
         """True when edge b may follow edge a (head of a = tail of b)."""
-        return self._heads[a] == self._tails[b]
+        return (self._heads or self._edge_tables()["heads"])[a] == self._tails[b]
 
     def is_admissible(self, word: Word) -> bool:
-        return all(w in self._tails for w in word) and \
-            all(map(self.follows, word, word[1:]))
+        tails = self._tails or self._edge_tables()["tails"]
+        return all(w in tails for w in word) and all(map(self.follows, word, word[1:]))
 
     def matrix_hash(self) -> str:
         doc = {"states": list(self.states), "adjacency": [list(r) for r in self.adjacency]}
@@ -281,7 +301,6 @@ def full_shift(k: int) -> EdgeShift:
 
 
 def mat_mul(a, b):
-    n = len(a)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
@@ -558,7 +577,8 @@ def derived_shift(parent: EdgeShift, states: Sequence[int], step: int) -> EdgeSh
     states = tuple(states)
     an = mat_pow(parent.adjacency, step)
     chosen = set(states)
-    if any(an[i][j] for i in states for j in range(parent.n_states) if j not in chosen):
+    if len(chosen) < parent.n_states and \
+            any(an[i][j] for i in states for j in range(parent.n_states) if j not in chosen):
         raise VerificationError(f"length-{step} path escaped the chosen states")
     return EdgeShift([parent.states[i] for i in states],
                      [[an[i][j] for j in states] for i in states],
@@ -571,8 +591,9 @@ def power_shift(sft: EdgeShift, n: int, budget: Optional[Budget] = None) -> Edge
     if n < 1:
         raise ParseError("power must be >= 1")
     budget = budget or default_budget()
-    check(word_count(sft, n), budget.path_count, "power shift path count")
-    return derived_shift(sft, range(sft.n_states), n)
+    power = derived_shift(sft, range(sft.n_states), n)
+    check(sum(map(sum, power.adjacency)), budget.path_count, "power shift path count")
+    return power
 
 
 # -- language enumeration ---------------------------------------------------

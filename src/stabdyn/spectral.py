@@ -38,19 +38,19 @@ def rational_eigs(sft: EdgeShift) -> frozenset:
 class CyclicPartition:
     """Ordered state classes realizing the partition (T^k X_m : 0 <= k < m).
 
-    Class k holds the states at BFS level congruent to k mod m from the base
+    ``class_of[v]`` is the class of state v: its BFS level mod m from the base
     state (the lowest identifier), so the base state always lies in class 0.
     X_m is the union of cylinders over edges leaving class-0 states.
     """
     size: int
-    classes: tuple  # tuple of frozenset of state indices
+    class_of: tuple  # state index -> class index
     shift: EdgeShift
 
-    def class_of_state(self, state: int) -> int:
-        for k, cls in enumerate(self.classes):
-            if state in cls:
-                return k
-        raise ValueError(f"state {state} not in any class")
+    @property
+    def classes(self) -> tuple:
+        """Each class as a frozenset of state indices, in class order."""
+        return tuple(frozenset(v for v, c in enumerate(self.class_of) if c == k)
+                     for k in range(self.size))
 
     def to_document(self) -> dict:
         states = self.shift.states
@@ -68,28 +68,17 @@ def cyclic_partition(sft: EdgeShift, m: int) -> CyclicPartition:
     p = period(sft)
     if m < 1 or p % m != 0:
         raise NoSuchEigenvalueError(f"{m} is not a rational eigenvalue (period {p})")
-    levels = bfs_levels(sft)
-    classes = tuple(frozenset(v for v in range(sft.n_states) if levels[v] % m == k)
-                    for k in range(m))
-    part = CyclicPartition(m, classes, sft)
+    part = CyclicPartition(m, tuple(level % m for level in bfs_levels(sft)), sft)
     _validate_partition(sft, part)
     return part
 
 
 def _validate_partition(sft: EdgeShift, part: CyclicPartition) -> None:
-    seen = set()
-    for cls in part.classes:
-        if seen & cls:
-            raise VerificationError("partition classes overlap")
-        seen |= cls
-    if seen != set(range(sft.n_states)):
-        raise VerificationError("partition classes do not cover the states")
-    m = part.size
-    lookup = {v: k for k, cls in enumerate(part.classes) for v in cls}
-    if any(lookup[j] != (lookup[i] + 1) % m
+    m, class_of = part.size, part.class_of
+    if any(class_of[j] != (class_of[i] + 1) % m
            for i, succ in enumerate(_state_graph(sft)["succ"]) for j in succ):
         raise VerificationError("edge does not advance the class by one")
-    if 0 not in part.classes[0]:
+    if class_of[0] != 0:
         raise VerificationError("base state missing from class 0")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -60,16 +60,13 @@ class SplitInstance:
 
     @staticmethod
     def build(base: EdgeShift, n: int, m: int) -> "SplitInstance":
-        p = period(base)
-        if m < 1 or p % m != 0:
-            raise NoSuchEigenvalueError(f"{m} is not a rational eigenvalue (period {p})")
-        if not is_power_transitive(base, n):
-            raise StabdynError(f"sigma^{n} is not transitive (period {p})")
-        stride = n * m
         part = cyclic_partition(base, m)
+        if not is_power_transitive(base, n):
+            raise StabdynError(f"sigma^{n} is not transitive (period {period(base)})")
+        stride = n * m
         power = power_shift(base, stride)
         component = class_restriction(base, part, stride)
-        piece = {sym: part.class_of_state(power.tail(sym)) for sym in power.alphabet}
+        piece = {sym: part.class_of[power.tail(sym)] for sym in power.alphabet}
         to_power = {sym: power.from_parent(component.to_parent((sym,)))[0]
                     for sym in component.alphabet}
         to_component = {y: z for z, y in to_power.items()}
@@ -158,7 +155,7 @@ class CheckResult:
     detail: str = ""
 
     def to_document(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -406,19 +403,7 @@ class QuotientReport:
         return self.status != "fail"
 
     def to_document(self) -> dict:
-        return {
-            "schema_version": 1,
-            "matrix_hash": self.matrix_hash,
-            "m": self.m,
-            "radius": self.radius,
-            "status": self.status,
-            "lhs_mod_shift_order": self.lhs_mod_shift_order,
-            "lhs_mod_power_order": self.lhs_mod_power_order,
-            "rhs_order": self.rhs_order,
-            "item_i_isomorphic": self.item_i_isomorphic,
-            "item_ii_isomorphic": self.item_ii_isomorphic,
-            "detail": self.detail,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def shifted_key(code: SlidingBlockCode, j: int, rho: int):

@@ -126,7 +126,7 @@ def test_acceptance_03_normal_subgroup_structure():
             found = normal_subgroups_sym(m)  # raises if off-classification
             expected_count = 4 if m == 4 else (3 if m >= 3 else 2)
             assert len(found) == expected_count, m
-        v = klein_subset_sym4(symmetric_group(4))
+        v = klein_subset_sym4()
         assert v in normal_subgroups_sym(4)
 
 

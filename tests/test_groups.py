@@ -123,14 +123,14 @@ def test_normal_subgroups_sym3():
     s3 = symmetric_group(3)
     normals = s3.normal_subgroups()
     assert sorted(len(n) for n in normals) == [1, 3, 6]
-    assert alternating_subset(s3, 3) in normals
+    assert alternating_subset(3) in normals
 
 
 def test_normal_subgroups_sym4_include_klein():
     s4 = symmetric_group(4)
     normals = s4.normal_subgroups()
     assert sorted(len(n) for n in normals) == [1, 4, 12, 24]
-    assert klein_subset_sym4(s4) in normals
+    assert klein_subset_sym4() in normals
 
 
 def test_centralizer_of_identity_is_whole_group():

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package or of the tests
 imports is read somewhere in that module, every private helper the package
-defines is named somewhere in it, and every public module-level name that no
-package module names, and every defaulted parameter that no package call
-sets, has a stated reason to stay (stdlib ``ast`` only, no linter needed)."""
+defines is named somewhere in it, every parameter of a package function is
+read by its body, and every public module-level name that no package module
+names, and every defaulted parameter that no package call sets, has a stated
+reason to stay (stdlib ``ast`` only, no linter needed)."""
 
 from __future__ import annotations
 
@@ -225,3 +226,42 @@ KEPT_PARAMETERS = {
 def test_package_parameters_are_set_somewhere():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unset_parameters(sources) == sorted(KEPT_PARAMETERS)
+
+
+def unread_parameters(sources: dict) -> list:
+    """"module.function(parameter)" for every parameter of a function or
+    method defined in ``sources`` (module name -> source) that its body never
+    reads, ``self`` and ``cls`` excepted, sorted."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                          + [args.vararg, args.kwarg] if a is not None]
+                read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found += [f"{module}.{node.name}({p})" for p in params
+                          if p not in read and p not in ("self", "cls")]
+    return sorted(found)
+
+
+def test_unread_scan_sees_nested_reads_and_overwrites():
+    sources = {
+        "a": ("def f(x, unused, *args, **kwargs):\n"
+              "    def inner(): return x + len(args)\n"
+              "    return inner\n"
+              "def g(y, z=0):\n"
+              "    y = 1\n"
+              "    return z\n"
+              "class C:\n"
+              "    def m(self, step): return self\n"
+              "    @classmethod\n"
+              "    def make(cls, size): return cls(size)\n"),
+    }
+    assert unread_parameters(sources) == ["a.f(kwargs)", "a.f(unused)", "a.g(y)", "a.m(step)"]
+
+
+def test_package_functions_read_every_parameter():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_parameters(sources) == []

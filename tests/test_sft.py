@@ -10,12 +10,13 @@ from collections import Counter
 import pytest
 
 from stabdyn import sft as sft_mod
+from stabdyn.budgets import Budget
 from stabdyn.cli import main
-from stabdyn.errors import (EmptyShiftError, ParseError, ReducibleShiftError,
-                            VerificationError)
-from stabdyn.sft import (EdgeShift, bfs_levels, charpoly_coefficients, entropy, full_shift,
-                         is_irreducible, is_mixing, make_edge_shift, mat_mul,
-                         parse_edge_shift, period, period_by_cycles,
+from stabdyn.errors import (BudgetExceededError, EmptyShiftError, ParseError,
+                            ReducibleShiftError, VerificationError)
+from stabdyn.sft import (EdgeShift, bfs_levels, charpoly_coefficients, derived_shift,
+                         entropy, full_shift, is_irreducible, is_mixing,
+                         make_edge_shift, mat_mul, parse_edge_shift, period, period_by_cycles,
                          perron_root_by_charpoly, power_shift,
                          strongly_connected_components, word_count,
                          words_of_length)
@@ -90,6 +91,25 @@ def test_edge_tables_follow_the_edge_order(graph_catalog):
             assert sft.out_edges[i] == tuple(sym for sym, tail, _ in edges if tail == i)
         assert all(sft.tail(sym) == tail and sft.head(sym) == head
                    for sym, tail, head in edges)
+
+
+def _path_budget_fails():
+    with pytest.raises(BudgetExceededError):
+        power_shift(full_shift(2), 3, budget=Budget(path_count=4))  # 8 paths > 4
+
+
+@pytest.mark.parametrize("run", [
+    lambda: main(["analyze", "1000000"]),
+    lambda: main(["entropy-ratio", "0 1000 / 1000 0", "2"]),
+    _path_budget_fails,
+], ids=["analyze", "entropy-ratio", "path-budget"])
+def test_adjacency_work_names_no_edge(monkeypatch, capsys, run):
+    # entropy, period, Smale pieces and budget checks read the adjacency
+    # only, so they build no edge table, however many edges the matrix has
+    real, counts = sft_mod._edge_symbols, []
+    monkeypatch.setattr(sft_mod, "_edge_symbols", lambda n: counts.append(n) or real(n))
+    run()
+    assert counts == []
 
 
 def test_edge_shift_requires_essential_states():
@@ -402,6 +422,9 @@ def test_power_shift_two_cycle_squared():
     assert p.adjacency == ((1, 0), (0, 1))
     assert not is_irreducible(p)
     assert len(strongly_connected_components(p)) == 2
+    # the two equal one-loop pieces of one presentation share their edge tables
+    first, second = (derived_shift(p, comp, 1) for comp in strongly_connected_components(p))
+    assert first.alphabet is second.alphabet
 
 
 def test_power_shift_golden_mean_squared():

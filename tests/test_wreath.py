@@ -336,7 +336,7 @@ def test_normal_subgroups_sym_3_4_5():
         found = normal_subgroups_sym(m)
         assert sorted(len(s) for s in found) == sizes
     s4 = symmetric_group(4)
-    v = klein_subset_sym4(s4)
+    v = klein_subset_sym4()
     assert v in normal_subgroups_sym(4)
     # V consists of the identity and the three double transpositions
     names = sorted(s4.names[i] for i in v)
@@ -350,7 +350,7 @@ def test_equal_size_normal_chains_coincide():
     # |L| = |L'| implies L = L'
     for m in range(2, 7):
         sym = symmetric_group(m)
-        v = klein_subset_sym4(sym) if m == 4 else None
+        v = klein_subset_sym4() if m == 4 else None
         for k_set in sym.normal_subgroups():
             if v is not None and k_set == v:
                 continue
@@ -366,7 +366,7 @@ def test_equal_size_normal_chains_coincide():
 def test_klein_group_violates_equal_size_uniqueness():
     # negative control: V has three distinct normal subgroups of order 2
     s4 = symmetric_group(4)
-    v = s4.subgroup_table(klein_subset_sym4(s4))
+    v = s4.subgroup_table(klein_subset_sym4())
     order2 = [s for s in v.normal_subgroups() if len(s) == 2]
     assert len(order2) == 3
 
@@ -379,8 +379,8 @@ def test_product_decomposition_forces_a4_or_transitive_or_stabilizer():
     # 3-cycles sharing their support do not generate a transitive group.
     s4 = symmetric_group(4)
     perms = sorted(itertools.permutations(range(4)))
-    a4 = alternating_subset(s4, 4)
-    v = klein_subset_sym4(s4)
+    a4 = alternating_subset(4)
+    v = klein_subset_sym4()
     exceptions = []
     for k_set in s4.normal_subgroups():
         for l_set in s4.subgroups():
