@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -355,11 +355,14 @@ class AutomorphismSet:
     codes that have a two-sided inverse of radius <= 2r.
 
     Every member is a genuine automorphism, but the set is only a slice of
-    the group, not the whole group; it need not be closed under composition.
+    the group, not the whole group; it need not be closed under composition:
+    ``product(i, j)`` may leave the stage, and then ``key_index.get`` of its
+    canonical key is None.
     """
     shift: EdgeShift
     radius: int
     elements: tuple
+    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def inv_radius(self) -> int:
@@ -370,6 +373,17 @@ class AutomorphismSet:
     def inverses(self) -> tuple:
         """The inverse of each element, of radius <= 2r."""
         return tuple(find_inverse(code, 2 * self.radius) for code in self.elements)
+
+    @functools.cached_property
+    def key_index(self) -> dict:
+        """The index of each element, by its canonical key."""
+        return {code.canonical_key(): k for k, code in enumerate(self.elements)}
+
+    def product(self, i: int, j: int) -> SlidingBlockCode:
+        """elements[i] . elements[j], canonical; each pair is composed once."""
+        if (i, j) not in self._products:
+            self._products[i, j] = compose(self.elements[i], self.elements[j]).canonical()
+        return self._products[i, j]
 
     @property
     def power(self) -> int:

@@ -164,6 +164,8 @@ def _prefix(word_of, n: int, level: int, depth: Optional[int]) -> tuple:
     depth is None)."""
     if n < 1:
         raise ValueError("marker level must be >= 1")
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be >= 0")
     word = word_of(level)
     while depth is not None and len(word) < depth:
         level += 1

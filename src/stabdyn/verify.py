@@ -223,12 +223,10 @@ def _stage_escape(autos: AutomorphismSet) -> Optional[tuple]:
     """(i, j, canonical radius) for the first product of stage elements
     i . j, in index order, that is not in the stage; None when the stage is
     closed under composition, and so a group."""
-    keys = {code.canonical_key() for code in autos.elements}
-    for i, a in enumerate(autos.elements):
-        for j, b in enumerate(autos.elements):
-            key = compose(a, b).canonical_key()
-            if key not in keys:
-                return i, j, key[0]
+    for i, j in itertools.product(range(len(autos)), repeat=2):
+        code = autos.product(i, j)
+        if code.canonical_key() not in autos.key_index:
+            return i, j, code.canonical_radius
     return None
 
 
@@ -274,8 +272,8 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
     checks.append(_check("pi_homomorphism", (
         f"pi(f.g) != pi(f).pi(g) at pair ({i},{j})"
         for i, j in _sampled_pairs(len(autos.elements))
-        if partition_action(compose(autos.elements[i], autos.elements[j]).canonical(),
-                            inst.part) != compose_perm(pi_of[i], pi_of[j]))))
+        if partition_action(autos.product(i, j), inst.part)
+        != compose_perm(pi_of[i], pi_of[j]))))
 
     # rho: section of pi
     rho_of = {sigma: inst.rho(sigma) for sigma in all_perms(m)}
@@ -312,12 +310,12 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
             code = psi_by_indices(tup)
             if partition_action(code, inst.part) != identity_perm(m):
                 yield f"pi(psi{tup}) != id"
-            inv_code = inst.psi([comp_autos.inverses[i].canonical() for i in tup])
+            inv_code = inst.psi([comp_autos.inverses[i] for i in tup])
             if not compose(code, inv_code).is_identity():
                 yield f"psi{tup} not inverted by the componentwise inverses"
-            recovered = tuple(inst.restrict_to_component(code, i).canonical()
-                              for i in range(m))
-            if recovered != tuple(comp_autos.elements[i].canonical() for i in tup):
+            recovered = tuple(comp_autos.key_index.get(
+                inst.restrict_to_component(code, i).canonical_key()) for i in range(m))
+            if recovered != tup:
                 yield f"restriction does not recover the tuple {tup}"
 
     checks.append(_check("psi_injective_into_kernel", psi_failures()))
@@ -326,8 +324,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
     def psi_hom_failures():
         for i, j in _sampled_pairs(len(tuples)):
             ta, tb = tuples[i], tuples[j]
-            composed = [compose(comp_autos.elements[a], comp_autos.elements[b]).canonical()
-                        for a, b in zip(ta, tb)]
+            composed = [comp_autos.product(a, b) for a, b in zip(ta, tb)]
             if compose(psi_by_indices(ta), psi_by_indices(tb)) != inst.psi(composed):
                 yield f"psi(t.t') != psi(t).psi(t') at {(ta, tb)}"
 
@@ -430,34 +427,32 @@ def _quotient_group(autos: AutomorphismSet, step: int):
     """The quotient of the enumerated stage by the shift subgroup {s^{j*step}}
     as a finite group table, or None when the cosets conflict or composition
     leaves the stage."""
-    elements = autos.elements
-    rho = max((code.canonical_radius for code in elements), default=0)
+    rho = max((code.canonical_radius for code in autos.elements), default=0)
     scan = 4 * autos.radius + step  # 2r, plus the inverse radius 2r, plus a step
-    keys = {code.canonical_key(): i for i, code in enumerate(elements)}
 
     def translates(code):
         """Stage indices of sigma^j . code, j = a multiple of step in [-scan, scan]."""
         for j in range(-(scan // step) * step, scan + 1, step):
             key = shifted_key(code, j, rho)
-            if key in keys:
-                yield keys[key]
+            if key in autos.key_index:
+                yield autos.key_index[key]
 
-    # coset of each element, each coset represented by its first element
-    assignment = [None] * len(elements)
+    # coset of each element, each coset represented by its first element's index
+    assignment = [None] * len(autos)
     reps = []
-    for i, code in enumerate(elements):
+    for i, code in enumerate(autos.elements):
         if assignment[i] is not None:
             continue
         for k in set(translates(code)) | {i}:
             if assignment[k] is not None:
                 return None
             assignment[k] = len(reps)
-        reps.append(code)
+        reps.append(i)
     table = []
     for a in reps:
         row = []
         for b in reps:
-            k = next(translates(compose(a, b)), None)
+            k = next(translates(autos.product(a, b)), None)
             if k is None:
                 return None
             row.append(assignment[k])
@@ -612,8 +607,8 @@ def entropy_ratio(x: EdgeShift, y: EdgeShift, max_denominator: int = 50,
     both Perron values are integers the relation lambda_x^q = lambda_y^p is
     additionally confirmed exactly.
     """
-    if tol < 1e-12:
-        raise StabdynError("tolerance below numeric resolution")
+    if not (math.isfinite(tol) and tol >= 1e-12):
+        raise StabdynError("tolerance must be finite and >= 1e-12")
     ent_x, ent_y = entropy(x), entropy(y)
     hx, hy = ent_x.log_value, ent_y.log_value
     if hx <= 0.0 or hy <= 0.0:

@@ -255,6 +255,16 @@ def test_misshapen_documents_are_usage_errors(tmp_path, capsys, argv, doc):
     _one_line_error_with_manifest(capsys, [a.replace("DOC", str(path)) for a in argv], tmp_path)
 
 
+@pytest.mark.parametrize("argv", [
+    ["example1", "--level", "2", "--check-n", "1", "--depth", "-5"],
+    ["example2", "--level", "2", "--check-n", "1", "--depth", "-5"],
+    ["entropy-ratio", "2", "4", "--tol", "nan"],
+    ["entropy-ratio", "2", "4", "--tol", "inf"],
+], ids=["example1-negative-depth", "example2-negative-depth", "tol-nan", "tol-inf"])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv):
+    _one_line_error_with_manifest(capsys, argv, tmp_path)
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["analyze", "1 1 / 1 0", "--json"]
     _, out1, _ = run(capsys, argv)

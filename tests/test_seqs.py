@@ -133,6 +133,13 @@ def test_example2_scans_to_the_requested_depth():
         assert report.passes
 
 
+@pytest.mark.parametrize("check", [check_example1_residues, check_example2_markers])
+def test_negative_depth_is_rejected(check):
+    # word[:depth] would cut a negative depth from the end of the word
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        check(1, -5)
+
+
 def test_example2_adversarial_control_fails():
     # shuffling a marker into a shifted slot mixes the residues
     word = example2_word(3)

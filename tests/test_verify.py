@@ -7,11 +7,11 @@ import dataclasses
 
 import pytest
 
-from stabdyn import verify
+from stabdyn import codes, verify
 
 from stabdyn.codes import (AutomorphismSet, compose, enumerate_automorphisms,
                            shift_code)
-from stabdyn.errors import VerificationError, ZeroEntropyError
+from stabdyn.errors import StabdynError, VerificationError, ZeroEntropyError
 from stabdyn.groups import (cyclic_group, dihedral_square, is_isomorphic, klein_group,
                             quaternion_group)
 from stabdyn.sft import entropy, full_shift, parse_edge_shift, power_shift
@@ -138,6 +138,43 @@ def test_stage_escape_finds_products_outside_the_stage():
     assert _stage_escape(enumerate_automorphisms(cycle_graph(3), 1)) is None
     i, j, radius = _stage_escape(enumerate_automorphisms(full_shift(2), 1))
     assert radius == 2  # two radius-1 shifts compose to radius 2
+
+
+def _product_cases():
+    """(stage, pairs): every pair of a stage that products leave and of a
+    closed one, and the sampled pairs of one power-presentation stage."""
+    stages = [enumerate_automorphisms(full_shift(2), 1),
+              enumerate_automorphisms(cycle_graph(3), 1)]
+    cases = [(autos, [(i, j) for i in range(len(autos)) for j in range(len(autos))])
+             for autos in stages]
+    power = enumerate_automorphisms(power_shift(doubled_loop_period2(), 2), 1)
+    return cases + [(power, _sampled_pairs(len(power)))]
+
+
+def test_stage_product_is_the_canonical_composite():
+    cases = _product_cases()
+    for autos, pairs in cases:
+        for k, code in enumerate(autos.elements):
+            assert autos.key_index[code.canonical_key()] == k
+        for i, j in pairs:
+            expected = compose(autos.elements[i], autos.elements[j]).canonical_key()
+            assert autos.product(i, j).canonical_key() == expected, (i, j)
+    # a product that leaves the stage has no index
+    (full2, _), (cycle3, _) = cases[:2]
+    assert any(full2.key_index.get(full2.product(i, j).canonical_key()) is None
+               for i in range(len(full2)) for j in range(len(full2)))
+    assert all(cycle3.product(i, j).canonical_key() in cycle3.key_index
+               for i in range(len(cycle3)) for j in range(len(cycle3)))
+
+
+def test_stage_product_composes_each_pair_once(monkeypatch):
+    autos = enumerate_automorphisms(full_shift(2), 1)
+    calls = []
+    real = codes.compose
+    monkeypatch.setattr(codes, "compose", lambda f, g: calls.append(1) or real(f, g))
+    first = autos.product(1, 2)
+    assert autos.product(1, 2) is first
+    assert len(calls) == 1
 
 
 def _shifted_key_cases():
@@ -305,6 +342,13 @@ def test_entropy_ratio_golden_vs_full_two_inconclusive():
 def test_entropy_ratio_rejects_zero_entropy():
     with pytest.raises(ZeroEntropyError):
         entropy_ratio(cycle_graph(3), full_shift(2))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1e-13])
+def test_entropy_ratio_rejects_a_tolerance_outside_finite_resolution(tol):
+    # nan would make every verdict inconclusive, inf every ratio rational
+    with pytest.raises(StabdynError, match="tolerance must be finite"):
+        entropy_ratio(full_shift(2), full_shift(4), tol=tol)
 
 
 def test_entropy_ratio_respects_periods():
