@@ -26,8 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .budgets import Budget, default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
                      ShiftMismatchError, WordError)
-from .sft import (EdgeShift, Word, _state_graph, derived_shift,
-                  strongly_connected_components, word_to_str)
+from .sft import EdgeShift, Word, derived_shift, strongly_connected_components, word_to_str
 from .spectral import CyclicPartition
 
 class SlidingBlockCode:
@@ -48,13 +47,13 @@ class SlidingBlockCode:
         width = 2 * self.radius + 1
         if len(self.rule) != len(self.domain.language(width)):
             raise WordError("rule is not total on the admissible (2r+1)-words")
-        symbols = set(self.codomain.alphabet)
+        tails, heads = self.codomain.tables.tails, self.codomain.tables.heads
         for out in self.rule:
-            if out not in symbols:
+            if out not in tails:
                 raise WordError(f"output symbol {out!r} not in the codomain alphabet")
         left, right = self.domain.subwindow_ids(width + 1, width)
-        if not all(map(self.codomain.follows, gather(self.rule, left),
-                       gather(self.rule, right))):
+        if not all(map(eq, map(heads.__getitem__, gather(self.rule, left)),
+                       map(tails.__getitem__, gather(self.rule, right)))):
             raise WordError("rule image of an admissible word is inadmissible")
 
     # -- evaluation ------------------------------------------------------
@@ -268,7 +267,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     raises BudgetExceededError exactly when the deterministic search would.
     """
     budget = budget or default_budget()
-    memo, key = domain._stages, (codomain.adjacency, radius)
+    memo, key = domain.tables.stages, (codomain.adjacency, radius)
     if key in memo:
         rules, nodes = memo[key]
         if nodes > budget.enum_nodes:
@@ -281,7 +280,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     for li, ri in zip(*domain.subwindow_ids(width + 1, width)):
         pairs[max(li, ri)].append((li, ri))
 
-    follows = codomain.follows
+    alphabet, heads, tails = codomain.alphabet, codomain.tables.heads, codomain.tables.tails
     out = [None] * size
     used: set = set()
     found: list = []
@@ -294,7 +293,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
             if find_inverse(candidate, 2 * radius) is not None:
                 found.append(candidate)
             return
-        for symbol in codomain.alphabet:
+        for symbol in alphabet:
             nodes += 1
             if nodes > budget.enum_nodes:
                 raise BudgetExceededError(
@@ -303,7 +302,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
                 # at radius 0 the inverse radius is 0 too: a symbol bijection
                 continue
             out[pos] = symbol
-            if not all(follows(out[li], out[ri]) for li, ri in pairs[pos]):
+            if not all(heads[out[li]] == tails[out[ri]] for li, ri in pairs[pos]):
                 continue
             if radius == 0:
                 used.add(symbol)
@@ -325,7 +324,7 @@ def _disjoint_components(sft: EdgeShift) -> Optional[tuple]:
         return None
     comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
     if any(comp_of[j] != comp_of[i]
-           for i, succ in enumerate(_state_graph(sft)["succ"]) for j in succ):
+           for i, succ in enumerate(sft.tables.succ) for j in succ):
         return None  # transient edge: fall back to direct search
     return [derived_shift(sft, comp, 1) for comp in comps], comp_of
 
@@ -334,10 +333,10 @@ def _component_windows(sft: EdgeShift, comps: list, comp_of: dict, radius: int) 
     """(component index i, window id in comps[i]) for every admissible
     (2r+1)-word of a disjoint union of components, in language order;
     ``comp_of`` gives each state's component index."""
-    width = 2 * radius + 1
+    width, tails = 2 * radius + 1, sft.tables.tails
     found = []
     for w in sft.language(width):
-        i = comp_of[sft.tail(w[0])]
+        i = comp_of[tails[w[0]]]
         found.append((i, comps[i].word_ids(width)[comps[i].from_parent(w)]))
     return found
 
@@ -447,16 +446,23 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
 # -- action on cyclic partitions ---------------------------------------------------
 
 
-def _resolve_partition_shift(code_shift: EdgeShift, part: CyclicPartition):
-    """Return (state_map, step) where state_map sends code-shift state indices
-    to partition-shift state indices and step is the number of partition-shift
-    steps one code-shift symbol represents."""
-    if code_shift == part.shift:
-        return list(range(code_shift.n_states)), 1
-    prov = code_shift.provenance
-    if prov is None or prov.parent != part.shift:
+def _symbol_classes(shift: EdgeShift, part: CyclicPartition) -> dict:
+    """Each edge symbol of ``shift`` -> the class of its tail state, built once
+    per (shift, partition).  ``shift`` is the partition's shift, or derived
+    from it by a step that is 1 or a multiple of the partition size."""
+    if shift == part.shift:
+        state_map, step = range(shift.n_states), 1
+    elif shift.provenance is None or shift.provenance.parent != part.shift:
         raise ShiftMismatchError("partition belongs to a different shift")
-    return list(prov.states), prov.step
+    else:
+        state_map, step = shift.provenance.states, shift.provenance.step
+    if step != 1 and step % part.size != 0:
+        raise ShiftMismatchError(
+            f"power step {step} is not a multiple of the partition size {part.size}")
+    if shift not in part.symbol_classes:
+        part.symbol_classes[shift] = {symbol: part.class_of[state_map[tail]]
+                                      for symbol, tail in shift.tables.tails.items()}
+    return part.symbol_classes[shift]
 
 
 def partition_action(code: SlidingBlockCode, part: CyclicPartition) -> tuple:
@@ -465,14 +471,7 @@ def partition_action(code: SlidingBlockCode, part: CyclicPartition) -> tuple:
     is torn apart (a precondition violation)."""
     if code.domain != code.codomain:
         raise ShiftMismatchError("partition action needs an endomorphism")
-    state_map, step = _resolve_partition_shift(code.domain, part)
-    m = part.size
-    if step != 1 and step % m != 0:
-        raise ShiftMismatchError(
-            f"power step {step} is not a multiple of the partition size {m}")
-
-    clazz = {symbol: part.class_of[state_map[code.domain.tail(symbol)]]
-             for symbol in code.domain.alphabet}
+    clazz, m = _symbol_classes(code.domain, part), part.size
     mapping: dict = {}
     r = code.radius
     for w, out in zip(code.domain.language(2 * r + 1), code.rule):

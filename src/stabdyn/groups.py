@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .budgets import Budget, check, default_budget
@@ -129,13 +130,16 @@ class FiniteGroup:
     # construction helpers
 
     def _check_indices(self, names, generators) -> None:
-        """Raise ParseError unless the table is square with entries in
-        range(order), and the names and generators fit that order."""
+        """Raise ParseError unless the table is a Latin square on range(order)
+        (each row and column a permutation of it), and the names and
+        generators fit that order."""
         n = self.order
         if any(len(row) != n for row in self.table):
             raise ParseError("table is not square")
         if not all(type(x) is int and 0 <= x < n for row in self.table for x in row):
             raise ParseError(f"table entries must be integers in range({n})")
+        if any(len(set(line)) != n for line in itertools.chain(self.table, zip(*self.table))):
+            raise ParseError("table is not a Latin square: a row or column repeats an entry")
         if names is not None and len(names) != n:
             raise ParseError(f"{len(names)} names for a group of order {n}")
         if generators is not None and not all(type(g) is int and 0 <= g < n
@@ -143,17 +147,18 @@ class FiniteGroup:
             raise ParseError(f"generators must be integers in range({n})")
 
     def _check_associativity(self) -> None:
-        n = self.order
-        if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            import random
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(2000))
-        for a, b, c in triples:
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                raise ParseError(f"table is not associative at ({a},{b},{c})")
+        """Light's test: (x g) y = x (g y) for every x, y and generator g.  The
+        g that pass are closed under products, and the constructor then checks
+        that the generators generate, so this decides associativity exactly."""
+        t = self.table
+        for g in self.generators:
+            # row x -> the row of x (g y) over all y, as a tuple (not a scalar at order 1)
+            gather = itemgetter(*t[g]) if self.order > 1 else itemgetter(slice(0, 1))
+            for x, row in enumerate(t):
+                left, right = t[row[g]], gather(row)
+                if left != right:
+                    y = next(y for y, (a, b) in enumerate(zip(left, right)) if a != b)
+                    raise ParseError(f"table is not associative at ({x},{g},{y})")
 
     def _find_generators(self) -> list:
         gens: list = []

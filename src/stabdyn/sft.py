@@ -4,12 +4,14 @@ adjacency matrices on a finite directed multigraph.
 Edges are the alphabet.  A derived presentation (a power shift, a class
 restriction, a component) records its provenance: parent shift, parent states
 and step.  All values are immutable after construction and every operation is
-a pure function, so the module is safe for concurrent use; tables are built on
-first use: path dictionaries per shift, and the edge tables (alphabet, tails,
-heads, out-edges), languages, word indices, sub-window index tables,
-automorphism stages and the state graph's predecessors, SCCs and BFS levels
-once per (``root``, adjacency).  So a shift costs its matrix, not its edge
-count, until something reads its edges.
+a pure function, so the module is safe for concurrent use.  What one
+adjacency determines lives in one tables object, ``EdgeShift.tables``, made
+once per (input presentation, adjacency) and shared by every presentation
+derived from that input with that adjacency: successor lists, then, on first
+read, the edge tables (alphabet, out-edges, tails, heads) and the SCCs and
+BFS levels, and per key the languages, word indices, sub-window tables and
+automorphism stages.  So a shift costs its matrix, not its edge count, until
+something reads its edges.
 """
 
 from __future__ import annotations
@@ -50,6 +52,67 @@ class Provenance:
     step: int
 
 
+class _Tables:
+    """What one adjacency determines (see the module docstring).  ``succ`` is
+    built, and every state checked essential, at construction; the
+    properties are built on first read.  Callers must not modify them."""
+
+    __slots__ = ("succ", "adjacency", "languages", "word_ids", "subwindows", "stages",
+                 "_edges", "_graph")
+
+    def __init__(self, states: tuple, adjacency: tuple):
+        self.succ, self.adjacency = _successors(adjacency), adjacency
+        entered = set(chain.from_iterable(self.succ))
+        for i, nbrs in enumerate(self.succ):
+            if not nbrs or i not in entered:
+                raise ParseError(f"state {states[i]!r} is not essential; normalize first")
+        self.languages, self.word_ids, self.subwindows, self.stages = {}, {}, {}, {}
+        self._edges = self._graph = None
+
+    def _build_edges(self) -> tuple:
+        """(alphabet, out_edges, tails, heads).  Edges run in (tail, head,
+        parallel-index) order, read off the nonzero cells only: state i's
+        out-edges are symbols starts[i]..starts[i+1]."""
+        sums = list(map(sum, self.adjacency))
+        starts = list(accumulate(sums, initial=0))
+        symbols = _edge_symbols(starts[-1])
+        self._edges = (tuple(symbols),
+                       tuple(tuple(symbols[a:b]) for a, b in zip(starts, starts[1:])),
+                       dict(zip(symbols, chain.from_iterable(
+                           map(repeat, range(len(sums)), sums)))),
+                       dict(zip(symbols, chain.from_iterable(
+                           repeat(j, row[j]) for row, nbrs in zip(self.adjacency, self.succ)
+                           for j in nbrs))))
+        return self._edges
+
+    def _build_graph(self) -> tuple:
+        """(sccs, levels): SCCs sorted, in ascending order of minimum; levels
+        are BFS distances from state 0 (-1 when unreachable)."""
+        succ, n = self.succ, len(self.succ)
+        pred = _successors(zip(*self.adjacency))
+        remaining, comps = set(range(n)), []
+        while remaining:
+            s = min(remaining)
+            comp = _reachable(succ, s) & _reachable(pred, s)
+            comps.append(tuple(sorted(comp)))
+            remaining -= comp
+        levels, queue = [0] + [-1] * (n - 1), [0]
+        for u in queue:  # grows while it is scanned: a BFS
+            for v in succ[u]:
+                if levels[v] < 0:
+                    levels[v] = levels[u] + 1
+                    queue.append(v)
+        self._graph = (tuple(comps), tuple(levels))
+        return self._graph
+
+    alphabet = property(lambda self: (self._edges or self._build_edges())[0])
+    out_edges = property(lambda self: (self._edges or self._build_edges())[1])
+    tails = property(lambda self: (self._edges or self._build_edges())[2])
+    heads = property(lambda self: (self._edges or self._build_edges())[3])
+    sccs = property(lambda self: (self._graph or self._build_graph())[0])
+    levels = property(lambda self: (self._graph or self._build_graph())[1])
+
+
 class EdgeShift:
     """An essential directed multigraph presenting an SFT.
 
@@ -75,48 +138,14 @@ class EdgeShift:
         self.normalization_log = tuple(normalization_log)
         self.provenance = provenance
         self._path_tables = None
-        if provenance is None:  # adjacency -> tables shared by equal presentations
-            self._tables: dict = {}
-        (self._languages, self._word_ids, self._subwindows, self._stages, self._graph,
-         self._edges, self._tails, self._heads) = self.root._tables.setdefault(
-            self.adjacency, tuple({} for _ in range(8)))
-        succ = self._graph.get("succ") or \
-            self._graph.setdefault("succ", _successors(self.adjacency))
-        entered = set(chain.from_iterable(succ))
-        for i, nbrs in enumerate(succ):
-            if not nbrs or i not in entered:
-                raise ParseError(f"state {states[i]!r} is not essential; normalize first")
+        # adjacency -> tables: one dict per input, shared by what derives from it
+        self._shared = {} if provenance is None else provenance.parent._shared
+        self.tables = self._shared.get(self.adjacency)
+        if self.tables is None:
+            self.tables = self._shared[self.adjacency] = _Tables(states, self.adjacency)
 
-    # -- edge tables ---------------------------------------------------------
-
-    def _edge_tables(self) -> dict:
-        """``alphabet`` and ``out_edges``, with the shared tail and head maps
-        filled in place: built on first use, once per (``root``, adjacency).
-        Edges run in (tail, head, parallel-index) order, read off the nonzero
-        cells only: state i's out-edges are symbols starts[i]..starts[i+1]."""
-        if not self._edges:
-            sums = list(map(sum, self.adjacency))
-            starts = list(accumulate(sums, initial=0))
-            symbols = _edge_symbols(starts[-1])
-            self._tails.update(zip(symbols, chain.from_iterable(
-                map(repeat, range(len(sums)), sums))))
-            self._heads.update(zip(symbols, chain.from_iterable(
-                repeat(j, row[j]) for row, nbrs in zip(self.adjacency, self._graph["succ"])
-                for j in nbrs)))
-            out_edges = tuple(tuple(symbols[a:b]) for a, b in zip(starts, starts[1:]))
-            self._edges.update(alphabet=tuple(symbols), out_edges=out_edges,
-                               tails=self._tails, heads=self._heads)
-        return self._edges
-
-    # properties, not cached attributes: a write through ``__dict__`` would cost
-    # the shift its compact attribute storage, and every hot method its speed
-    @property
-    def alphabet(self) -> tuple:
-        return self._edge_tables()["alphabet"]
-
-    @property
-    def out_edges(self) -> tuple:
-        return self._edge_tables()["out_edges"]
+    alphabet = property(lambda self: self.tables.alphabet)
+    out_edges = property(lambda self: self.tables.out_edges)
 
     # -- provenance and language ------------------------------------------
 
@@ -134,11 +163,6 @@ class EdgeShift:
             to_edge = {word: sym for sym, word in to_path.items()}
             self._path_tables = (to_path, to_edge)
         return self._path_tables
-
-    @property
-    def root(self) -> "EdgeShift":
-        """The input presentation this shift derives from (itself if none)."""
-        return self if self.provenance is None else self.provenance.parent.root
 
     @property
     def parent_paths(self) -> Optional[Mapping]:
@@ -159,31 +183,31 @@ class EdgeShift:
 
     def language(self, length: int) -> tuple:
         """``words_of_length(self, length)``, computed once per length."""
-        if length not in self._languages:
-            self._languages[length] = words_of_length(self, length)
-        return self._languages[length]
+        memo = self.tables.languages
+        if length not in memo:
+            memo[length] = words_of_length(self, length)
+        return memo[length]
 
     def word_ids(self, length: int) -> dict:
         """Each word of ``language(length)`` -> its index there, computed
         once per length.  Callers must not modify it."""
-        if length not in self._word_ids:
-            self._word_ids[length] = {w: i for i, w in enumerate(self.language(length))}
-        return self._word_ids[length]
+        memo = self.tables.word_ids
+        if length not in memo:
+            memo[length] = {w: i for i, w in enumerate(self.language(length))}
+        return memo[length]
 
     def subwindow_ids(self, width: int, sub: int) -> tuple:
         """One column per offset k in [0, width - sub]: column k lists, for
         every word w of ``language(width)`` in order, the index of w[k:k+sub]
         in ``language(sub)``.  Computed once per (width, sub)."""
-        key = (width, sub)
-        if key not in self._subwindows:
+        key, memo = (width, sub), self.tables.subwindows
+        if key not in memo:
             if not 0 < sub <= width:
                 raise ParseError(f"sub-window {sub} does not fit in width {width}")
-            index = self.word_ids(sub)
-            words = self.language(width)
-            self._subwindows[key] = tuple(
-                tuple([index[w[k:k + sub]] for w in words])
-                for k in range(width - sub + 1))
-        return self._subwindows[key]
+            index, words = self.word_ids(sub), self.language(width)
+            memo[key] = tuple(tuple([index[w[k:k + sub]] for w in words])
+                              for k in range(width - sub + 1))
+        return memo[key]
 
     # -- basic accessors -------------------------------------------------
 
@@ -191,19 +215,18 @@ class EdgeShift:
     def n_states(self) -> int:
         return len(self.states)
 
-    # the tail and head maps are plain dict reads once ``_edge_tables`` has filled them
     def tail(self, symbol: str) -> int:
-        return (self._tails or self._edge_tables()["tails"])[symbol]
+        return self.tables.tails[symbol]
 
     def head(self, symbol: str) -> int:
-        return (self._heads or self._edge_tables()["heads"])[symbol]
+        return self.tables.heads[symbol]
 
     def follows(self, a: str, b: str) -> bool:
         """True when edge b may follow edge a (head of a = tail of b)."""
-        return (self._heads or self._edge_tables()["heads"])[a] == self._tails[b]
+        return self.tables.heads[a] == self.tables.tails[b]
 
     def is_admissible(self, word: Word) -> bool:
-        tails = self._tails or self._edge_tables()["tails"]
+        tails = self.tables.tails
         return all(w in tails for w in word) and all(map(self.follows, word, word[1:]))
 
     def matrix_hash(self) -> str:
@@ -344,65 +367,35 @@ def _reachable(nbrs, start: int) -> set:
     return seen
 
 
-def _state_graph(sft: EdgeShift) -> dict:
-    """The shared facts of ``sft``'s state graph, as tuples: ``succ`` (built
-    with the shift), ``pred``, ``sccs`` (sorted, in ascending order of
-    minimum) and ``levels`` (BFS distance from state 0, -1 when unreachable).
-    Built on first use, once per (``root``, adjacency)."""
-    graph = sft._graph
-    if "sccs" not in graph:
-        succ = graph["succ"]
-        pred = graph["pred"] = _successors(zip(*sft.adjacency))
-        remaining, comps = set(range(sft.n_states)), []
-        while remaining:
-            s = min(remaining)
-            comp = _reachable(succ, s) & _reachable(pred, s)
-            comps.append(tuple(sorted(comp)))
-            remaining -= comp
-        levels = [0] + [-1] * (sft.n_states - 1)
-        queue = [0]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in succ[u]:
-                    if levels[v] < 0:
-                        levels[v] = levels[u] + 1
-                        nxt.append(v)
-            queue = nxt
-        graph.update(sccs=tuple(comps), levels=tuple(levels))
-    return graph
-
-
 def strongly_connected_components(sft: EdgeShift) -> list:
     """SCCs as sorted lists of state indices, in ascending order of minimum."""
-    return [list(comp) for comp in _state_graph(sft)["sccs"]]
+    return [list(comp) for comp in sft.tables.sccs]
 
 
 def is_irreducible(sft: EdgeShift) -> bool:
     """True iff the underlying digraph is strongly connected."""
-    return len(_state_graph(sft)["sccs"]) == 1
+    return len(sft.tables.sccs) == 1
 
 
 def bfs_levels(sft: EdgeShift) -> list:
     """Each state's BFS distance from state 0 (-1 when unreachable)."""
-    return list(_state_graph(sft)["levels"])
+    return list(sft.tables.levels)
 
 
 def period(sft: EdgeShift) -> int:
     """gcd of all cycle lengths; computed from BFS level differences."""
-    graph = _state_graph(sft)
-    if len(graph["sccs"]) != 1:
+    if not is_irreducible(sft):
         raise ReducibleShiftError("period requires an irreducible edge shift")
-    levels = graph["levels"]
+    levels = sft.tables.levels
     return math.gcd(*(levels[u] + 1 - levels[v]
-                      for u, nbrs in enumerate(graph["succ"]) for v in nbrs)) or 1
+                      for u, nbrs in enumerate(sft.tables.succ) for v in nbrs)) or 1
 
 
 def period_by_cycles(sft: EdgeShift) -> int:
     """Test oracle: gcd of the lengths of all simple cycles (exhaustive DFS)."""
     if not is_irreducible(sft):
         raise ReducibleShiftError("period requires an irreducible edge shift")
-    succ = sft._graph["succ"]
+    succ = sft.tables.succ
     g = 0
     for root in range(sft.n_states):
         # simple paths from root using states >= root only (canonical cycles)
@@ -483,7 +476,7 @@ def entropy(sft: EdgeShift, iteration_cap: int = 200_000) -> EntropyResult:
     For reducible shifts the value is the maximum over strongly connected
     components (the spectral radius of the full matrix).
     """
-    comps = _state_graph(sft)["sccs"]
+    comps = sft.tables.sccs
     best = 0.0
     its = 0
     for comp in comps:
@@ -561,7 +554,7 @@ def perron_root_by_charpoly(matrix) -> float:
 def _paths_from(sft: EdgeShift, starts, length: int) -> list:
     """Every path of ``length`` edges leaving a state in ``starts``, as
     (tail state, word, head state), by frontier expansion."""
-    moves = [[(sym, sft.head(sym)) for sym in out] for out in sft.out_edges]
+    moves = [list(zip(out, map(sft.tables.heads.__getitem__, out))) for out in sft.out_edges]
     frontier = [(start, (), start) for start in starts]
     for _ in range(length):
         frontier = [(tail, word + (sym,), head)

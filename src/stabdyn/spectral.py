@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (NoSuchEigenvalueError, ReducibleShiftError,
                      VerificationError)
-from .sft import (EdgeShift, _state_graph, bfs_levels, derived_shift,
-                  is_irreducible, is_mixing, period)
+from .sft import (EdgeShift, bfs_levels, derived_shift, is_irreducible, is_mixing,
+                  period)
 
 
 def divisors(n: int) -> tuple:
@@ -45,6 +45,8 @@ class CyclicPartition:
     size: int
     class_of: tuple  # state index -> class index
     shift: EdgeShift
+    # code shift -> (edge symbol -> class), for ``codes.partition_action``
+    symbol_classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def classes(self) -> tuple:
@@ -76,7 +78,7 @@ def cyclic_partition(sft: EdgeShift, m: int) -> CyclicPartition:
 def _validate_partition(sft: EdgeShift, part: CyclicPartition) -> None:
     m, class_of = part.size, part.class_of
     if any(class_of[j] != (class_of[i] + 1) % m
-           for i, succ in enumerate(_state_graph(sft)["succ"]) for j in succ):
+           for i, succ in enumerate(sft.tables.succ) for j in succ):
         raise VerificationError("edge does not advance the class by one")
     if class_of[0] != 0:
         raise VerificationError("base state missing from class 0")

@@ -111,3 +111,12 @@ SLOW_STAGES = ("full3", "doubled_cycle_p2")
 @pytest.fixture(scope="session")
 def graph_catalog():
     return catalog()
+
+
+def intercalate_loop() -> list:
+    """Z/130 with the 2x2 subsquare on rows 1, 66 and columns 2, 67 swapped:
+    a Latin square with an identity and two-sided inverses that is not
+    associative on 2,032 of its 130^3 triples."""
+    table = [[(i + j) % 130 for j in range(130)] for i in range(130)]
+    table[1][2], table[1][67], table[66][2], table[66][67] = 68, 3, 3, 68
+    return table

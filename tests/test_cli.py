@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from stabdyn.cli import main, rigidity_sweep_pairs
+
+from conftest import intercalate_loop
 
 
 def run(capsys, argv):
@@ -229,6 +233,25 @@ def test_rigidity_rejects_group_table_indices(tmp_path, capsys, extra):
     path.write_text(json.dumps({"table": [[0, 1], [1, 0]], **extra}))
     _one_line_error_with_manifest(capsys, ["rigidity", "--group-g", str(path), "--n", "2",
                                            "--group-h", "cyclic:2", "--m", "3"], tmp_path)
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1, 2, 3], [1, 3, 0, 2], [2, 0, 1, 3], [3, 3, 1, 0]],  # 1 * 1 = 3 * 1 = 3
+    intercalate_loop(),
+], ids=["not-latin", "latin-loop-130"])
+def test_rigidity_rejects_tables_that_are_not_groups(tmp_path, table):
+    # in a subprocess with a timeout: a table without Latin rows and columns
+    # once sent the generator search into an endless power loop
+    path, manifest = tmp_path / "g.json", tmp_path / "manifest.json"
+    path.write_text(json.dumps({"table": table}))
+    proc = subprocess.run([sys.executable, "-m", "stabdyn.cli", "rigidity", "--group-g",
+                           str(path), "--n", "1", "--group-h", f"cyclic:{len(table)}",
+                           "--m", "1", "--manifest", str(manifest)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("stabdyn: error: table is not") and \
+        proc.stderr.count("\n") == 1
+    assert json.loads(manifest.read_text())["exit_code"] == 1
 
 
 @pytest.mark.parametrize("binding", [{"g": [1, 5], "sigma": [1, 0]},

@@ -527,7 +527,7 @@ def test_stage_memo_hit_is_the_fresh_search(graph_catalog):
 def test_stage_memo_hit_keeps_the_node_budget():
     sft = full_shift(2)
     stage = enumerate_conjugacies(sft, sft, 1)
-    (_, nodes), = sft._stages.values()
+    (_, nodes), = sft.tables.stages.values()
     with pytest.raises(BudgetExceededError):  # the search itself stops at N - 1
         enumerate_conjugacies(full_shift(2), full_shift(2), 1,
                               budget=Budget(enum_nodes=nodes - 1))

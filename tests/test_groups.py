@@ -17,6 +17,8 @@ from stabdyn.groups import (FiniteGroup, _invariants, all_perms, alternating_sub
                             transposition, trivial_group)
 from stabdyn.wreath import wreath_group
 
+from conftest import intercalate_loop
+
 
 def test_cyclic_group_axioms_exhaustive():
     for n in [1, 2, 3, 4, 6, 8]:
@@ -38,6 +40,15 @@ def test_group_table_indices_are_checked():
                    {"table": z2, "generators": [-1]}]:
         with pytest.raises(ParseError):
             FiniteGroup(**kwargs)
+
+
+def test_associativity_is_exact_above_order_64():
+    # a Latin loop whose 2,032 non-associative triples a sample of 2,000
+    # random triples misses; Light's test over the generators finds one
+    with pytest.raises(ParseError, match="not associative"):
+        FiniteGroup(intercalate_loop())
+    assert FiniteGroup(intercalate_loop(), check_axioms=False).order == 130
+    assert cyclic_group(130).order == 130
 
 
 def test_symmetric_group_orders():

@@ -265,3 +265,48 @@ def test_unread_scan_sees_nested_reads_and_overwrites():
 def test_package_functions_read_every_parameter():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_parameters(sources) == []
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def cross_module_private_names(sources: dict) -> list:
+    """"module: name" for every underscore name that a module of ``sources``
+    (module name -> source) imports from a sibling module, and
+    "module: .name" for every ``._name`` attribute it reads that it never
+    assigns or defines itself, sorted: another module's private state."""
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        own = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        own |= {n.attr for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+        own |= {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.update(f"{module}: {a.name}" for a in node.names if private(a.name))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and private(node.attr) and node.attr not in own):
+                found.add(f"{module}: .{node.attr}")
+    return sorted(found)
+
+
+def test_private_scan_sees_imports_and_foreign_attributes():
+    sources = {
+        "a": ("class A:\n"
+              "    _memo: dict = None\n"
+              "    def __init__(self): self._own = 1\n"
+              "    def _helper(self): return self._own, self._memo, self.__class__\n"),
+        "b": ("from .a import A, _hidden, __version__\n"
+              "from os import _exit\n"
+              "def f(x): return x._own, x._helper(), A()._memo, x._foreign\n"),
+    }
+    assert cross_module_private_names(sources) == [
+        "b: ._foreign", "b: ._helper", "b: ._memo", "b: ._own", "b: _hidden"]
+
+
+def test_package_modules_keep_to_their_own_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert cross_module_private_names(sources) == []

@@ -427,6 +427,41 @@ def test_power_shift_two_cycle_squared():
     assert first.alphabet is second.alphabet
 
 
+def test_equal_pieces_of_one_input_share_one_tables_object():
+    sft = doubled_cycle_period3()
+    power = power_shift(sft, 3)
+    pieces = [derived_shift(power, comp, 1) for comp in strongly_connected_components(power)]
+    component = smale(sft).component_shift
+    # three full 2-shift pieces and the Smale component: one adjacency, one object
+    assert {piece.adjacency for piece in pieces} == {component.adjacency} == {((2,),)}
+    assert all(piece.tables is component.tables for piece in pieces)
+    assert power.tables is not component.tables and sft.tables is not power.tables
+    assert power_shift(sft, 1).tables is sft.tables
+
+
+def test_separately_parsed_inputs_share_no_tables_object():
+    first, second = doubled_cycle_period3(), doubled_cycle_period3()
+    assert first == second and first.tables is not second.tables
+    assert first.alphabet == second.alphabet and first.alphabet is not second.alphabet
+    assert smale(first).component_shift.tables is not smale(second).component_shift.tables
+
+
+def test_essential_state_scan_runs_once_per_tables_object(monkeypatch, capsys):
+    real, scanned, shifts = sft_mod._Tables.__init__, [], []
+    monkeypatch.setattr(sft_mod._Tables, "__init__",
+                        lambda self, states, adj: scanned.append(adj) or real(self, states, adj))
+    init = EdgeShift.__init__
+    monkeypatch.setattr(EdgeShift, "__init__",
+                        lambda self, *a, **k: shifts.append(self) or init(self, *a, **k))
+    assert main(["verify-wreath", "0 2 0 / 0 0 1 / 1 0 0",
+                 "--n", "1", "--m", "3", "--radius", "1"]) == 0
+    capsys.readouterr()
+    # one input: the doubled 3-cycle, its power (three full 2-shift pieces) and
+    # the pieces and component, which share the full 2-shift's tables
+    assert len(scanned) == len(set(scanned)) == len({s.adjacency for s in shifts}) == 3
+    assert len({id(shift.tables) for shift in shifts}) == 3 < len(shifts)
+
+
 def test_power_shift_golden_mean_squared():
     p = power_shift(golden_mean(), 2)
     assert p.adjacency == ((2, 1), (1, 1))
