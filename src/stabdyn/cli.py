@@ -90,6 +90,9 @@ GROUP_SHORTHANDS = {
     "v4": klein_group,
     "d4": dihedral_square,
     "q8": quaternion_group,
+    "z3xz3": lambda: direct_product(cyclic_group(3), cyclic_group(3)),
+    "z4xz2": lambda: direct_product(cyclic_group(4), cyclic_group(2)),
+    "z2xz2xz2": lambda: direct_product(klein_group(), cyclic_group(2)),
 }
 
 
@@ -103,12 +106,6 @@ def load_group(spec: str) -> tuple:
         return cyclic_group(int(lowered.split(":", 1)[1])), spec
     if lowered.startswith("sym:"):
         return symmetric_group(int(lowered.split(":", 1)[1])), spec
-    if lowered == "z3xz3":
-        return direct_product(cyclic_group(3), cyclic_group(3)), spec
-    if lowered == "z4xz2":
-        return direct_product(cyclic_group(4), cyclic_group(2)), spec
-    if lowered == "z2xz2xz2":
-        return direct_product(klein_group(), cyclic_group(2)), spec
     text, origin = _read_source(spec)
     return _table_group(json.loads(text)), origin
 
@@ -368,11 +365,9 @@ def rigidity_sweep_pairs():
         ("Z2", cyclic_group(2)), ("Z3", cyclic_group(3)), ("Z4", cyclic_group(4)),
         ("V4", klein_group()), ("Z5", cyclic_group(5)), ("Z6", cyclic_group(6)),
         ("S3", symmetric_group(3)), ("Z7", cyclic_group(7)), ("Z8", cyclic_group(8)),
-        ("Z4xZ2", direct_product(cyclic_group(4), cyclic_group(2))),
-        ("Z2xZ2xZ2", direct_product(klein_group(), cyclic_group(2))),
+        ("Z4xZ2", GROUP_SHORTHANDS["z4xz2"]()), ("Z2xZ2xZ2", GROUP_SHORTHANDS["z2xz2xz2"]()),
         ("D4", dihedral_square()), ("Q8", quaternion_group()),
-        ("Z9", cyclic_group(9)),
-        ("Z3xZ3", direct_product(cyclic_group(3), cyclic_group(3))),
+        ("Z9", cyclic_group(9)), ("Z3xZ3", GROUP_SHORTHANDS["z3xz3"]()),
     ]
     entries = []
     for name, group in catalog:

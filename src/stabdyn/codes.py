@@ -10,8 +10,9 @@ gather, and ``factor_key`` gives its canonical form.  Elements of
 Aut(sigma^n), including those that do not commute with sigma itself, are
 codes over the n-th power-shift presentation, so a stage of Aut(sigma^n) is
 enumerated over ``power_shift(sft, n)`` and new elements are built by
-``compose``.  The ``WordMap`` helper evaluates point maps on finite words and
-tabulates them as codes.
+``compose``.  Codes between the pieces of a disjoint union (``Piece``) lift to
+codes on the whole (``lift``) and back (``restrict``).  The ``WordMap`` helper
+evaluates point maps on finite words and tabulates them as codes.
 """
 
 from __future__ import annotations
@@ -315,36 +316,67 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     return found
 
 
-def _disjoint_components(sft: EdgeShift) -> Optional[tuple]:
+class Piece:
+    """A piece of a presentation that is a disjoint union: its own presentation
+    ``shift`` and ``symbols``, each of its edge symbols -> the union's symbol
+    for the same edge (``inverse`` maps back), for ``lift`` and ``restrict``."""
+
+    def __init__(self, shift: EdgeShift, symbols: dict):
+        self.shift, self.symbols = shift, symbols
+        self.inverse = {u: s for s, u in symbols.items()}
+        self._window_ids: dict = {}
+
+    @staticmethod
+    def derived(union: EdgeShift, states: Sequence[int]) -> "Piece":
+        """The piece on ``states``, which no edge of ``union`` leaves,
+        presented by ``derived_shift`` at step 1."""
+        shift = derived_shift(union, states, 1)
+        return Piece(shift, {sym: path for sym, (path,) in shift.parent_paths.items()})
+
+    def window_ids(self, union: EdgeShift, width: int) -> list:
+        """The window id in ``union.language(width)`` of each word of
+        ``shift.language(width)``; computed once per width."""
+        if width not in self._window_ids:
+            ids, symbols = union.word_ids(width), self.symbols.__getitem__
+            self._window_ids[width] = [ids[tuple(map(symbols, w))]
+                                       for w in self.shift.language(width)]
+        return self._window_ids[width]
+
+
+def lift(union: EdgeShift, pieces: Sequence[Piece], perm: Sequence[int],
+         codes: Sequence[SlidingBlockCode]) -> SlidingBlockCode:
+    """The code over ``union`` that acts on pieces[i] as codes[i], a code from
+    pieces[i] to pieces[perm[i]].  Its radius is the largest of the codes';
+    each code is widened to it through its centred sub-windows."""
+    radius = max(code.radius for code in codes)
+    width = 2 * radius + 1
+    rule = [None] * len(union.language(width))
+    for src, j, code in zip(pieces, perm, codes):
+        r = code.radius
+        outputs = code.rule if r == radius else gather(
+            code.rule, src.shift.subwindow_ids(width, 2 * r + 1)[radius - r])
+        for k, out in zip(src.window_ids(union, width),
+                          map(pieces[j].symbols.__getitem__, outputs)):
+            rule[k] = out
+    return SlidingBlockCode(union, union, radius, rule, validate=False)
+
+
+def restrict(code: SlidingBlockCode, src: Piece, dst: Piece) -> SlidingBlockCode:
+    """``code``, a code over a union that maps the piece ``src`` into the
+    piece ``dst``, read on ``src`` as a code from ``src`` to ``dst``."""
+    ids = src.window_ids(code.domain, 2 * code.radius + 1)
+    rule = map(dst.inverse.__getitem__, gather(code.rule, ids))
+    return SlidingBlockCode(src.shift, dst.shift, code.radius, rule, validate=False)
+
+
+def _disjoint_components(sft: EdgeShift) -> Optional[list]:
     """When the graph is a disjoint union of strongly connected pieces,
-    return the per-component subshifts (step-1 derived presentations) and
-    each state's component index; otherwise None."""
+    return them, in ascending order of their least state; otherwise None."""
     comps = strongly_connected_components(sft)
-    if len(comps) <= 1:
-        return None
-    comp_of = {s: i for i, comp in enumerate(comps) for s in comp}
-    if any(comp_of[j] != comp_of[i]
-           for i, succ in enumerate(sft.tables.succ) for j in succ):
-        return None  # transient edge: fall back to direct search
-    return [derived_shift(sft, comp, 1) for comp in comps], comp_of
-
-
-def _component_windows(sft: EdgeShift, comps: list, comp_of: dict, radius: int) -> list:
-    """(component index i, window id in comps[i]) for every admissible
-    (2r+1)-word of a disjoint union of components, in language order;
-    ``comp_of`` gives each state's component index."""
-    width, tails = 2 * radius + 1, sft.tables.tails
-    found = []
-    for w in sft.language(width):
-        i = comp_of[tails[w[0]]]
-        found.append((i, comps[i].word_ids(width)[comps[i].from_parent(w)]))
-    return found
-
-
-def _lift_component_rule(windows: list, symbols: list, pi: tuple, codes: list) -> list:
-    """Assemble a global rule from per-component codes comp_i -> comp_pi(i);
-    ``symbols[j]`` maps the symbols of component j to parent symbols."""
-    return [symbols[pi[i]][codes[i].rule[k]] for i, k in windows]
+    if len(comps) <= 1 or any(not set(sft.tables.succ[i]) <= set(comp)
+                              for comp in comps for i in comp):
+        return None  # one piece, or a transient edge: search directly
+    return [Piece.derived(sft, comp) for comp in comps]
 
 
 @dataclass(frozen=True)
@@ -413,32 +445,27 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
     The result is sorted canonically; enumeration order never affects the
     output.  For a stage of Aut(sigma^n), pass ``power_shift(sft, n)``.  On a
     disjoint union of components each member permutes the components, so the
-    stage is assembled from the (memoized) conjugacy sets between components;
+    stage is lifted from the (memoized) conjugacy sets between components;
     BudgetExceededError is raised before any member is built when there are
     more than ``budget.enum_nodes`` of them.
     """
     budget = budget or default_budget()
-    split = _disjoint_components(sft)
-    if split is None:
+    pieces = _disjoint_components(sft)
+    if pieces is None:
         return AutomorphismSet(sft, radius, tuple(
             enumerate_conjugacies(sft, sft, radius, budget=budget)))
-    comps, comp_of = split
-    k = len(comps)
-    table = {(i, j): enumerate_conjugacies(comps[i], comps[j], radius, budget=budget)
+    k = len(pieces)
+    table = {(i, j): enumerate_conjugacies(pieces[i].shift, pieces[j].shift, radius,
+                                           budget=budget)
              for i in range(k) for j in range(k)}
     count = sum(math.prod(len(table[(i, pi[i])]) for i in range(k))
                 for pi in itertools.permutations(range(k)))
     if count > budget.enum_nodes:
         raise BudgetExceededError(
             f"lifted stage of {count} codes exceeds {budget.enum_nodes} nodes")
-    windows = _component_windows(sft, comps, comp_of, radius)
-    symbols = [{sym: sub.to_parent((sym,))[0] for sym in sub.alphabet}
-               for sub in comps]
-    elements = [
-        SlidingBlockCode(sft, sft, radius, _lift_component_rule(windows, symbols, pi, combo),
-                         validate=False)
-        for pi in itertools.permutations(range(k))
-        for combo in itertools.product(*[table[(i, pi[i])] for i in range(k)])]
+    elements = [lift(sft, pieces, pi, combo)
+                for pi in itertools.permutations(range(k))
+                for combo in itertools.product(*[table[(i, pi[i])] for i in range(k)])]
     elements.sort(key=SlidingBlockCode.canonical_key)
     return AutomorphismSet(sft, radius, tuple(elements))
 

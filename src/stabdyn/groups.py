@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .budgets import Budget, check, default_budget
-from .errors import ParseError, StabdynError
+from .errors import ParseError
 
 # -- permutations (tuples of images) -----------------------------------------
 
@@ -131,14 +131,17 @@ class FiniteGroup:
 
     def _check_indices(self, names, generators) -> None:
         """Raise ParseError unless the table is a Latin square on range(order)
-        (each row and column a permutation of it), and the names and
-        generators fit that order."""
+        (every entry an int, each row and column, as a set, range(order)),
+        and the names and generators fit that order."""
         n = self.order
         if any(len(row) != n for row in self.table):
             raise ParseError("table is not square")
-        if not all(type(x) is int and 0 <= x < n for row in self.table for x in row):
+        if not set(map(type, itertools.chain.from_iterable(self.table))) <= {int}:  # not bool
             raise ParseError(f"table entries must be integers in range({n})")
-        if any(len(set(line)) != n for line in itertools.chain(self.table, zip(*self.table))):
+        target = set(range(n))
+        if not all(map(target.__eq__, map(set, itertools.chain(self.table, zip(*self.table))))):
+            if not set(itertools.chain.from_iterable(self.table)) <= target:
+                raise ParseError(f"table entries must be integers in range({n})")
             raise ParseError("table is not a Latin square: a row or column repeats an entry")
         if names is not None and len(names) != n:
             raise ParseError(f"{len(names)} names for a group of order {n}")
@@ -482,8 +485,6 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[dict]:
                     queue.append(y)
                 elif phi[y] != z:
                     return None
-        if len(queue) != g.order:
-            raise StabdynError("generators do not generate (internal)")
         return {x: phi[x] for x in queue}
 
     for images in itertools.product(*candidates):

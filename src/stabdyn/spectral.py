@@ -70,18 +70,7 @@ def cyclic_partition(sft: EdgeShift, m: int) -> CyclicPartition:
     p = period(sft)
     if m < 1 or p % m != 0:
         raise NoSuchEigenvalueError(f"{m} is not a rational eigenvalue (period {p})")
-    part = CyclicPartition(m, tuple(level % m for level in bfs_levels(sft)), sft)
-    _validate_partition(sft, part)
-    return part
-
-
-def _validate_partition(sft: EdgeShift, part: CyclicPartition) -> None:
-    m, class_of = part.size, part.class_of
-    if any(class_of[j] != (class_of[i] + 1) % m
-           for i, succ in enumerate(sft.tables.succ) for j in succ):
-        raise VerificationError("edge does not advance the class by one")
-    if class_of[0] != 0:
-        raise VerificationError("base state missing from class 0")
+    return CyclicPartition(m, tuple(level % m for level in bfs_levels(sft)), sft)
 
 
 def exhaustive_partition_search(sft: EdgeShift, m: int) -> Optional[tuple]:

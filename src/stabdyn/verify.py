@@ -6,21 +6,22 @@ ratios.
 Automorphisms of sigma^{nm} are enumerated over the power-shift presentation,
 where they are ordinary sliding block codes.  The section rho, the base
 embedding psi and the component restrictions are codes over that
-presentation too, assembled piece by piece from the phase codes T^d and
-composition (``SplitInstance``).
+presentation too: ``codes.lift`` of piece codes, which ``codes.restrict``
+reads off the phase codes T^d (``SplitInstance``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .codes import (AutomorphismSet, SlidingBlockCode, compose,
-                    enumerate_automorphisms, factor_key, gather,
-                    partition_action, regroup)
+from .codes import (AutomorphismSet, Piece, SlidingBlockCode, compose,
+                    enumerate_automorphisms, factor_key, gather, lift,
+                    partition_action, regroup, restrict)
 from .errors import (NoSuchEigenvalueError, StabdynError, VerificationError,
                      ZeroEntropyError)
 from .groups import (FiniteGroup, all_perms, compose_perm, cyclic_group,
@@ -40,23 +41,20 @@ class SplitInstance:
 
     The power presentation Y of (X, T^N), N = n*m, is the disjoint union of
     the pieces Y_c, the edges that leave class-c states; T^d moves Y_c onto
-    Y_{c+d}.  The component presentation Z is Y_0 under its own edge names.
-    Every code built here acts piecewise: T^d is ``phase(d)``, the only code
-    read off parent paths, and rho, psi and the component restrictions are
-    assembled from phases and the given codes by ``compose``.
-    """
+    Y_{c+d}.  The component presentation Z is Y_0 under its own edge names,
+    a piece of Y matched by base path.  T^d is ``phase(d)``, the only code
+    read off base paths; every other code is a ``lift`` of piece codes read
+    off phases by ``restrict``, such as t_c = T^c from Z onto Y_c."""
     base: EdgeShift
     n: int
     m: int
     stride: int                  # N = n*m: sigma^N is the acting power
     part: CyclicPartition
     power: EdgeShift             # Y: presentation of (X, sigma^N)
-    component: EdgeShift         # Z: presentation of (X_m, sigma^N restricted)
-    piece: dict                  # Y symbol -> the class c of its piece Y_c
-    to_power: dict               # Z symbol -> the Y_0 symbol of the same path
-    to_component: dict           # the inverse of to_power
+    component: Piece             # Z, presenting (X_m, sigma^N restricted), in Y
+    pieces: tuple                # Y_c for each class c
     _phases: dict = field(default_factory=dict, repr=False, init=False)
-    _conjugates: dict = field(default_factory=dict, repr=False, init=False)
+    _psi_pieces: dict = field(default_factory=dict, repr=False, init=False)
 
     @staticmethod
     def build(base: EdgeShift, n: int, m: int) -> "SplitInstance":
@@ -65,13 +63,10 @@ class SplitInstance:
             raise StabdynError(f"sigma^{n} is not transitive (period {period(base)})")
         stride = n * m
         power = power_shift(base, stride)
-        component = class_restriction(base, part, stride)
-        piece = {sym: part.class_of[power.tail(sym)] for sym in power.alphabet}
-        to_power = {sym: power.from_parent(component.to_parent((sym,)))[0]
-                    for sym in component.alphabet}
-        to_component = {y: z for z, y in to_power.items()}
-        return SplitInstance(base, n, m, stride, part, power, component,
-                             piece, to_power, to_component)
+        z = class_restriction(base, part, stride)
+        to_power = {sym: power.from_parent(z.to_parent((sym,)))[0] for sym in z.alphabet}
+        pieces = tuple(Piece.derived(power, sorted(states)) for states in part.classes)
+        return SplitInstance(base, n, m, stride, part, power, Piece(z, to_power), pieces)
 
     def phase(self, d: int) -> SlidingBlockCode:
         """T^d (|d| <= N) as a code over Y, canonical: a 3-word's output is
@@ -85,64 +80,41 @@ class SplitInstance:
             self._phases[d] = SlidingBlockCode(power, power, 1, rule).canonical()
         return self._phases[d]
 
-    def _conjugate(self, code: SlidingBlockCode, d: int) -> SlidingBlockCode:
-        """T^d . code . T^-d, canonical; cached by (canonical key, d)."""
-        key = (code.canonical_key(), d)
-        if key not in self._conjugates:
-            self._conjugates[key] = compose(
-                self.phase(d), compose(code, self.phase(-d))).canonical()
-        return self._conjugates[key]
-
-    def _assemble(self, pieces: Sequence[SlidingBlockCode]) -> SlidingBlockCode:
-        """The code over Y that acts on each piece Y_c as pieces[c] does."""
-        radius = max(code.radius for code in pieces)
-        width = 2 * radius + 1
-        # each piece's outputs on the centred sub-windows of every width-word
-        outputs = [gather(code.rule, self.power.subwindow_ids(
-            width, 2 * code.radius + 1)[radius - code.radius]) for code in pieces]
-        rule = [outputs[self.piece[w[0]]][k]
-                for k, w in enumerate(self.power.language(width))]
-        return SlidingBlockCode(self.power, self.power, radius, rule, validate=False)
-
-    def _windows(self, width: int) -> list:
-        """The window id in ``power.language(width)`` of each word of
-        ``component.language(width)``, read as a word of Y_0."""
-        ids, to_power = self.power.word_ids(width), self.to_power
-        return [ids[tuple(map(to_power.__getitem__, w))]
-                for w in self.component.language(width)]
-
-    def _lift(self, code: SlidingBlockCode) -> SlidingBlockCode:
-        """A code over Z as a code over Y: itself on Y_0, the identity on the
-        other pieces."""
-        r = code.radius
-        rule = [w[r] for w in self.power.language(2 * r + 1)]
-        for k, out in zip(self._windows(2 * r + 1), code.rule):
-            rule[k] = self.to_power[out]
-        return SlidingBlockCode(self.power, self.power, r, rule, validate=False)
+    @functools.cached_property
+    def _transports(self) -> tuple:
+        """(t_c, t_c^-1) for each class c: T^c from Z onto Y_c and T^-c back."""
+        z = self.component
+        return tuple((restrict(self.phase(c), z, piece), restrict(self.phase(-c), piece, z))
+                     for c, piece in enumerate(self.pieces))
 
     def rho(self, sigma: tuple) -> SlidingBlockCode:
         """rho(sigma): T^i x -> T^{sigma(i)} x for x in the class-0 piece, so
-        T^{sigma(c) - c} on Y_c."""
+        T^{sigma(c) - c} from Y_c onto Y_sigma(c)."""
         if len(sigma) != self.m:
             raise StabdynError("permutation size differs from the partition size")
-        return self._assemble([self.phase(s - c) for c, s in enumerate(sigma)])
+        return lift(self.power, self.pieces, sigma, [
+            restrict(self.phase(s - c), self.pieces[c], self.pieces[s])
+            for c, s in enumerate(sigma)])
 
     def psi(self, components: Sequence[SlidingBlockCode]) -> SlidingBlockCode:
         """psi(g_0..g_{m-1}): T^i x -> T^i g_i(x) for x in the class-0 piece,
-        so T^c g_c T^-c on Y_c."""
+        so t_c g_c t_c^-1 on Y_c, canonical and kept by (g_c's key, c)."""
         if len(components) != self.m:
             raise StabdynError("need one component automorphism per class")
-        return self._assemble([self._conjugate(self._lift(g), c)
-                               for c, g in enumerate(components)])
+        codes = []
+        for c, g in enumerate(components):
+            key = (g.canonical_key(), c)
+            if key not in self._psi_pieces:
+                t, t_inv = self._transports[c]
+                self._psi_pieces[key] = compose(t, compose(g, t_inv)).canonical()
+            codes.append(self._psi_pieces[key])
+        return lift(self.power, self.pieces, range(self.m), codes)
 
     def restrict_to_component(self, code: SlidingBlockCode, i: int) -> SlidingBlockCode:
-        """g_i = T^-i code T^i on Y_0, as a code over Z.  Requires pi(code)
-        to fix class i."""
-        f = self._conjugate(code, -i)
-        rule = [self.to_component[out]
-                for out in gather(f.rule, self._windows(2 * f.radius + 1))]
-        return SlidingBlockCode(self.component, self.component, f.radius, rule,
-                                validate=False)
+        """g_i = t_i^-1 code t_i, with code read on Y_i, as a canonical code
+        over Z.  Requires pi(code) to fix class i."""
+        piece, (t, t_inv) = self.pieces[i], self._transports[i]
+        return compose(t_inv, compose(restrict(code, piece, piece), t)).canonical()
 
 
 # -- reports ----------------------------------------------------------------------
@@ -292,8 +264,8 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
     checks.append(_check("rho_homomorphism", rho_failures()))
 
     # component stage and psi tuples
-    r_comp = _effective_radius(inst.component, max(radius, 1))
-    comp_autos = enumerate_automorphisms(inst.component, r_comp)
+    r_comp = _effective_radius(inst.component.shift, max(radius, 1))
+    comp_autos = enumerate_automorphisms(inst.component.shift, r_comp)
     tuples = list(itertools.islice(
         itertools.product(range(len(comp_autos.elements)), repeat=m), MAX_TUPLES))
 

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from stabdyn.cli import main, rigidity_sweep_pairs
+from stabdyn.cli import load_group, main, rigidity_sweep_pairs
+from stabdyn.groups import cyclic_group, direct_product, klein_group
 
 from conftest import intercalate_loop
 
@@ -360,6 +361,29 @@ def test_rigidity_sweep_pair_generation():
     assert frozenset([("Z4", 3), ("Z2", 4)]) in names
     assert frozenset([("V4", 3), ("Z2", 4)]) in names
     assert len(pairs) == 4
+
+
+def test_product_shorthands_are_direct_products():
+    products = {"z3xz3": direct_product(cyclic_group(3), cyclic_group(3)),
+                "z4xz2": direct_product(cyclic_group(4), cyclic_group(2)),
+                "z2xz2xz2": direct_product(klein_group(), cyclic_group(2))}
+    for spec, expected in products.items():
+        group, name = load_group(spec.upper())
+        assert name == spec.upper() and group.table == expected.table
+    # the sweep pairs Z3 x Z3 (the only product of equal wreath order) with Z3
+    swept = {name: g for pair in rigidity_sweep_pairs() for name, g in (pair[:2], pair[3:5])}
+    assert swept["Z3xZ3"].table == products["z3xz3"].table
+
+
+def test_verify_wreath_on_a_lettered_power_presentation_is_pinned(capsys):
+    # the period-3 cycle with one doubled return arc at n = 2, m = 3: a
+    # 12-symbol power presentation (letter names) whose lifted stage, at the
+    # radius reduced to 0, has 82,944 members; no benchmark digest covers either
+    code, out, _ = run(capsys, ["verify-wreath", "0 1 0 / 0 0 1 / 2 0 0",
+                                "--n", "2", "--m", "3", "--radius", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0cccaca158dfc761a193c0ac3b6056243fed943e1ff2460b159eca35d85ce9d6")
 
 
 def test_sweep_runs_clean(capsys):

@@ -35,6 +35,9 @@ def test_group_table_indices_are_checked():
     z2 = [[0, 1], [1, 0]]
     for kwargs in [{"table": [[0, 1], [1]]},  # not square
                    {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 7]]},  # entry outside range(3)
+                   # rows and columns equal {0, 1} as sets, but an entry is no int
+                   {"table": [[0, True], [True, 0]]},
+                   {"table": [[0, 1.0], [1.0, 0]]},
                    {"table": z2, "names": ["e"]},
                    {"table": z2, "generators": [7]},
                    {"table": z2, "generators": [-1]}]:

@@ -7,10 +7,9 @@ import math
 
 import pytest
 
-from stabdyn.errors import NoSuchEigenvalueError, VerificationError
+from stabdyn.errors import NoSuchEigenvalueError
 from stabdyn.sft import entropy, full_shift, is_irreducible, is_mixing, power_shift
-from stabdyn.spectral import (CyclicPartition, _validate_partition,
-                              class_restriction, cyclic_partition, divisors,
+from stabdyn.spectral import (class_restriction, cyclic_partition, divisors,
                               exhaustive_partition_search, is_power_transitive,
                               rational_eigs, smale)
 
@@ -63,11 +62,13 @@ def test_cyclic_partition_rejects_non_eigenvalue():
         cyclic_partition(golden_mean(), 2)
 
 
-def test_partition_check_rejects_an_edge_that_keeps_its_class():
-    # the 3-cycle 0 -> 1 -> 2 -> 0 as {0}, {1, 2}: the edge 1 -> 2 stays in class 1
-    sft = cycle_graph(3)
-    with pytest.raises(VerificationError, match="advance"):
-        _validate_partition(sft, CyclicPartition(2, (0, 1, 1), sft))
+def test_cyclic_partition_is_the_exhaustive_search_partition(graph_catalog):
+    # with the base state in class 0 a cyclic partition is unique, so the
+    # BFS-level classes are the ones the oracle finds, every edge advancing
+    for name, sft, p in graph_catalog:
+        for m in divisors(p):
+            assert cyclic_partition(sft, m).classes == \
+                exhaustive_partition_search(sft, m), (name, m)
 
 
 def coarsen(part, q: int) -> tuple:

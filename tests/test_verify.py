@@ -4,18 +4,22 @@ comparison, entropy ratios."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 
 from stabdyn import codes, verify
 
-from stabdyn.codes import (AutomorphismSet, compose, enumerate_automorphisms,
+from stabdyn.codes import (AutomorphismSet, SlidingBlockCode, compose,
+                           enumerate_automorphisms, enumerate_conjugacies,
+                           identity_code, lift, partition_action, restrict,
                            shift_code)
 from stabdyn.errors import StabdynError, VerificationError, ZeroEntropyError
 from stabdyn.groups import (cyclic_group, dihedral_square, is_isomorphic, klein_group,
                             quaternion_group)
 from stabdyn.sft import entropy, full_shift, parse_edge_shift, power_shift
-from stabdyn.verify import (MAX_PAIRS, SplitInstance, _quotient_group,
+from stabdyn.verify import (MAX_KERNEL, MAX_PAIRS, MAX_TUPLES, SplitInstance,
+                            _effective_radius, _quotient_group,
                             _sampled_pairs, _stage_escape,
                             check_wreath_rigidity, compare_rational_eigs,
                             entropy_ratio, shifted_key, verify_quotient_isos,
@@ -118,6 +122,101 @@ def test_phase_translates_parent_paths():
                 image = power.to_parent(code.apply(w))
                 assert image[(1 - r) * N:(3 - r) * N] == \
                     power.to_parent(w)[N + d:3 * N + d], (inst.base.states, d, w)
+
+
+def test_restrict_of_lift_returns_every_piece_code():
+    lifted = 0
+    for y in [power_shift(doubled_loop_period2(), 2), power_shift(cycle_graph(3), 3)] + [
+            inst.power for inst in _split_instances()]:
+        pieces = codes._disjoint_components(y)
+        if pieces is None:  # one piece: the stage is searched directly
+            continue
+        lifted += 1
+        k, keys = len(pieces), set()
+        for perm in itertools.permutations(range(k)):
+            for combo in itertools.product(*[enumerate_conjugacies(
+                    pieces[i].shift, pieces[perm[i]].shift, 1) for i in range(k)]):
+                code = lift(y, pieces, perm, combo)
+                assert [restrict(code, pieces[i], pieces[perm[i]]).canonical_key()
+                        for i in range(k)] == [c.canonical_key() for c in combo]
+                keys.add(code.canonical_key())
+        assert keys == set(enumerate_automorphisms(y, 1).key_index), y.states
+    assert lifted == 8  # the mixing and one-state powers are one piece
+    # codes of different radii are widened to the largest
+    y = power_shift(doubled_loop_period2(), 2)
+    pieces = codes._disjoint_components(y)
+    combo = [identity_code(pieces[0].shift), shift_code(pieces[1].shift, 1)]
+    code = lift(y, pieces, (0, 1), combo)
+    assert code.radius == 1 and not code.is_identity()
+    assert [restrict(code, p, p).canonical_key() for p in pieces] == [
+        c.canonical_key() for c in combo]
+
+
+# -- the split-sequence codes against the construction over the whole of Y --
+
+
+def _on_pieces(inst, parts):
+    """The code over Y that acts on piece c as parts[c], a code over Y."""
+    power = inst.power
+    radius = max(code.radius for code in parts)
+    rule = []
+    for w in power.language(2 * radius + 1):
+        code = parts[inst.part.class_of[power.tail(w[0])]]
+        rule.append(code.apply(w[radius - code.radius:radius + code.radius + 1])[0])
+    return SlidingBlockCode(power, power, radius, rule)
+
+
+def _whole_power_codes(inst):
+    """(rho, psi, restriction) built over the whole of Y from the phases T^d:
+    rho(s) is T^{s(c)-c} on piece c, psi(g) is T^c g_c T^-c on piece c, where
+    g_c acts on Y_0 through the base paths of Z's symbols, and the
+    restriction to class i is T^-i f T^i on Y_0, read through them."""
+    power, z = inst.power, inst.component.shift
+    to_y = {sym: power.from_parent(z.to_parent((sym,)))[0] for sym in z.alphabet}
+    to_z = {y: sym for sym, y in to_y.items()}
+
+    def on_y0(g):  # g on Y_0, the identity on the other pieces
+        r = g.radius
+        return SlidingBlockCode(power, power, r, [
+            to_y[g.apply(tuple(map(to_z.__getitem__, w)))[0]] if w[0] in to_z else w[r]
+            for w in power.language(2 * r + 1)])
+
+    def rho(sigma):
+        return _on_pieces(inst, [inst.phase(s - c) for c, s in enumerate(sigma)])
+
+    def psi(gs):
+        return _on_pieces(inst, [compose(inst.phase(c), compose(on_y0(g), inst.phase(-c)))
+                                 for c, g in enumerate(gs)])
+
+    def restriction(f, i):
+        f_i = compose(inst.phase(-i), compose(f, inst.phase(i)))
+        return SlidingBlockCode(z, z, f_i.radius, [
+            to_z[f_i.apply(tuple(map(to_y.__getitem__, w)))[0]]
+            for w in z.language(2 * f_i.radius + 1)])
+
+    return rho, psi, restriction
+
+
+def test_split_codes_are_the_phase_conjugates_over_the_whole_power():
+    for inst in _split_instances():
+        rho, psi, restriction = _whole_power_codes(inst)
+        m, z = inst.m, inst.component.shift
+        for sigma in itertools.permutations(range(m)):
+            assert inst.rho(sigma).canonical_key() == rho(sigma).canonical_key(), sigma
+        comp = enumerate_automorphisms(z, _effective_radius(z, 1))
+        for tup in itertools.islice(itertools.product(comp.elements, repeat=m), MAX_TUPLES):
+            code = inst.psi(tup)
+            assert code.canonical_key() == psi(tup).canonical_key()
+            assert [inst.restrict_to_component(code, i).canonical_key() for i in range(m)] \
+                == [restriction(code, i).canonical_key() for i in range(m)] \
+                == [g.canonical_key() for g in tup]
+        stage = enumerate_automorphisms(inst.power, _effective_radius(inst.power, 1))
+        kernel = [f for f in stage.elements
+                  if partition_action(f, inst.part) == tuple(range(m))][:MAX_KERNEL]
+        assert kernel
+        for f in kernel:
+            assert [inst.restrict_to_component(f, i).canonical_key() for i in range(m)] \
+                == [restriction(f, i).canonical_key() for i in range(m)]
 
 
 # -- quotient isomorphisms ---------------------------------------------------------
