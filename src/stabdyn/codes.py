@@ -27,7 +27,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .budgets import Budget, default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
                      ShiftMismatchError, WordError)
-from .sft import EdgeShift, Word, derived_shift, strongly_connected_components, word_to_str
+from .sft import (EdgeShift, Word, derived_shift, is_irreducible,
+                  strongly_connected_components, word_to_str)
 from .spectral import CyclicPartition
 
 class SlidingBlockCode:
@@ -85,8 +86,9 @@ class SlidingBlockCode:
         r2, outputs = self.canonical_key()
         if r2 == self.radius:
             return self
-        return SlidingBlockCode(self.domain, self.codomain, r2, outputs,
-                                validate=False)
+        code = SlidingBlockCode(self.domain, self.codomain, r2, outputs, validate=False)
+        code._canonical_key = self._canonical_key  # the same map: the same key
+        return code
 
     @property
     def canonical_radius(self) -> int:
@@ -183,12 +185,12 @@ def factor_key(sft: EdgeShift, radius: int, outputs: Sequence) -> tuple:
     centred (2*r2+1)-subword, with the factored rule's outputs in the order
     of ``sft.language(2*r2+1)``."""
     width = 2 * radius + 1
-    for r2 in range(radius + 1):
+    for r2 in range(radius):
         rule = regroup(sft.subwindow_ids(width, 2 * r2 + 1)[radius - r2], outputs,
                        len(sft.language(2 * r2 + 1)))
         if rule is not None:
             return r2, tuple(rule)
-    raise AssertionError("a rule factors through its own radius")
+    return radius, tuple(outputs)  # a rule factors through its own radius
 
 
 def compose(f: SlidingBlockCode, g: SlidingBlockCode) -> SlidingBlockCode:
@@ -262,7 +264,9 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     Exhaustive: a DFS over rule tables checks each window pair of an
     admissible (2r+2)-word once, when its later window gets a symbol, and
     every complete table goes to ``find_inverse`` at radius 2r, which decides
-    exactly whether the code has an inverse of that radius.  Rules and node
+    exactly whether the code has an inverse of that radius.  No output symbol
+    fills more than ``_balance_cap`` slots, the count it has in every
+    conjugacy, so the cap prunes no conjugacy.  Rules and node
     count are memoized in the tables that ``domain`` shares with the equal
     presentations of its input, by (codomain adjacency, radius); a repeat
     raises BudgetExceededError exactly when the deterministic search would.
@@ -283,7 +287,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
 
     alphabet, heads, tails = codomain.alphabet, codomain.tables.heads, codomain.tables.tails
     out = [None] * size
-    used: set = set()
+    cap, count = _balance_cap(domain, codomain, radius), dict.fromkeys(alphabet, 0)
     found: list = []
     nodes = 0
 
@@ -299,21 +303,36 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
             if nodes > budget.enum_nodes:
                 raise BudgetExceededError(
                     f"rule enumeration exceeded {budget.enum_nodes} nodes")
-            if radius == 0 and symbol in used:
-                # at radius 0 the inverse radius is 0 too: a symbol bijection
+            if count[symbol] == cap:
                 continue
             out[pos] = symbol
             if not all(heads[out[li]] == tails[out[ri]] for li, ri in pairs[pos]):
                 continue
-            if radius == 0:
-                used.add(symbol)
+            count[symbol] += 1
             assign(pos + 1)
-            used.discard(symbol)
+            count[symbol] -= 1
 
     assign(0)
     found.sort(key=SlidingBlockCode.canonical_key)
     memo[key] = (tuple(code.rule for code in found), nodes)
     return found
+
+
+def _balance_cap(domain: EdgeShift, codomain: EdgeShift, radius: int) -> Optional[int]:
+    """The number of rule slots that each output symbol of a conjugacy
+    fills, or None when it is not forced.  At radius 0 it is 1: a symbol
+    bijection.  When both graphs are irreducible with every row and column
+    sum equal to one k, a conjugacy carries the measure of maximal entropy
+    to the measure of maximal entropy (Coven & Paul 1974), which gives each
+    of the |E_X| k^(2r) slots mass 1/(|E_X| k^(2r)) and each of the |E_Y|
+    symbols mass 1/|E_Y|: so |E_X| k^(2r) / |E_Y| slots per symbol."""
+    if radius == 0:
+        return 1
+    sums = {sum(line) for sft in (domain, codomain)
+            for line in (*sft.adjacency, *zip(*sft.adjacency))}
+    slots, symbols = len(domain.language(2 * radius + 1)), len(codomain.alphabet)
+    regular = len(sums) == 1 and is_irreducible(domain) and is_irreducible(codomain)
+    return slots // symbols if regular and slots % symbols == 0 else None
 
 
 class Piece:

@@ -55,6 +55,7 @@ class SplitInstance:
     pieces: tuple                # Y_c for each class c
     _phases: dict = field(default_factory=dict, repr=False, init=False)
     _psi_pieces: dict = field(default_factory=dict, repr=False, init=False)
+    _restrictions: dict = field(default_factory=dict, repr=False, init=False)
 
     @staticmethod
     def build(base: EdgeShift, n: int, m: int) -> "SplitInstance":
@@ -112,9 +113,13 @@ class SplitInstance:
 
     def restrict_to_component(self, code: SlidingBlockCode, i: int) -> SlidingBlockCode:
         """g_i = t_i^-1 code t_i, with code read on Y_i, as a canonical code
-        over Z.  Requires pi(code) to fix class i."""
-        piece, (t, t_inv) = self.pieces[i], self._transports[i]
-        return compose(t_inv, compose(restrict(code, piece, piece), t)).canonical()
+        over Z, kept by (code's key, i).  Requires pi(code) to fix class i."""
+        key = (code.canonical_key(), i)
+        if key not in self._restrictions:
+            piece, (t, t_inv) = self.pieces[i], self._transports[i]
+            self._restrictions[key] = compose(
+                t_inv, compose(restrict(code, piece, piece), t)).canonical()
+        return self._restrictions[key]
 
 
 # -- reports ----------------------------------------------------------------------
@@ -227,25 +232,33 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
     autos = enumerate_automorphisms(inst.power, r_eff)
 
     # pi on the enumerated stage
-    pi_of: dict = {}
+    pi_of: list = []  # by index, up to the first element pi is not defined on
 
     def pi_failures():
         for idx, code in enumerate(autos.elements):
             try:
-                pi_of[idx] = partition_action(code, inst.part)
+                pi_of.append(partition_action(code, inst.part))
             except StabdynError as exc:
                 yield f"element {idx}: {exc}"
+                return
 
     checks = [_check("pi_defined_on_stage", pi_failures())]
-    kernel = [idx for idx, p in pi_of.items() if p == identity_perm(m)]
-    image = sorted(set(pi_of.values()))
+    kernel = [idx for idx, p in enumerate(pi_of) if p == identity_perm(m)]
+    image = sorted(set(pi_of))
+
+    def pi_of_product(i, j):
+        """pi(f.g), read by index when the product is in the stage: equal
+        canonical keys are equal maps."""
+        k = autos.key_index.get(autos.product(i, j).canonical_key())
+        if k is not None and k < len(pi_of):
+            return pi_of[k]
+        return partition_action(autos.product(i, j), inst.part)
 
     # pi is a homomorphism (budgeted pairs)
     checks.append(_check("pi_homomorphism", (
         f"pi(f.g) != pi(f).pi(g) at pair ({i},{j})"
         for i, j in _sampled_pairs(len(autos.elements))
-        if partition_action(autos.product(i, j), inst.part)
-        != compose_perm(pi_of[i], pi_of[j]))))
+        if pi_of_product(i, j) != compose_perm(pi_of[i], pi_of[j]))))
 
     # rho: section of pi
     rho_of = {sigma: inst.rho(sigma) for sigma in all_perms(m)}
@@ -341,7 +354,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
                      "only; the non-rotation branch of the class action was "
                      "not exercised at this radius")
 
-    pi_table = {idx: pi_of.get(idx, ()) for idx in range(len(autos.elements))}
+    pi_table = dict(enumerate(pi_of + [()] * (len(autos.elements) - len(pi_of))))
     rho_table = {sigma: code.to_document() for sigma, code in rho_of.items()}
     psi_table = {tup: code.to_document() for tup, code in psi_of.items()}
     return WreathDecompositionReport(

@@ -297,9 +297,10 @@ def test_find_inverse_is_the_full_list_route_on_every_radius1_table():
 
 def test_find_inverse_reads_few_image_words_per_rejected_table(monkeypatch):
     # a radius-2 table of the full 2-shift has 8,192 13-words to check at
-    # inverse radius 4; a table without an inverse shows a conflict early
-    consumed = []
-    regroup = codes.regroup
+    # inverse radius 4; a table without an inverse shows a conflict early,
+    # and an accepted one (the search reaches sigma^-2) reads them all
+    consumed, read = [], {False: [], True: []}
+    regroup, inverse = codes.regroup, codes.find_inverse
 
     def counting(ids, values, size):
         consumed.append(0)
@@ -310,10 +311,18 @@ def test_find_inverse_reads_few_image_words_per_rejected_table(monkeypatch):
                 yield i
         return regroup(counted(), values, size)
 
+    def recording(code, r):
+        start = len(consumed)
+        result = inverse(code, r)
+        read[result is not None].append(consumed[start])  # the image-word pass
+        return result
+
     monkeypatch.setattr(codes, "regroup", counting)
+    monkeypatch.setattr(codes, "find_inverse", recording)
     with pytest.raises(BudgetExceededError):
         enumerate_automorphisms(full_shift(2), 2, budget=Budget(enum_nodes=2000))
-    assert consumed and max(consumed) <= 512
+    assert read[False] and max(read[False]) <= 512
+    assert read[True] and set(read[True]) == {8192}
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -323,6 +332,33 @@ def test_enumerate_full_two_radius0():
     assert len(autos) == 2
     assert identity_code(full_shift(2)) in autos.elements
     assert flip_code(full_shift(2)) in autos.elements
+
+
+def test_balance_cap_prunes_the_full_two_radius1_search(monkeypatch):
+    # each of the two symbols fills exactly 4 of the 8 slots: C(8, 4) leaves
+    calls = []
+    monkeypatch.setattr(codes, "find_inverse",
+                        lambda code, r: calls.append(code) or find_inverse(code, r))
+    sft = full_shift(2)
+    assert len(enumerate_conjugacies(sft, sft, 1)) == 6
+    (_, nodes), = sft.tables.stages.values()
+    assert (len(calls), nodes) == (70, 362)
+
+
+def test_balance_cap_is_the_brute_force_between_presentations():
+    # the 2-block presentation of the full 2-shift (4 symbols) onto the full
+    # 2-shift (2 symbols) at radius 1: 16 slots, so each symbol fills 8;
+    # every table is admissible, as the codomain is a full shift
+    block, full2 = make_edge_shift(["0", "1"], [[1, 1], [1, 1]]), full_shift(2)
+    accepted = []
+    for table in itertools.product(full2.alphabet, repeat=len(block.language(3))):
+        code = SlidingBlockCode(block, full2, 1, table, validate=False)
+        if find_inverse(code, 2) is not None:
+            accepted.append(code)
+    accepted.sort(key=SlidingBlockCode.canonical_key)
+    found = enumerate_conjugacies(block, full2, 1)
+    assert [c.rule for c in found] == [c.rule for c in accepted]
+    assert len(found) == 8
 
 
 def test_enumerate_full_two_power_two_radius0():
@@ -378,7 +414,7 @@ def test_transient_edge_stage_is_searched_directly():
 
 
 def test_lifted_stage_respects_the_node_budget():
-    # four 2-symbol pieces: each piece search needs 510 nodes, but the lifted
+    # four 2-symbol pieces: each piece search needs 362 nodes, but the lifted
     # stage has 4! * 6^4 = 31,104 members, and none is built
     y = power_shift(parse_edge_shift("0 2 0 0 / 0 0 1 0 / 0 0 0 1 / 1 0 0 0"), 4)
     with pytest.raises(BudgetExceededError):
@@ -544,22 +580,22 @@ def test_stage_memo_is_not_shared_between_inputs(monkeypatch):
     for _ in range(2):
         sft = full_shift(2)
         assert len(enumerate_conjugacies(sft, sft, 1)) == 6
-        assert len(calls) == 256  # every separately built input runs the DFS
+        assert len(calls) == 70  # every separately built input runs the DFS
         calls.clear()
 
 
 def test_stage_memo_runs_each_split_search_once(monkeypatch, capsys):
     # the power presentation of the doubled 3-cycle falls into three full
-    # 2-shift pieces, and the component is the full 2-shift too: one 256-leaf
+    # 2-shift pieces, and the component is the full 2-shift too: one 70-leaf
     # DFS serves the 9 conjugacy sets between pieces and the component stage,
-    # where separate searches would make 2,566 find_inverse calls
+    # where separate searches would make 706 find_inverse calls
     calls = []
     monkeypatch.setattr(codes, "find_inverse",
                         lambda code, r: calls.append(code) or find_inverse(code, r))
     assert main(["verify-wreath", "0 2 0 / 0 0 1 / 1 0 0",
                  "--n", "1", "--m", "3", "--radius", "1"]) == 0
     capsys.readouterr()
-    assert len(calls) == 256 + 6  # the leaves, and the component inverses
+    assert len(calls) == 70 + 6  # the leaves, and the component inverses
 
 
 def test_automorphism_set_document():
