@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -145,7 +146,9 @@ def _manifest(args, started: float, exit_code: int) -> None:
     manifest = {
         "schema_version": 1,
         "subcommand": args.command,
-        "flags": {k: v for k, v in sorted(vars(args).items())
+        # a non-finite float flag is written "nan" or "inf": JSON has no NaN
+        "flags": {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                  for k, v in sorted(vars(args).items())
                   if k not in {"command", "func"} and not k.startswith("_")
                   and not callable(v)},
         "input_hashes": args._hashes,
@@ -154,7 +157,7 @@ def _manifest(args, started: float, exit_code: int) -> None:
         "wall_time_s": round(time.monotonic() - started, 6),
         "result_path": "-",
     }
-    text = json.dumps(manifest, sort_keys=True, default=str) + "\n"
+    text = json.dumps(manifest, sort_keys=True, default=str, allow_nan=False) + "\n"
     path = getattr(args, "manifest", None)
     if path:
         with open(path, "w", encoding="utf-8") as handle:

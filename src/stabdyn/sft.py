@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, truediv
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -431,9 +431,12 @@ def _perron_irreducible(matrix, cap: int):
     iteration on A + I, to Collatz-Wielandt bounds within relative ENTROPY_TOL.
     Each row sum is the sequential IEEE adds ((t0 + t1) + t2) ... over the
     row's nonzero entries and the diagonal in column order, the same bits on
-    every interpreter.  Column k gathers every row's k-th term; a shorter row
-    reads the 0.0 kept at v[n] (x + 0.0 == x), and only columns holding a
-    coefficient other than 1.0 multiply.  Cost per step: n times the widest row.
+    every interpreter.  Column k < depth, the narrowest row's length, gathers
+    every row's k-th term, and only columns holding a coefficient other than
+    1.0 multiply; the terms of wider rows past depth (`tail`, in row then
+    column order) are added in place, w[i] += c v[j].  That continues each
+    row's fold in column order, and c * x == x for c == 1.0, so the bits are
+    those of a dense row sum.  Cost per step: nnz(A + I) multiply-adds.
 
     A step scans all n ratios w_i/v_i only when ra and rb, the ratios at the
     argmin and argmax of the last scan, pass the test.  This is exact: the scan
@@ -444,12 +447,14 @@ def _perron_irreducible(matrix, cap: int):
     rows = [[(j, float(a) + (1.0 if i == j else 0.0))
              for j, a in enumerate(row) if a or i == j]
             for i, row in enumerate(matrix)]
+    depth = min(map(len, rows))
     cols = []
-    for k in range(max(map(len, rows))):
-        idx, coef = zip(*(row[k] if k < len(row) else (n, 1.0) for row in rows))
+    for k in range(depth):
+        idx, coef = zip(*(row[k] for row in rows))
         get = itemgetter(*idx) if n > 1 else itemgetter(slice(0, 1))  # a list, not a scalar
         cols.append((get, None if set(coef) == {1.0} else coef))
-    v = [1.0] * n + [0.0]
+    tail = [(i, j, c) for i, row in enumerate(rows) for j, c in row[depth:]]
+    v = [1.0] * n
     a = b = 0
     for it in range(1, cap + 1):
         w = None
@@ -457,6 +462,8 @@ def _perron_irreducible(matrix, cap: int):
             t = get(v) if coef is None else map(mul, coef, get(v))
             w = t if w is None else map(add, w, t)
         w = list(w)
+        for i, j, c in tail:
+            w[i] += c * v[j]
         ra, rb = w[a] / v[a], w[b] / v[b]
         if abs(ra - rb) <= ENTROPY_TOL * min(ra, rb):
             ratios = [x / y for x, y in zip(w, v)]
@@ -464,9 +471,7 @@ def _perron_irreducible(matrix, cap: int):
             if hi - lo <= ENTROPY_TOL * lo:
                 return (lo + hi) / 2.0 - 1.0, it
             a, b = ratios.index(lo), ratios.index(hi)
-        norm = max(w)
-        v = [x / norm for x in w]
-        v.append(0.0)
+        v = list(map(truediv, w, repeat(max(w), n)))
     raise IterationCapError(f"power iteration did not converge in {cap} steps")
 
 

@@ -594,6 +594,8 @@ def entropy_ratio(x: EdgeShift, y: EdgeShift, max_denominator: int = 50,
     """
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise StabdynError("tolerance must be finite and >= 1e-12")
+    if max_denominator < 1:
+        raise StabdynError("max denominator must be >= 1")
     ent_x, ent_y = entropy(x), entropy(y)
     hx, hy = ent_x.log_value, ent_y.log_value
     if hx <= 0.0 or hy <= 0.0:

@@ -220,12 +220,20 @@ def test_wreath_calc(tmp_path, capsys):
     assert doc["result"] == {"g": [0, 0], "sigma": [0, 1]}
 
 
+def _strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def _one_line_error_with_manifest(capsys, argv, tmp_path):
     path = tmp_path / "manifest.json"
     code, out, err = run(capsys, argv + ["--manifest", str(path)])
     assert code == 1 and out == ""
     assert err.startswith("stabdyn: error:") and err.count("\n") == 1
-    assert json.loads(path.read_text())["exit_code"] == 1
+    assert _strict_json(path.read_text())["exit_code"] == 1
+    return err
 
 
 @pytest.mark.parametrize("extra", [{"generators": [7]}, {"names": ["e"]}])
@@ -287,6 +295,20 @@ def test_misshapen_documents_are_usage_errors(tmp_path, capsys, argv, doc):
 ], ids=["example1-negative-depth", "example2-negative-depth", "tol-nan", "tol-inf"])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv):
     _one_line_error_with_manifest(capsys, argv, tmp_path)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_manifest_writes_a_non_finite_flag_as_a_string(tmp_path, capsys, tol):
+    _one_line_error_with_manifest(capsys, ["entropy-ratio", "2", "4", f"--tol={tol}"], tmp_path)
+    flags = _strict_json((tmp_path / "manifest.json").read_text())["flags"]
+    assert flags["tol"] == tol and flags["max_den"] == 50
+
+
+@pytest.mark.parametrize("max_den", ["0", "-3"])
+def test_entropy_ratio_max_den_below_one_names_the_flag(tmp_path, capsys, max_den):
+    err = _one_line_error_with_manifest(
+        capsys, ["entropy-ratio", "2", "4", f"--max-den={max_den}"], tmp_path)
+    assert err == "stabdyn: error: max denominator must be >= 1\n"
 
 
 def test_determinism_byte_identical(capsys):

@@ -24,6 +24,7 @@ from stabdyn.sft import (EdgeShift, bfs_levels, charpoly_coefficients, derived_s
 from stabdyn.spectral import class_restriction, cyclic_partition, divisors, smale
 
 from conftest import (cycle_graph, doubled_cycle_period3, golden_mean)
+from test_bench_digests import WORKLOADS
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -360,6 +361,59 @@ def test_entropy_is_the_dense_iteration_bit_for_bit(graph_catalog):
                 best, its = max(best, lam), its + it
         result = entropy(sft)
         assert (result.perron_value, result.iterations) == (best, its), sft
+
+
+def _terms(matrix):
+    """The rows of A + I as (column, coefficient) terms over the nonzero
+    entries and the diagonal, in column order."""
+    return [[(j, a + (i == j)) for j, a in enumerate(row) if a or i == j]
+            for i, row in enumerate(matrix)]
+
+
+def hub_graph(n: int, loops: int = 0, parallel: int = 1) -> list:
+    """An n-cycle whose last state also has an arc to every state, plus
+    ``loops`` more self-loops there and ``parallel`` arcs to state n // 2: its
+    row of A + I is n wide, every other row 2."""
+    adj = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    adj[-1] = [1] * n
+    adj[-1][-1] += loops
+    adj[-1][n // 2] = parallel
+    return adj
+
+
+def test_entropy_is_the_dense_iteration_past_the_narrowest_row():
+    matrices = [hub_graph(12), hub_graph(40, loops=2, parallel=3), hub_graph(7, parallel=2)]
+    matrices += [[[int((j - i) % n in (1, 2)) for j in range(n)] for i in range(n)]
+                 for n in (5, 30)]
+    matrices += [[[2] * 6 for _ in range(6)]]
+    matrices += [list(map(list, g)) for g in WORKLOADS.spectral_graphs()[1]]  # charpoly route
+    widths, tails = [], []
+    for terms in map(_terms, matrices):
+        widths.append(sorted(map(len, terms)))
+        depth = widths[-1][0]
+        tails.append([(i, j, c) for i, row in enumerate(terms) for j, c in row[depth:]])
+    assert any(w[0] == 2 and w[-1] == len(w) for w in widths)  # a hub row
+    assert any(c >= 2 and i != j for tail in tails for i, j, c in tail)  # parallel arcs
+    assert any(i == j for tail in tails for i, j, _ in tail)  # a self-loop past depth
+    assert any(not tail for tail in tails)  # equally wide rows
+    for adj in matrices:
+        result = entropy(make_edge_shift([str(i) for i in range(len(adj))], adj))
+        assert (result.perron_value, result.iterations) == _dense_perron(adj, 1e-12, 200_000)
+
+
+def test_perron_step_adds_only_the_dense_columns(monkeypatch):
+    # widest row n, narrowest 2: a step adds one dense column to the first
+    # (n adds) and finishes the hub row in place; columns padded to the
+    # widest row would make n (n - 1)
+    n, adds = 40, []
+
+    def counting(x, y):
+        adds.append(None)
+        return x + y
+
+    monkeypatch.setattr(sft_mod, "add", counting)
+    result = entropy(make_edge_shift([str(i) for i in range(n)], hub_graph(n)))
+    assert len(adds) == n * (2 - 1) * result.iterations > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2])  # period 2, then period 1
