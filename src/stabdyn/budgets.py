@@ -42,6 +42,9 @@ def default_budget() -> Budget:
                   enum_nodes=cap, sym_normal_m=max(2, min(cap, 8)))
 
 
-def check(value: int, cap: int, what: str) -> None:
-    if value > cap:
-        raise BudgetExceededError(f"{what}: {value} exceeds budget {cap}")
+def check(value: int, budget: Budget, cap: str, what: str) -> None:
+    """Raise BudgetExceededError when ``value`` exceeds the field ``cap`` of
+    ``budget``."""
+    limit = getattr(budget, cap)
+    if value > limit:
+        raise BudgetExceededError(f"{what}: {value} exceeds budget {limit}", cap, limit, value)

@@ -2,7 +2,8 @@
 
 Every subcommand emits one structured JSON document (schema_version 1) on
 stdout; a run manifest (subcommand, flags, input hashes, exit code, version,
-wall time) goes to --manifest or stderr, on error exits as well.  Identical
+wall time, and on a budget exit the cap that stopped the run) goes to
+--manifest or stderr, on error exits as well.  Identical
 inputs and version produce byte-identical stdout; manifests differ only in
 wall time.
 
@@ -20,10 +21,11 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .codes import enumerate_automorphisms
-from .errors import ParseError, StabdynError, VerificationError
+from .errors import BudgetExceededError, ParseError, StabdynError, VerificationError
 from .groups import (FiniteGroup, cyclic_group, direct_product, dihedral_square,
                      klein_group, quaternion_group, symmetric_group,
                      trivial_group)
@@ -66,7 +68,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+    With ``indent`` set, json encodes in pure Python, one call per value;
+    here a list of one scalar type is one ``map`` and one join."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# json's encoding of each scalar type, by exact type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` encoded as json.dumps does, its lines after the first
+    indented by ``newline``."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return _SCALARS[kind](value)
+    if not value or kind not in (dict, list, tuple) or (
+            kind is dict and set(map(type, value)) != {str}):
+        # empty containers, other keys and other types: json's own encoding
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+    inner = newline + "  "
+    if kind is dict:
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _encode(value[k], inner)
+            for k in sorted(value)]) + newline + "}"
+    kinds = set(map(type, value))
+    encode = (_SCALARS[kinds.pop()] if len(kinds) == 1 and kinds <= _SCALARS.keys()
+              else functools.partial(_encode, newline=inner))
+    return "[" + inner + ("," + inner).join(map(encode, value)) + newline + "]"
 
 
 def _read_source(arg: str) -> tuple:
@@ -142,7 +180,7 @@ def _emit(args, doc, plain: str = None) -> None:
     sys.stdout.write(_dumps(doc))
 
 
-def _manifest(args, started: float, exit_code: int) -> None:
+def _manifest(args, started: float, exit_code: int, budget_exit: dict = None) -> None:
     manifest = {
         "schema_version": 1,
         "subcommand": args.command,
@@ -157,6 +195,8 @@ def _manifest(args, started: float, exit_code: int) -> None:
         "wall_time_s": round(time.monotonic() - started, 6),
         "result_path": "-",
     }
+    if budget_exit is not None:
+        manifest["budget_exit"] = budget_exit
     text = json.dumps(manifest, sort_keys=True, default=str, allow_nan=False) + "\n"
     path = getattr(args, "manifest", None)
     if path:
@@ -525,12 +565,16 @@ def main(argv=None) -> int:
             _manifest(argparse.Namespace(command=command, _hashes={}), started, EXIT_USAGE)
         raise
     args._hashes = {}
+    budget_exit = None
     try:
         code = args.func(args)
     except (StabdynError, OSError, KeyError, ValueError) as exc:  # JSONDecodeError too
         sys.stderr.write(f"stabdyn: error: {exc}\n")
         code = EXIT_USAGE
-    _manifest(args, started, code)
+        if isinstance(exc, BudgetExceededError) and exc.cap is not None:
+            budget_exit = {"cap": exc.cap, "limit": exc.limit, "used": exc.used,
+                           "search": exc.search}
+    _manifest(args, started, code, budget_exit)
     return code
 
 

@@ -194,15 +194,23 @@ def factor_key(sft: EdgeShift, radius: int, outputs: Sequence) -> tuple:
 
 
 def compose(f: SlidingBlockCode, g: SlidingBlockCode) -> SlidingBlockCode:
-    """f after g, with radius r_f + r_g: the rule sends each (2r+1)-word w
-    to f's output on g's image of w (``images``).  Use ``canonical()`` to
-    shrink the radius."""
+    """f after g, with radius r = r_f + r_g: the rule sends each (2r+1)-word w
+    to f's output on g's image of w.  One gather of f's rule through a
+    column that holds, for each word of ``g.domain.language(2r+1)``, the id
+    of g's image in ``f.domain.language(2r_f+1)`` (``_image_ids``).  The
+    column depends only on g and r_f, so it is kept, as a list of ints, in
+    the tables of g's domain under (g.codomain.tables, g.radius, g.rule,
+    r_f) and computed once per key.  Use ``canonical()`` to shrink the
+    radius."""
     if g.codomain != f.domain:
         raise ShiftMismatchError("codomain of g differs from domain of f")
     r = f.radius + g.radius
-    ids = f.domain.word_ids(2 * f.radius + 1)
-    rule = gather(f.rule, [ids[v] for v in images(g, 2 * r + 1)])
-    return SlidingBlockCode(g.domain, f.codomain, r, rule, validate=False)
+    memo, key = g.domain.tables.image_ids, (g.codomain.tables, g.radius, g.rule, f.radius)
+    column = memo.get(key)
+    if column is None:
+        ids = f.domain.word_ids(2 * f.radius + 1)
+        column = memo[key] = list(_image_ids(g, 2 * r + 1, ids))
+    return SlidingBlockCode(g.domain, f.codomain, r, gather(f.rule, column), validate=False)
 
 
 def commutes_with_power(code: SlidingBlockCode, n: int) -> bool:
@@ -276,7 +284,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     if key in memo:
         rules, nodes = memo[key]
         if nodes > budget.enum_nodes:
-            raise BudgetExceededError(f"rule enumeration exceeded {budget.enum_nodes} nodes")
+            raise _over_nodes(budget)
         return [SlidingBlockCode(domain, codomain, radius, r, validate=False) for r in rules]
     width = 2 * radius + 1
     size = len(domain.language(width))
@@ -301,8 +309,7 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
         for symbol in alphabet:
             nodes += 1
             if nodes > budget.enum_nodes:
-                raise BudgetExceededError(
-                    f"rule enumeration exceeded {budget.enum_nodes} nodes")
+                raise _over_nodes(budget)
             if count[symbol] == cap:
                 continue
             out[pos] = symbol
@@ -316,6 +323,13 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     found.sort(key=SlidingBlockCode.canonical_key)
     memo[key] = (tuple(code.rule for code in found), nodes)
     return found
+
+
+def _over_nodes(budget: Budget) -> BudgetExceededError:
+    """The error of a rule search stopped at its first node past the cap."""
+    limit = budget.enum_nodes
+    return BudgetExceededError(f"rule enumeration exceeded {limit} nodes",
+                               "enum_nodes", limit, limit + 1, "stage")
 
 
 def _balance_cap(domain: EdgeShift, codomain: EdgeShift, radius: int) -> Optional[int]:
@@ -481,7 +495,8 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
                 for pi in itertools.permutations(range(k)))
     if count > budget.enum_nodes:
         raise BudgetExceededError(
-            f"lifted stage of {count} codes exceeds {budget.enum_nodes} nodes")
+            f"lifted stage of {count} codes exceeds {budget.enum_nodes} nodes",
+            "enum_nodes", budget.enum_nodes, count, "stage")
     elements = [lift(sft, pieces, pi, combo)
                 for pi in itertools.permutations(range(k))
                 for combo in itertools.product(*[table[(i, pi[i])] for i in range(k)])]

@@ -332,7 +332,7 @@ def symmetric_group(n: int, budget: Optional[Budget] = None) -> FiniteGroup:
     """Sym(n) on the permutations in ``all_perms(n)`` order, generated by the
     Coxeter transpositions (the identity for n <= 1)."""
     budget = budget or default_budget()
-    check(math.factorial(n), budget.group_order, "symmetric group order")
+    check(math.factorial(n), budget, "group_order", "symmetric group order")
     return from_permutations([transposition(n, i, i + 1) for i in range(n - 1)]
                              or [identity_perm(n)])
 
@@ -458,7 +458,7 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[dict]:
     length), and an injective one between groups of equal order is a
     bijection.
     """
-    check(g.order, default_budget().group_order, "isomorphism search order")
+    check(g.order, default_budget(), "group_order", "isomorphism search order")
     if g.order != h.order:
         return None
     signature_g, elements_g = _invariants(g)

@@ -37,7 +37,7 @@ def example1_word(level: int) -> str:
     """A_level with A_0 = "" and A_n = A_{n-1} A_{n-1} b_n; len = level*2^level."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    check(2 ** (level + 2), default_budget().word_count, "scheme-1 word length")
+    check(2 ** (level + 2), default_budget(), "word_count", "scheme-1 word length")
     word = ""
     for n in range(1, level + 1):
         word = word + word + example1_marker(n)
@@ -61,7 +61,7 @@ def sturmian_prefix(length: int) -> str:
     """The mechanical word s(1) s(2) ... s(length); starts "10110"."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    check(length, default_budget().word_count, "Sturmian prefix length")
+    check(length, default_budget(), "word_count", "Sturmian prefix length")
     return "".join(str(sturmian_symbol(i)) for i in range(1, length + 1))
 
 
@@ -83,7 +83,7 @@ def example2_word(level: int) -> str:
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    check(3 ** (level + 2), default_budget().word_count, "scheme-2 word length")
+    check(3 ** (level + 2), default_budget(), "word_count", "scheme-2 word length")
     word = MARKER_SYMBOL * 3
     for n in range(level):
         word = word + example2_marker(n + 1) + word

@@ -9,9 +9,9 @@ adjacency determines lives in one tables object, ``EdgeShift.tables``, made
 once per (input presentation, adjacency) and shared by every presentation
 derived from that input with that adjacency: successor lists, then, on first
 read, the edge tables (alphabet, out-edges, tails, heads) and the SCCs and
-BFS levels, and per key the languages, word indices, sub-window tables and
-automorphism stages.  So a shift costs its matrix, not its edge count, until
-something reads its edges.
+BFS levels, and per key the languages, word indices, sub-window tables,
+automorphism stages and the image-id columns of ``codes.compose``.  So a
+shift costs its matrix, not its edge count, until something reads its edges.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class _Tables:
     properties are built on first read.  Callers must not modify them."""
 
     __slots__ = ("succ", "adjacency", "languages", "word_ids", "subwindows", "stages",
-                 "_edges", "_graph")
+                 "image_ids", "_edges", "_graph")
 
     def __init__(self, states: tuple, adjacency: tuple):
         self.succ, self.adjacency = _successors(adjacency), adjacency
@@ -66,7 +66,8 @@ class _Tables:
         for i, nbrs in enumerate(self.succ):
             if not nbrs or i not in entered:
                 raise ParseError(f"state {states[i]!r} is not essential; normalize first")
-        self.languages, self.word_ids, self.subwindows, self.stages = {}, {}, {}, {}
+        self.languages, self.word_ids, self.subwindows = {}, {}, {}
+        self.stages, self.image_ids = {}, {}
         self._edges = self._graph = None
 
     def _build_edges(self) -> tuple:
@@ -238,8 +239,8 @@ class EdgeShift:
         return f"EdgeShift(states={self.states!r}, adjacency={self.adjacency!r})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeShift) and self.states == other.states \
-            and self.adjacency == other.adjacency
+        return other is self or (isinstance(other, EdgeShift) and self.states == other.states
+                                 and self.adjacency == other.adjacency)
 
     def __hash__(self) -> int:
         return hash((self.states, self.adjacency))
@@ -590,7 +591,7 @@ def power_shift(sft: EdgeShift, n: int, budget: Optional[Budget] = None) -> Edge
         raise ParseError("power must be >= 1")
     budget = budget or default_budget()
     power = derived_shift(sft, range(sft.n_states), n)
-    check(sum(map(sum, power.adjacency)), budget.path_count, "power shift path count")
+    check(sum(map(sum, power.adjacency)), budget, "path_count", "power shift path count")
     return power
 
 
@@ -611,7 +612,7 @@ def words_of_length(sft: EdgeShift, length: int,
     if length == 0:
         return ((),)
     budget = budget or default_budget()
-    check(word_count(sft, length), budget.word_count, "word count")
+    check(word_count(sft, length), budget, "word_count", "word count")
     return tuple(sorted(word for _, word, _ in _paths_from(sft, range(sft.n_states), length)))
 
 

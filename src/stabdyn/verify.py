@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 from .codes import (AutomorphismSet, Piece, SlidingBlockCode, compose,
                     enumerate_automorphisms, factor_key, gather, lift,
                     partition_action, regroup, restrict)
-from .errors import (NoSuchEigenvalueError, StabdynError, VerificationError,
-                     ZeroEntropyError)
+from .errors import (BudgetExceededError, NoSuchEigenvalueError, StabdynError,
+                     VerificationError, ZeroEntropyError)
 from .groups import (FiniteGroup, all_perms, compose_perm, cyclic_group,
                      direct_product, identity_perm, invert_perm, is_isomorphic)
 from .sft import EdgeShift, entropy, period, power_shift
@@ -189,6 +189,17 @@ def _effective_radius(shift: EdgeShift, requested: int) -> int:
     return r
 
 
+def _component_stage(shift: EdgeShift, radius: int) -> AutomorphismSet:
+    """The stage of a component presentation at the effective radius of
+    max(radius, 1); a node-cap exit in its search names the component stage."""
+    try:
+        return enumerate_automorphisms(shift, _effective_radius(shift, max(radius, 1)))
+    except BudgetExceededError as exc:
+        if exc.search is not None:
+            exc.search = "component stage"
+        raise
+
+
 def _sampled_pairs(size: int) -> list:
     """At most MAX_PAIRS index pairs (i, j) of range(size)^2: every k-th pair
     in row-major order, with the stride k spreading them over all rows."""
@@ -277,8 +288,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
     checks.append(_check("rho_homomorphism", rho_failures()))
 
     # component stage and psi tuples
-    r_comp = _effective_radius(inst.component.shift, max(radius, 1))
-    comp_autos = enumerate_automorphisms(inst.component.shift, r_comp)
+    comp_autos = _component_stage(inst.component.shift, radius)
     tuples = list(itertools.islice(
         itertools.product(range(len(comp_autos.elements)), repeat=m), MAX_TUPLES))
 
@@ -458,8 +468,7 @@ def verify_quotient_isos(sft: EdgeShift, m: int, radius: int) -> QuotientReport:
         raise NoSuchEigenvalueError(f"quotient comparison needs m = period = {p}")
     dec = smale(sft)
     lhs = enumerate_automorphisms(sft, radius)
-    r_comp = _effective_radius(dec.component_shift, max(radius, 1))
-    rhs = enumerate_automorphisms(dec.component_shift, r_comp)
+    rhs = _component_stage(dec.component_shift, radius)
 
     lhs_mod_shift = _quotient_group(lhs, 1)
     lhs_mod_power = _quotient_group(lhs, m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .budgets import Budget, check, default_budget
-from .errors import AmbientMismatchError, BudgetExceededError
+from .errors import AmbientMismatchError
 from .groups import (FiniteGroup, all_perms, alternating_subset, compose_perm,
                      identity_perm, invert_perm, klein_subset_sym4, perm_name,
                      symmetric_group)
@@ -211,7 +211,7 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
     """
     budget = budget or default_budget()
     ctx = WreathContext(base, n)
-    check(ctx.order, budget.group_order, "wreath group order")
+    check(ctx.order, budget, "group_order", "wreath group order")
     vecs = list(itertools.product(range(base.order), repeat=n))
     vindex = {v: k for k, v in enumerate(vecs)}
     sym = symmetric_group(n, budget)
@@ -250,8 +250,7 @@ def normal_subgroups_sym(m: int, budget: Optional[Budget] = None) -> list:
     ({1}, A_m, Sym(m), plus the Klein subgroup V exactly at m = 4).
     Acceptance 03 checks the normal subgroup structure with it."""
     budget = budget or default_budget()
-    if m > budget.sym_normal_m:
-        raise BudgetExceededError(f"normal subgroup sweep for Sym({m}) over budget")
+    check(m, budget, "sym_normal_m", "normal subgroup sweep degree")
     sym = symmetric_group(m)
     found = sym.normal_subgroups()
     expected = {frozenset({sym.identity}), alternating_subset(m),

@@ -9,10 +9,14 @@ import sys
 
 import pytest
 
+from stabdyn import cli
+from stabdyn.budgets import ENV_VAR
 from stabdyn.cli import load_group, main, rigidity_sweep_pairs
 from stabdyn.groups import cyclic_group, direct_product, klein_group
 
 from conftest import intercalate_loop
+from test_bench_digests import CODES_INSTANCES, RIGIDITY_INSTANCES, SPECTRAL_INSTANCES
+from test_schemas import CASES as SCHEMA_CASES
 
 
 def run(capsys, argv):
@@ -416,3 +420,47 @@ def test_sweep_runs_clean(capsys):
     instances = {r["instance"] for r in doc["instances"]}
     assert any(i.startswith("rigidity:") for i in instances)
     assert any(i.startswith("split:") for i in instances)
+
+
+EDGE_DOCUMENTS = [
+    {"nan": float("nan"), "inf": [float("inf"), -float("inf"), -0.0, 1e300, 0.1]},
+    {"text": ["h\u00e9\n\"", "", "\u2603"], "flags": [True, False, None], "big": 10 ** 30},
+    {"mixed": [1, "a", None, [True, 2.5], (1, 2), {}], "empty": [[], {}, ()]},
+    {"int_keys": {2: [1], 1: {"x": 0}}, "bool_list": [True], "nested": [[[1], [2, 3]]]},
+    [], {}, 0, "s", None, 1.5,
+]
+
+
+def test_dumps_is_json_dumps_on_every_bench_and_schema_document(monkeypatch, capsys):
+    docs = []
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda doc: docs.append(doc) or dumps(doc))
+    argvs = [list(inst.argv) for inst in CODES_INSTANCES + RIGIDITY_INSTANCES
+             + SPECTRAL_INSTANCES] + [argv for argv, _ in SCHEMA_CASES]
+    for argv in argvs:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(docs) == len(argvs)
+    for doc in docs + EDGE_DOCUMENTS:
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("budget,argv,expected", [
+    ("200", ["autos", "2", "--radius", "1"], ("enum_nodes", 200, 201, "stage")),
+    ("200", ["quotients", "0 2 / 1 0", "--m", "2", "--radius", "0"],
+     ("enum_nodes", 200, 201, "component stage")),
+    ("200", ["verify-wreath", "0 2 / 1 0", "--n", "1", "--m", "2", "--radius", "0"],
+     ("enum_nodes", 200, 201, "component stage")),
+    ("100", ["autos", "2", "--radius", "1"], ("word_count", 100, 128, None)),
+], ids=["stage", "quotients-component", "split-component", "word-count"])
+def test_budget_exit_manifest_names_the_cap(tmp_path, capsys, monkeypatch, budget, argv,
+                                            expected):
+    # the radius-1 full-2-shift search takes 362 nodes, its inverse check
+    # reads the 128 words of length 7; at radius 0 the doubled loop's own
+    # stage fits in 200 nodes and its component's (the full 2-shift) does not
+    monkeypatch.setenv(ENV_VAR, budget)
+    _one_line_error_with_manifest(capsys, argv, tmp_path)
+    manifest = _strict_json((tmp_path / "manifest.json").read_text())
+    cap, limit, used, search = expected
+    assert manifest["budget_exit"] == {"cap": cap, "limit": limit, "used": used,
+                                       "search": search}

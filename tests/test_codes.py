@@ -16,13 +16,14 @@ from stabdyn.errors import (BudgetExceededError, ImageSplitsClassesError,
 from stabdyn.codes import (SlidingBlockCode, WordMap,
                            commutes_with_power, compose,
                            enumerate_automorphisms, enumerate_conjugacies,
-                           find_inverse,
+                           find_inverse, gather,
                            identity_code, images, partition_action,
-                           shift_code)
+                           restrict, shift_code)
 from stabdyn.sft import (derived_shift, full_shift, make_edge_shift,
                          parse_edge_shift, power_shift,
                          strongly_connected_components)
 from stabdyn.spectral import cyclic_partition
+from stabdyn.verify import SplitInstance
 
 from conftest import (SLOW_STAGES, aperiodic_three, cycle_graph,
                       doubled_cycle_period2, doubled_cycle_period3,
@@ -474,17 +475,22 @@ def _passes_old_quick_filters(code) -> bool:
     return len(set(zip(flanks, images(code, width + 4)))) == len(flanks)
 
 
-def test_enumeration_is_the_brute_force_over_every_rule_table():
+def _brute_force_cases() -> list:
+    """(domain, codomain, radius) searches small enough to check against
+    every rule table, on fresh presentations."""
     y = power_shift(doubled_loop_period2(), 2)
     comp_a, comp_b = [derived_shift(y, comp, 1)
                       for comp in strongly_connected_components(y)]
-    cases = [(full_shift(2), full_shift(2), 1), (golden_mean(), golden_mean(), 1),
-             (doubled_loop_period2(), doubled_loop_period2(), 1),
-             (full_shift(3), full_shift(3), 0), (cycle_graph(3), cycle_graph(3), 1),
-             (doubled_cycle_period2(), doubled_cycle_period2(), 0),
-             (aperiodic_three(), aperiodic_three(), 1), (comp_a, comp_b, 1)]
+    return [(full_shift(2), full_shift(2), 1), (golden_mean(), golden_mean(), 1),
+            (doubled_loop_period2(), doubled_loop_period2(), 1),
+            (full_shift(3), full_shift(3), 0), (cycle_graph(3), cycle_graph(3), 1),
+            (doubled_cycle_period2(), doubled_cycle_period2(), 0),
+            (aperiodic_three(), aperiodic_three(), 1), (comp_a, comp_b, 1)]
+
+
+def test_enumeration_is_the_brute_force_over_every_rule_table():
     filtered_out = 0
-    for domain, codomain, r in cases:
+    for domain, codomain, r in _brute_force_cases():
         size = len(domain.language(2 * r + 1))
         accepted = []
         for table in itertools.product(codomain.alphabet, repeat=size):
@@ -503,6 +509,50 @@ def test_enumeration_is_the_brute_force_over_every_rule_table():
         assert [c.rule for c in found] == [c.rule for c in accepted], (domain.states, r)
         assert accepted
     assert filtered_out  # the reference filters reject some tables
+
+
+def _composed_by_images(f, g) -> tuple:
+    """f after g's rule, from the image words of ``images`` (the oracle)."""
+    ids = f.domain.word_ids(2 * f.radius + 1)
+    return gather(f.rule, [ids[v] for v in images(g, 2 * (f.radius + g.radius) + 1)])
+
+
+def test_compose_is_one_gather_through_the_memoized_image_ids():
+    for domain, codomain, r in _brute_force_cases():
+        gs = enumerate_conjugacies(domain, codomain, r)
+        fs = [identity_code(codomain), shift_code(codomain, 1),
+              *(find_inverse(g, 2 * r) for g in gs[:2])]
+        for f in fs:
+            for g in gs:
+                expected = _composed_by_images(f, g)
+                for _ in range(2):  # a repeated call reads the kept column
+                    h = compose(f, g)
+                    assert (h.domain, h.codomain, h.radius) == (domain, f.codomain,
+                                                                f.radius + g.radius)
+                    assert h.rule == expected, (domain.states, r, g.rule)
+        kept = {(rule, r_f) for _, _, rule, r_f in domain.tables.image_ids}
+        assert {(g.rule, f.radius) for f in fs for g in gs} <= kept
+
+
+def test_compose_between_pieces_of_equal_adjacency_keeps_their_shifts():
+    # Y_0 and Y_1 of the doubled loop's split instance share one tables
+    # object (equal adjacency) under different state names, so a column
+    # computed for one piece is read back for the other
+    inst = SplitInstance.build(doubled_loop_period2(), 1, 2)
+    y0, y1 = inst.pieces
+    assert y0.shift.tables is y1.shift.tables and y0.shift.states != y1.shift.states
+    between = [restrict(inst.phase(d), src, dst) for d in range(-2, 3)
+               for i, src in enumerate(inst.pieces) for j, dst in enumerate(inst.pieces)
+               if (j - i - d) % 2 == 0]
+    composed = 0
+    for f in between:
+        for g in between:
+            if g.codomain is f.domain:
+                h = compose(f, g)
+                assert h.domain is g.domain and h.codomain is f.codomain
+                assert h.rule == _composed_by_images(f, g)
+                composed += 1
+    assert len(y0.shift.tables.image_ids) < composed  # the pieces share columns
 
 
 def test_radius0_bijection_skip_is_exact_between_presentations():
@@ -650,6 +700,15 @@ def test_partition_action_splitting_is_an_error():
     broken = SlidingBlockCode(sft, sft, 0, rule, validate=False)
     with pytest.raises(ImageSplitsClassesError):
         partition_action(broken, part)
+
+
+def test_partition_action_rejects_a_class_map_that_is_not_a_permutation():
+    # the constant code sends both classes of the squared 2-cycle into class 0
+    base = parse_edge_shift("0 1 / 1 0")
+    sft = power_shift(base, 2)
+    constant = SlidingBlockCode(sft, sft, 0, ["0"] * len(sft.language(1)))
+    with pytest.raises(ImageSplitsClassesError, match="not a permutation"):
+        partition_action(constant, cyclic_partition(base, 2))
 
 
 def test_rotation_index_examples():
