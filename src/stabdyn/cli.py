@@ -135,17 +135,22 @@ GROUP_SHORTHANDS = {
 }
 
 
-def load_group(spec: str) -> tuple:
-    """Group from a shorthand ("cyclic:9", "sym:3", "klein", "z3xz3", ...) or
-    a JSON table document file."""
+def _load_group(args, key: str) -> tuple:
+    """(group, origin) of the group argument ``key``: a shorthand
+    ("cyclic:9", "sym:3", "klein", "z3xz3", ...) or a JSON table document,
+    from a file or inline.  The hash of its text (the shorthand itself, or
+    the document) is recorded under ``key`` for the manifest before the
+    group is built."""
+    spec = getattr(args, key)
     lowered = spec.lower()
-    if lowered in GROUP_SHORTHANDS:
-        return GROUP_SHORTHANDS[lowered](), spec
-    if lowered.startswith("cyclic:"):
-        return cyclic_group(int(lowered.split(":", 1)[1])), spec
-    if lowered.startswith("sym:"):
-        return symmetric_group(int(lowered.split(":", 1)[1])), spec
+    kind, colon, size = lowered.partition(":")
+    if lowered in GROUP_SHORTHANDS or colon and kind in ("cyclic", "sym"):
+        args._hashes[key] = _hash(spec)
+        if lowered in GROUP_SHORTHANDS:
+            return GROUP_SHORTHANDS[lowered](), spec
+        return (cyclic_group if kind == "cyclic" else symmetric_group)(int(size)), spec
     text, origin = _read_source(spec)
+    args._hashes[key] = _hash(text)
     return _table_group(json.loads(text)), origin
 
 
@@ -302,6 +307,7 @@ def cmd_quotients(args) -> int:
 
 def cmd_wreath_calc(args) -> int:
     text, _ = _read_source(args.expr)
+    args._hashes["expr"] = _hash(text)
     doc = _shaped(json.loads(text), dict, "an expression document")
     base_spec = _shaped(doc.get("base", {"cyclic": 2}), dict, "'base'")
     if "cyclic" in base_spec:
@@ -329,18 +335,16 @@ def cmd_wreath_calc(args) -> int:
                          "mul (one or more), inv (one), conj and comm (two)")
 
     result = evaluate(doc["expr"])
-    args._hashes = {"expr": _hash(text)}
     _emit(args, {"schema_version": 1, "result": result.to_document(),
                  "name": result.name()})
     return EXIT_OK
 
 
 def cmd_rigidity(args) -> int:
-    group_g, name_g = load_group(args.group_g)
-    group_h, name_h = load_group(args.group_h)
+    group_g, name_g = _load_group(args, "group_g")
+    group_h, name_h = _load_group(args, "group_h")
     report = check_wreath_rigidity(group_g, args.n, group_h, args.m,
                                    name_g, name_h)
-    args._hashes = {"group_g": _hash(name_g), "group_h": _hash(name_h)}
     _emit(args, report.to_document())
     return EXIT_OK if report.passes else EXIT_VIOLATION
 
@@ -401,10 +405,10 @@ SWEEP_SPLIT_INSTANCES = [
 ]
 
 
-def rigidity_sweep_pairs():
-    """All base pairs of order <= 9 with equal wreath order and different
-    arities n != m in {2, 3, 4}."""
-    catalog = [
+def rigidity_catalog() -> list:
+    """The (name, group) bases of ``rigidity_sweep_pairs``: every group of
+    order 2 to 9 up to isomorphism."""
+    return [
         ("Z2", cyclic_group(2)), ("Z3", cyclic_group(3)), ("Z4", cyclic_group(4)),
         ("V4", klein_group()), ("Z5", cyclic_group(5)), ("Z6", cyclic_group(6)),
         ("S3", symmetric_group(3)), ("Z7", cyclic_group(7)), ("Z8", cyclic_group(8)),
@@ -412,8 +416,13 @@ def rigidity_sweep_pairs():
         ("D4", dihedral_square()), ("Q8", quaternion_group()),
         ("Z9", cyclic_group(9)), ("Z3xZ3", GROUP_SHORTHANDS["z3xz3"]()),
     ]
+
+
+def rigidity_sweep_pairs():
+    """All base pairs of order <= 9 with equal wreath order and different
+    arities n != m in {2, 3, 4}."""
     entries = []
-    for name, group in catalog:
+    for name, group in rigidity_catalog():
         for n in (2, 3, 4):
             entries.append((WreathContext(group, n).order, name, group, n))
     pairs = []

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .budgets import check, default_budget
 from .codes import (AutomorphismSet, Piece, SlidingBlockCode, compose,
                     enumerate_automorphisms, factor_key, gather, lift,
                     partition_action, regroup, restrict)
@@ -29,7 +30,7 @@ from .groups import (FiniteGroup, all_perms, compose_perm, cyclic_group,
 from .sft import EdgeShift, entropy, period, power_shift
 from .spectral import (CyclicPartition, class_restriction, cyclic_partition,
                        is_power_transitive, rational_eigs, smale)
-from .wreath import wreath_group
+from .wreath import WreathContext, order_spectrum, wreath_group
 
 
 # -- presentation geometry -----------------------------------------------------
@@ -518,29 +519,34 @@ class RigidityReport:
 
 def check_wreath_rigidity(base_g: FiniteGroup, n: int, base_h: FiniteGroup, m: int,
                           name_g: str = "G", name_h: str = "H") -> RigidityReport:
-    """Materialize G wr Sym(n) and H wr Sym(m) and search for an isomorphism.
+    """Decide whether G wr Sym(n) and H wr Sym(m) are isomorphic.  Both
+    orders are checked against the budget first, G's then H's.  Unequal
+    orders, or unequal element-order spectra (``order_spectrum``, read off
+    cycle types with no table), rule an isomorphism out; the spectra are
+    part of ``is_isomorphic``'s invariant signature, so the report is the
+    one its None gives.  Otherwise both groups are materialized and searched.
     A found isomorphism with n != m, or n = m >= 4 with non-isomorphic bases,
     contradicts wreath rigidity and is flagged THEOREM-VIOLATION."""
-    wg = wreath_group(base_g, n)
+    budget = default_budget()
+    order_g, order_h = WreathContext(base_g, n).order, WreathContext(base_h, m).order
+    check(order_g, budget, "group_order", "wreath group order")
+    check(order_h, budget, "group_order", "wreath group order")
+    report = functools.partial(RigidityReport, name_g, n, name_h, m, order_g, order_h)
+    if order_g != order_h:
+        return report(None, "consistent", "orders differ; no isomorphism possible")
     # the search reads only h's table, so an equal base table needs no second copy
-    wh = wg if m == n and base_h.table == base_g.table else wreath_group(base_h, m)
-    if wg.order != wh.order:
-        return RigidityReport(name_g, n, name_h, m, wg.order, wh.order, None,
-                              "consistent", "orders differ; no isomorphism possible")
-    phi = is_isomorphic(wg, wh)
-    iso = phi is not None
+    shared = m == n and base_h.table == base_g.table
+    if not shared and order_spectrum(base_g, n) != order_spectrum(base_h, m):
+        return report(False, "consistent", "no isomorphism found")
+    wg = wreath_group(base_g, n)
+    wh = wg if shared else wreath_group(base_h, m)
+    iso = is_isomorphic(wg, wh) is not None
     if iso and n != m and n >= 2 and m >= 2:
-        return RigidityReport(name_g, n, name_h, m, wg.order, wh.order, True,
-                              "THEOREM-VIOLATION",
-                              "isomorphic wreath products with different arities")
-    if iso and n == m and n >= 4:
-        if is_isomorphic(base_g, base_h) is None:
-            return RigidityReport(name_g, n, name_h, m, wg.order, wh.order, True,
-                                  "THEOREM-VIOLATION",
-                                  "isomorphic wreaths, arity >= 4, bases differ")
-    return RigidityReport(name_g, n, name_h, m, wg.order, wh.order, iso,
-                          "consistent",
-                          "no isomorphism found" if not iso else "isomorphic")
+        return report(True, "THEOREM-VIOLATION",
+                      "isomorphic wreath products with different arities")
+    if iso and n == m and n >= 4 and is_isomorphic(base_g, base_h) is None:
+        return report(True, "THEOREM-VIOLATION", "isomorphic wreaths, arity >= 4, bases differ")
+    return report(iso, "consistent", "isomorphic" if iso else "no isomorphism found")
 
 
 # -- eigenvalue comparison ---------------------------------------------------------------

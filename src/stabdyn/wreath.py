@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,7 +23,7 @@ from .budgets import Budget, check, default_budget
 from .errors import AmbientMismatchError
 from .groups import (FiniteGroup, all_perms, alternating_subset, compose_perm,
                      identity_perm, invert_perm, klein_subset_sym4, perm_name,
-                     symmetric_group)
+                     perm_orbits, symmetric_group)
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,32 @@ def cycle_product(context: WreathContext, g_vec: Sequence[int], sigma: tuple, j:
     for idx in reversed(chain):
         acc = context.base.mul(acc, g_vec[idx])
     return acc
+
+
+def order_spectrum(base: FiniteGroup, n: int) -> list:
+    """The sorted (element order, count) pairs of G wr Sym(n), without its
+    table.  The order of (g, s) is the lcm, over the cycles C of s, of
+    |C| * ord(c_C) with c_C the cycle product (James & Kerber 1981,
+    4.1-4.2).  As the |C| coordinates on C range over G^|C|, c_C takes each
+    value of G exactly |G|^(|C|-1) times, and the cycles are independent, so
+    the counts of one cycle type are an lcm-convolution of G's order counts,
+    one factor per cycle.  The cost is one pass over Sym(n) for the cycle
+    types and, per cycle type, one step per cycle over pairs of distinct
+    orders; no table of |G|^n n! elements is built."""
+    base_orders = Counter(base.element_order(x) for x in range(base.order))
+    cycle_types = Counter(tuple(sorted(map(len, perm_orbits(s)))) for s in all_perms(n))
+    spectrum = Counter()
+    for lengths, perms in cycle_types.items():
+        counts = {1: perms}
+        for length in lengths:
+            weight = base.order ** (length - 1)
+            step = Counter()
+            for order, count in counts.items():
+                for base_order, base_count in base_orders.items():
+                    step[math.lcm(order, length * base_order)] += count * base_count * weight
+            counts = step
+        spectrum.update(counts)
+    return sorted(spectrum.items())
 
 
 # -- materialized wreath groups ---------------------------------------------------

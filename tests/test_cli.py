@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from stabdyn import cli
 from stabdyn.budgets import ENV_VAR
-from stabdyn.cli import load_group, main, rigidity_sweep_pairs
+from stabdyn.cli import _load_group, main, rigidity_sweep_pairs
 from stabdyn.groups import cyclic_group, direct_product, klein_group
 
 from conftest import intercalate_loop
@@ -373,6 +374,29 @@ def test_manifest_hashes_every_input(capsys):
             for key, text in sources.items()}, argv
 
 
+def test_manifest_hashes_the_inputs_of_a_failed_run(tmp_path, capsys, monkeypatch):
+    # a group table file is hashed by its text, and each input is hashed when
+    # it is read, so a run that then fails still names its inputs
+    table = json.dumps({"table": [[0, 1], [1, 0]]})
+    path = tmp_path / "g.json"
+    path.write_text(table)
+    expr = json.dumps({"n": 2, "bindings": {}, "expr": ["inv"]})
+    monkeypatch.setenv(ENV_VAR, "100")
+    cases = [
+        (["rigidity", "--group-g", str(path), "--n", "4", "--group-h", "cyclic:4", "--m", "3"],
+         {"group_g": table, "group_h": "cyclic:4"},
+         {"cap": "group_order", "limit": 100, "used": 384, "search": None}),
+        (["wreath-calc", expr], {"expr": expr}, None),
+    ]
+    for argv, sources, budget_exit in cases:
+        _one_line_error_with_manifest(capsys, argv, tmp_path)
+        manifest = _strict_json((tmp_path / "manifest.json").read_text())
+        assert manifest["input_hashes"] == {
+            key: hashlib.sha256(text.encode()).hexdigest()[:16]
+            for key, text in sources.items()}, argv
+        assert manifest.get("budget_exit") == budget_exit, argv
+
+
 def test_quiet_suppresses_stdout(capsys):
     code, out, err = run(capsys, ["eigs", "2", "--quiet"])
     assert code == 0
@@ -394,7 +418,7 @@ def test_product_shorthands_are_direct_products():
                 "z4xz2": direct_product(cyclic_group(4), cyclic_group(2)),
                 "z2xz2xz2": direct_product(klein_group(), cyclic_group(2))}
     for spec, expected in products.items():
-        group, name = load_group(spec.upper())
+        group, name = _load_group(argparse.Namespace(group=spec.upper(), _hashes={}), "group")
         assert name == spec.upper() and group.table == expected.table
     # the sweep pairs Z3 x Z3 (the only product of equal wreath order) with Z3
     swept = {name: g for pair in rigidity_sweep_pairs() for name, g in (pair[:2], pair[3:5])}
@@ -452,7 +476,13 @@ def test_dumps_is_json_dumps_on_every_bench_and_schema_document(monkeypatch, cap
     ("200", ["verify-wreath", "0 2 / 1 0", "--n", "1", "--m", "2", "--radius", "0"],
      ("enum_nodes", 200, 201, "component stage")),
     ("100", ["autos", "2", "--radius", "1"], ("word_count", 100, 128, None)),
-], ids=["stage", "quotients-component", "split-component", "word-count"])
+    # both wreath orders meet the budget before unequal orders or spectra decide the pair
+    ("100", ["rigidity", "--group-g", "cyclic:2", "--n", "4", "--group-h", "cyclic:4",
+             "--m", "3"], ("group_order", 100, 384, None)),
+    ("100", ["rigidity", "--group-g", "cyclic:2", "--n", "2", "--group-h", "cyclic:3",
+             "--m", "3"], ("group_order", 100, 162, None)),
+], ids=["stage", "quotients-component", "split-component", "word-count",
+        "rigidity-spectra-differ", "rigidity-orders-differ"])
 def test_budget_exit_manifest_names_the_cap(tmp_path, capsys, monkeypatch, budget, argv,
                                             expected):
     # the radius-1 full-2-shift search takes 362 nodes, its inverse check

@@ -10,13 +10,14 @@ import pytest
 
 from stabdyn import codes, verify
 
+from stabdyn.cli import rigidity_sweep_pairs
 from stabdyn.codes import (AutomorphismSet, SlidingBlockCode, compose,
                            enumerate_automorphisms, enumerate_conjugacies,
                            identity_code, lift, partition_action, restrict,
                            shift_code)
 from stabdyn.errors import StabdynError, VerificationError, ZeroEntropyError
-from stabdyn.groups import (cyclic_group, dihedral_square, is_isomorphic, klein_group,
-                            quaternion_group)
+from stabdyn.groups import (FiniteGroup, cyclic_group, dihedral_square, is_isomorphic,
+                            klein_group, quaternion_group)
 from stabdyn.sft import entropy, full_shift, parse_edge_shift, power_shift
 from stabdyn.verify import (MAX_KERNEL, MAX_PAIRS, MAX_TUPLES, SplitInstance,
                             _effective_radius, _quotient_group,
@@ -359,18 +360,39 @@ def test_rigidity_klein_versus_z2_order384():
     assert report.isomorphic is False
 
 
-@pytest.mark.parametrize("base_g, n, base_h, m, tables", [
-    (klein_group(), 3, klein_group(), 3, 1),
-    (cyclic_group(2), 2, cyclic_group(2), 3, 2),
-    (cyclic_group(2), 4, cyclic_group(4), 3, 2),
-], ids=["V4wr3-self", "Z2wr2-Z2wr3", "Z2wr4-Z4wr3"])
+def z4_relabelled() -> FiniteGroup:
+    """Z4 with the elements 1 and 2 swapped: the same element orders, another table."""
+    swap = [0, 2, 1, 3]
+    z4 = cyclic_group(4)
+    return FiniteGroup([[swap[z4.mul(swap[a], swap[b])] for b in range(4)] for a in range(4)])
+
+
+@pytest.mark.parametrize("base_g, n, base_h, m, tables, isomorphic", [
+    (klein_group(), 3, klein_group(), 3, 1, True),
+    (cyclic_group(2), 2, cyclic_group(2), 3, 0, None),  # the orders differ
+    (cyclic_group(2), 4, cyclic_group(4), 3, 0, False),  # the order spectra differ
+    (cyclic_group(4), 2, z4_relabelled(), 2, 2, True),  # the spectra agree
+], ids=["V4wr3-self", "Z2wr2-Z2wr3", "Z2wr4-Z4wr3", "Z4wr2-relabelled"])
 def test_rigidity_builds_each_distinct_wreath_table_once(monkeypatch, base_g, n,
-                                                         base_h, m, tables):
+                                                         base_h, m, tables, isomorphic):
     built = []
     monkeypatch.setattr(verify, "wreath_group",
                         lambda base, k, budget=None: built.append(k) or wreath_group(base, k, budget))
-    check_wreath_rigidity(base_g, n, base_h, m)
-    assert len(built) == tables
+    report = check_wreath_rigidity(base_g, n, base_h, m)
+    assert len(built) == tables and report.isomorphic is isomorphic
+
+
+@pytest.mark.parametrize("name_g, base_g, n, name_h, base_h, m", [
+    pytest.param(*pair, id=f"{pair[0]}wr{pair[2]}-{pair[3]}wr{pair[5]}")
+    for pair in rigidity_sweep_pairs() + [
+        ("Z4", cyclic_group(4), 2, "V4", klein_group(), 2),
+        ("D4", dihedral_square(), 2, "Q8", quaternion_group(), 2)]])
+def test_rigidity_spectra_give_the_table_path_report(monkeypatch, name_g, base_g, n,
+                                                     name_h, base_h, m):
+    report = check_wreath_rigidity(base_g, n, base_h, m, name_g, name_h)
+    # a constant spectrum never rejects, so every pair goes through the tables
+    monkeypatch.setattr(verify, "order_spectrum", lambda base, k: [])
+    assert check_wreath_rigidity(base_g, n, base_h, m, name_g, name_h) == report
 
 
 @pytest.mark.parametrize("make, n", [

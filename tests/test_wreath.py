@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from stabdyn.cli import rigidity_catalog
 from stabdyn.groups import (alternating_subset, compose_perm, cyclic_group,
                             dihedral_square, identity_perm, invert_perm,
                             is_isomorphic, is_transitive_perm_set, klein_group,
@@ -16,6 +18,7 @@ from stabdyn.groups import (alternating_subset, compose_perm, cyclic_group,
                             symmetric_group, transposition, trivial_group)
 from stabdyn.wreath import (WreathContext, cycle_product,
                             imprimitive_permutation, normal_subgroups_sym,
+                            order_spectrum,
                             wr_comm, wr_comm_definitional,
                             wr_conj, wr_conj_definitional, wr_inv, wr_mul,
                             wreath_group)
@@ -287,6 +290,19 @@ def test_wreath_group_table_is_wr_mul(base, n):
     gens = [c.element([g] + [base.identity] * (n - 1), ident) for g in base.generators]
     gens += [c.element(c.identity().g_vec, transposition(n, i, i + 1)) for i in range(n - 1)]
     assert w.generators == tuple(index[g] for g in gens)
+
+
+# every rigidity-sweep base at the arities whose tables have <= 1,296 elements
+SPECTRUM_CASES = [pytest.param(group, n, id=f"{name}wr{n}")
+                  for name, group in rigidity_catalog() for n in (2, 3, 4)
+                  if WreathContext(group, n).order <= 1296]
+SPECTRUM_CASES += [pytest.param(trivial_group(), n, id=f"1wr{n}") for n in range(5)]
+
+
+@pytest.mark.parametrize("base, n", SPECTRUM_CASES)
+def test_order_spectrum_counts_the_table_orders(base, n):
+    w = wreath_group(base, n)
+    assert order_spectrum(base, n) == sorted(Counter(map(w.element_order, range(w.order))).items())
 
 
 # -- centralizers (computing-centralizers lemma instances) -----------------------------
