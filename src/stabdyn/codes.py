@@ -21,13 +21,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import eq, itemgetter
+from operator import eq
 from typing import Callable, Iterable, Optional, Sequence
 
 from .budgets import Budget, default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
                      ShiftMismatchError, WordError)
-from .sft import (EdgeShift, Word, derived_shift, is_irreducible,
+from .sft import (EdgeShift, Word, derived_shift, gather, is_irreducible,
                   strongly_connected_components, word_to_str)
 from .spectral import CyclicPartition
 
@@ -157,11 +157,6 @@ def _image_ids(code: SlidingBlockCode, length: int, ids: dict):
     rule = code.rule.__getitem__
     columns = code.domain.subwindow_ids(length, 2 * code.radius + 1)
     return map(ids.__getitem__, zip(*[map(rule, column) for column in columns]))
-
-
-def gather(values: Sequence, ids: Sequence) -> tuple:
-    """``tuple(values[i] for i in ids)``."""
-    return itemgetter(*ids)(values) if len(ids) > 1 else tuple(values[i] for i in ids)
 
 
 def regroup(ids: Iterable, values: Sequence, size: int) -> Optional[list]:
@@ -352,11 +347,14 @@ def _balance_cap(domain: EdgeShift, codomain: EdgeShift, radius: int) -> Optiona
 class Piece:
     """A piece of a presentation that is a disjoint union: its own presentation
     ``shift`` and ``symbols``, each of its edge symbols -> the union's symbol
-    for the same edge (``inverse`` maps back), for ``lift`` and ``restrict``."""
+    for the same edge (``inverse`` maps back), for ``lift`` and ``restrict``.
+    ``key``, the union symbols in the order of the piece's alphabet, is the
+    piece's value: it fixes which union windows the piece's windows are."""
 
     def __init__(self, shift: EdgeShift, symbols: dict):
         self.shift, self.symbols = shift, symbols
         self.inverse = {u: s for s, u in symbols.items()}
+        self.key = tuple(map(symbols.__getitem__, shift.alphabet))
         self._window_ids: dict = {}
 
     @staticmethod
@@ -376,21 +374,37 @@ class Piece:
         return self._window_ids[width]
 
 
+def _scatter(union: EdgeShift, pieces: Sequence[Piece], width: int) -> list:
+    """The position of each window of ``union.language(width)`` among the
+    pieces' width-windows concatenated in piece order.  A plain list of ints
+    kept in the union's tables by (width, the pieces' keys) and computed
+    once per key."""
+    key = (width, *[piece.key for piece in pieces])
+    position = union.tables.scatters.get(key)
+    if position is None:
+        position = union.tables.scatters[key] = [0] * len(union.language(width))
+        for pos, k in enumerate(itertools.chain.from_iterable(
+                piece.window_ids(union, width) for piece in pieces)):
+            position[k] = pos
+    return position
+
+
 def lift(union: EdgeShift, pieces: Sequence[Piece], perm: Sequence[int],
          codes: Sequence[SlidingBlockCode]) -> SlidingBlockCode:
     """The code over ``union`` that acts on pieces[i] as codes[i], a code from
     pieces[i] to pieces[perm[i]].  Its radius is the largest of the codes';
-    each code is widened to it through its centred sub-windows."""
+    each code is widened to it through its centred sub-windows.  The rule is
+    the pieces' outputs, concatenated in piece order, gathered once through
+    ``_scatter``."""
     radius = max(code.radius for code in codes)
     width = 2 * radius + 1
-    rule = [None] * len(union.language(width))
+    outputs = []
     for src, j, code in zip(pieces, perm, codes):
         r = code.radius
-        outputs = code.rule if r == radius else gather(
+        widened = code.rule if r == radius else gather(
             code.rule, src.shift.subwindow_ids(width, 2 * r + 1)[radius - r])
-        for k, out in zip(src.window_ids(union, width),
-                          map(pieces[j].symbols.__getitem__, outputs)):
-            rule[k] = out
+        outputs += map(pieces[j].symbols.__getitem__, widened)
+    rule = gather(outputs, _scatter(union, pieces, width))
     return SlidingBlockCode(union, union, radius, rule, validate=False)
 
 

@@ -10,8 +10,12 @@ once per (input presentation, adjacency) and shared by every presentation
 derived from that input with that adjacency: successor lists, then, on first
 read, the edge tables (alphabet, out-edges, tails, heads) and the SCCs and
 BFS levels, and per key the languages, word indices, sub-window tables,
-automorphism stages and the image-id columns of ``codes.compose``.  So a
-shift costs its matrix, not its edge count, until something reads its edges.
+automorphism stages, the image-id columns of ``codes.compose`` and the
+scatter tables of ``codes.lift``.  So a shift costs its matrix, not its edge
+count, until something reads its edges.  Each language level is the level
+below it extended, already in lexicographic order, and its words carry
+integer prefix and suffix links, through which the sub-window tables are
+gathered (``_Tables.extend``, ``EdgeShift.subwindow_ids``).
 """
 
 from __future__ import annotations
@@ -55,10 +59,16 @@ class Provenance:
 class _Tables:
     """What one adjacency determines (see the module docstring).  ``succ`` is
     built, and every state checked essential, at construction; the
-    properties are built on first read.  Callers must not modify them."""
+    properties are built on first read.  Callers must not modify them.
 
-    __slots__ = ("succ", "adjacency", "languages", "word_ids", "subwindows", "stages",
-                 "image_ids", "_edges", "_graph")
+    Language level L is ``languages[L]``; ``links[L]`` holds three int lists
+    over its words in order: each word's head state, its prefix id (the
+    index of w[:-1] in level L-1) and its suffix id (the index of w[1:] in
+    level L-1).  ``counts[L]`` is the head-state count vector of level L."""
+
+    __slots__ = ("succ", "adjacency", "languages", "links", "counts", "word_ids",
+                 "subwindows", "stages", "image_ids", "scatters", "_edges", "_graph",
+                 "_moves")
 
     def __init__(self, states: tuple, adjacency: tuple):
         self.succ, self.adjacency = _successors(adjacency), adjacency
@@ -66,9 +76,59 @@ class _Tables:
         for i, nbrs in enumerate(self.succ):
             if not nbrs or i not in entered:
                 raise ParseError(f"state {states[i]!r} is not essential; normalize first")
-        self.languages, self.word_ids, self.subwindows = {}, {}, {}
-        self.stages, self.image_ids = {}, {}
-        self._edges = self._graph = None
+        self.languages, self.links, self.counts = {0: ((),)}, {}, [[1] * len(states)]
+        self.word_ids, self.subwindows = {}, {}
+        self.stages, self.image_ids, self.scatters = {}, {}, {}
+        self._edges = self._graph = self._moves = None
+
+    def word_count(self, length: int) -> int:
+        """The number of words of ``length`` >= 1, sum(A^length), as the sum
+        of the head-state count vector c_L = c_{L-1} A (c_0 all ones)."""
+        columns = list(zip(*self.adjacency))
+        while len(self.counts) <= length:
+            last = self.counts[-1]
+            self.counts.append([sum(map(mul, last, col)) for col in columns])
+        return sum(self.counts[length])
+
+    def _build_moves(self) -> tuple:
+        """Per state, its out-edges in symbol-string order: (the 1-tuples of
+        their symbols, their heads, their ids in level 1, their ranks
+        0..d-1, their count d)."""
+        first = {s: i for i, (s,) in enumerate(self.languages[1])}
+        out = [sorted(edges) for edges in self.out_edges]
+        self._moves = ([tuple((s,) for s in edges) for edges in out],
+                       [tuple(map(self.heads.__getitem__, edges)) for edges in out],
+                       [tuple(map(first.__getitem__, edges)) for edges in out],
+                       [tuple(range(len(edges))) for edges in out],
+                       list(map(len, out)))
+        return self._moves
+
+    def extend(self, length: int) -> tuple:
+        """Build language level ``length`` >= 1 and its links from level
+        ``length - 1``, which must be built: each word of level L-1, in
+        order, extended by the out-edges of its head in symbol-string order.
+        By induction the level is in lexicographic order.  The suffix of
+        w.e is w[1:].e, child number rank(e) of w[1:] (same head as w)."""
+        if length == 1:
+            alphabet = sorted(self.alphabet)
+            words = tuple((s,) for s in alphabet)
+            zeros = [0] * len(words)
+            self.links[1] = (list(map(self.heads.__getitem__, alphabet)), zeros, zeros)
+        else:
+            order, ends, first, ranks, deg = self._moves or self._build_moves()
+            prev, (heads, _, suffix) = self.languages[length - 1], self.links[length - 1]
+            words = tuple([w + e for w, h in zip(prev, heads) for e in order[h]])
+            if length == 2:  # w[1:] is the empty word: w[1:].e is level-1 word e
+                suffixes = [j for h in heads for j in first[h]]
+            else:  # children of level L-2 word j start at starts[j] in level L-1
+                starts = list(accumulate(map(deg.__getitem__, self.links[length - 2][0]),
+                                         initial=0))
+                suffixes = [starts[j] + r for j, h in zip(suffix, heads) for r in ranks[h]]
+            self.links[length] = ([e for h in heads for e in ends[h]],
+                                  [i for i, h in enumerate(heads) for _ in ranks[h]],
+                                  suffixes)
+        self.languages[length] = words
+        return words
 
     def _build_edges(self) -> tuple:
         """(alphabet, out_edges, tails, heads).  Edges run in (tail, head,
@@ -183,32 +243,43 @@ class EdgeShift:
         return tuple(edge_of[path[i:i + step]] for i in range(0, len(path), step))
 
     def language(self, length: int) -> tuple:
-        """``words_of_length(self, length)``, computed once per length."""
-        memo = self.tables.languages
-        if length not in memo:
-            memo[length] = words_of_length(self, length)
-        return memo[length]
+        """The admissible words of ``length`` in lexicographic order, built
+        once per length by ``words_of_length``."""
+        words = self.tables.languages.get(length)
+        return words if words is not None else words_of_length(self, length)
 
     def word_ids(self, length: int) -> dict:
         """Each word of ``language(length)`` -> its index there, computed
         once per length.  Callers must not modify it."""
         memo = self.tables.word_ids
         if length not in memo:
-            memo[length] = {w: i for i, w in enumerate(self.language(length))}
+            words = self.language(length)
+            memo[length] = dict(zip(words, range(len(words))))
         return memo[length]
 
     def subwindow_ids(self, width: int, sub: int) -> tuple:
         """One column per offset k in [0, width - sub]: column k lists, for
         every word w of ``language(width)`` in order, the index of w[k:k+sub]
-        in ``language(sub)``.  Computed once per (width, sub)."""
-        key, memo = (width, sub), self.tables.subwindows
-        if key not in memo:
+        in ``language(sub)``.  Computed once per (width, sub), with no word
+        read: (sub, sub) is the identity column, and each column of (w, sub)
+        but the last is the same column of (w - 1, sub) gathered through the
+        prefix links of level w; the last is the last column of (w - 1, sub)
+        gathered through the suffix links.  The steps start from the widest
+        table of this ``sub`` already kept, and only (width, sub) is kept."""
+        memo = self.tables.subwindows
+        table = memo.get((width, sub))
+        if table is None:
             if not 0 < sub <= width:
                 raise ParseError(f"sub-window {sub} does not fit in width {width}")
-            index, words = self.word_ids(sub), self.language(width)
-            memo[key] = tuple(tuple([index[w[k:k + sub]] for w in words])
-                              for k in range(width - sub + 1))
-        return memo[key]
+            self.language(width)
+            start = max((w for w, s in memo if s == sub and w < width), default=sub)
+            table = memo.get((start, sub)) or (tuple(range(len(self.language(sub)))),)
+            for w in range(start + 1, width + 1):
+                _, prefix, suffix = self.tables.links[w]
+                table = (*[gather(column, prefix) for column in table],
+                         gather(table[-1], suffix))
+            memo[width, sub] = table
+        return table
 
     # -- basic accessors -------------------------------------------------
 
@@ -598,22 +669,29 @@ def power_shift(sft: EdgeShift, n: int, budget: Optional[Budget] = None) -> Edge
 # -- language enumeration ---------------------------------------------------
 
 
-def word_count(sft: EdgeShift, length: int) -> int:
-    """Exact count of admissible words: sum of entries of A^length."""
-    an = mat_pow([list(r) for r in sft.adjacency], length)
-    return sum(sum(r) for r in an)
-
-
 def words_of_length(sft: EdgeShift, length: int,
                     budget: Optional[Budget] = None) -> tuple:
-    """All admissible words of the given length, lexicographically sorted."""
+    """All admissible words of the given length, in lexicographic order.
+    The level's exact count is checked against ``budget`` first; a level
+    not yet built is then built from the level below it, which this
+    function builds first when it is missing (counts never decrease on an
+    essential graph, so no lower level trips the cap first)."""
     if length < 0:
         raise ParseError("length must be >= 0")
     if length == 0:
         return ((),)
-    budget = budget or default_budget()
-    check(word_count(sft, length), budget, "word_count", "word count")
-    return tuple(sorted(word for _, word, _ in _paths_from(sft, range(sft.n_states), length)))
+    tables = sft.tables
+    check(tables.word_count(length), budget or default_budget(), "word_count", "word count")
+    if length in tables.languages:
+        return tables.languages[length]
+    if length - 1 not in tables.languages:
+        words_of_length(sft, length - 1, budget)
+    return tables.extend(length)
+
+
+def gather(values: Sequence, ids: Sequence) -> tuple:
+    """``tuple(values[i] for i in ids)``."""
+    return itemgetter(*ids)(values) if len(ids) > 1 else tuple(values[i] for i in ids)
 
 
 def word_to_str(word: Word) -> str:

@@ -21,13 +21,13 @@ from typing import Optional, Sequence
 
 from .budgets import check, default_budget
 from .codes import (AutomorphismSet, Piece, SlidingBlockCode, compose,
-                    enumerate_automorphisms, factor_key, gather, lift,
+                    enumerate_automorphisms, factor_key, lift,
                     partition_action, regroup, restrict)
 from .errors import (BudgetExceededError, NoSuchEigenvalueError, StabdynError,
                      VerificationError, ZeroEntropyError)
 from .groups import (FiniteGroup, all_perms, compose_perm, cyclic_group,
                      direct_product, identity_perm, invert_perm, is_isomorphic)
-from .sft import EdgeShift, entropy, period, power_shift
+from .sft import EdgeShift, entropy, gather, period, power_shift
 from .spectral import (CyclicPartition, class_restriction, cyclic_partition,
                        is_power_transitive, rational_eigs, smale)
 from .wreath import WreathContext, order_spectrum, wreath_group

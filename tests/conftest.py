@@ -5,7 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from stabdyn.sft import full_shift, make_edge_shift
+from stabdyn.sft import full_shift, make_edge_shift, mat_pow
+
+
+def word_count(sft, length: int) -> int:
+    """Oracle for the language layer's counts: the sum of the entries of
+    A^length, the number of admissible words of that length."""
+    return sum(map(sum, mat_pow(sft.adjacency, length)))
 
 
 def cycle_graph(n: int):

@@ -213,7 +213,6 @@ def test_parameter_scan_sees_keyword_positional_and_init_calls():
 KEPT_PARAMETERS = {
     "cli.main(argv)": "tests and bench/ pass the argument list",
     "sft.entropy(iteration_cap)": "a test reaches IterationCapError through it",
-    "sft.words_of_length(budget)": "test_budgets sets this cap",
     "sft.power_shift(budget)": "test_budgets sets this cap",
     "wreath.wreath_group(budget)": "test_budgets sets this cap",
     "wreath.normal_subgroups_sym(budget)": "test_budgets sets this cap",

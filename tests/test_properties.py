@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from stabdyn.codes import compose, find_inverse, shift_code
 from stabdyn.groups import cyclic_group, symmetric_group
-from stabdyn.sft import (ENTROPY_TOL, entropy, full_shift, make_edge_shift, word_count,
-                         words_of_length)
+from stabdyn.sft import ENTROPY_TOL, entropy, full_shift, make_edge_shift, words_of_length
 from stabdyn.wreath import (WreathContext, wr_comm, wr_comm_definitional,
                             wr_conj, wr_conj_definitional, wr_inv, wr_mul)
 
+from conftest import word_count
 from test_sft import _dense_perron
 
 CONTEXTS = {

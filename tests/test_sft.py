@@ -18,12 +18,12 @@ from stabdyn.sft import (EdgeShift, bfs_levels, charpoly_coefficients, derived_s
                          entropy, full_shift, is_irreducible, is_mixing,
                          make_edge_shift, mat_mul, parse_edge_shift, period, period_by_cycles,
                          perron_root_by_charpoly, power_shift,
-                         strongly_connected_components, word_count,
-                         words_of_length)
+                         strongly_connected_components, words_of_length)
 
 from stabdyn.spectral import class_restriction, cyclic_partition, divisors, smale
 
-from conftest import (cycle_graph, doubled_cycle_period3, golden_mean)
+from conftest import (catalog, cycle_graph, doubled_cycle_period3, doubled_loop_period2,
+                      golden_mean, period3_six_states, word_count)
 from test_bench_digests import WORKLOADS
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -198,6 +198,69 @@ def test_language_is_composable(graph_catalog):
             shorter = set(sft.language(length))
             for w in sft.language(length + 1):
                 assert w[:-1] in shorter and w[1:] in shorter, name
+
+
+def _sorted_paths(sft, length: int) -> tuple:
+    """Oracle: every path of ``length`` edges, by frontier expansion from
+    every state, sorted (the empty word once)."""
+    frontier = [((), state) for state in range(sft.n_states)]
+    for _ in range(length):
+        frontier = [(word + (sym,), sft.head(sym))
+                    for word, at in frontier for sym in sft.out_edges[at]]
+    return tuple(sorted({word for word, _ in frontier}))
+
+
+def _assert_language_layer(sft, name: str) -> None:
+    """``language``, ``word_ids`` and ``subwindow_ids`` of a fresh shift
+    against sorted paths and ``index[w[k:k+sub]]`` columns, for every
+    1 <= sub <= width <= 6 while a level has at most about 5,000 words.
+    The widest tables are asked for first, so every lower level and table is
+    built on the way."""
+    top = max(w for w in range(1, 7) if word_count(sft, w - 1) <= 5000)
+    words = {w: _sorted_paths(sft, w) for w in range(1, top + 1)}
+    index = {w: {u: i for i, u in enumerate(words[w])} for w in words}
+    for width in range(top, 0, -1):
+        for sub in range(1, width + 1):
+            assert sft.subwindow_ids(width, sub) == tuple(
+                tuple(index[sub][u[k:k + sub]] for u in words[width])
+                for k in range(width - sub + 1)), (name, width, sub)
+    for width in words:
+        assert sft.language(width) == words[width], (name, width)
+        assert words_of_length(sft, width) == words[width], (name, width)
+        assert list(sft.word_ids(width).items()) == list(index[width].items()), (name, width)
+
+
+def test_language_layer_matches_sorted_paths_and_sliced_windows():
+    shifts = [(name, sft) for name, sft, _ in catalog()]
+    # 53 edges: one-character symbols, upper case sorting before lower case
+    wide = make_edge_shift(["a", "b"], [[20, 25], [5, 3]])
+    assert wide.alphabet[-1] == "Q" and sorted(wide.alphabet) != list(wide.alphabet)
+    # 65 edges: e0 ... e64, where "e10" < "e2"
+    named = make_edge_shift(["a", "b"], [[30, 20], [12, 3]])
+    assert named.alphabet[64] == "e64" and sorted(named.alphabet) != list(named.alphabet)
+    shifts += [("53 edges", wide), ("65 edges", named)]
+    # power shifts, class restrictions and components with parallel edges
+    for name, base, m in [("golden_mean", golden_mean(), 1),
+                          ("doubled_cycle_p3", doubled_cycle_period3(), 3),
+                          ("chord6_p3", period3_six_states(), 3)]:
+        shifts.append((f"{name}^3", power_shift(base, 3)))
+        if m > 1:
+            part = cyclic_partition(base, m)
+            shifts.append((f"{name} class 0", class_restriction(base, part, 3)))
+    loops = power_shift(doubled_loop_period2(), 2)
+    assert loops.adjacency == ((2, 0), (0, 2))  # two components of two parallel loops
+    shifts += [(f"loops component {c}", derived_shift(loops, [c], 1)) for c in (0, 1)]
+    for name, sft in shifts:
+        _assert_language_layer(sft, name)
+
+
+def test_word_count_cap_is_checked_on_the_requested_level_first():
+    shift = full_shift(2)
+    with pytest.raises(BudgetExceededError) as info:
+        words_of_length(shift, 7, budget=Budget(word_count=100))
+    error = info.value
+    assert (error.cap, error.limit, error.used) == ("word_count", 100, 128)
+    assert list(shift.tables.languages) == [0]  # no level built before the check
 
 
 # -- entropy ------------------------------------------------------------------

@@ -153,6 +153,41 @@ def test_restrict_of_lift_returns_every_piece_code():
         c.canonical_key() for c in combo]
 
 
+def _lift_by_windows(y, pieces, perm, combo) -> tuple:
+    """Oracle for ``lift``: each window of y lies in one piece i, and its
+    output is codes[i]'s output at the window's centre, read in the piece
+    and written back as a symbol of piece perm[i]."""
+    radius = max(code.radius for code in combo)
+    rule = []
+    for w in y.language(2 * radius + 1):
+        i, = {i for i, piece in enumerate(pieces) if w[0] in piece.inverse}
+        code = combo[i]
+        out = code.apply(tuple(map(pieces[i].inverse.__getitem__, w)))[radius - code.radius]
+        rule.append(pieces[perm[i]].symbols[out])
+    return tuple(rule)
+
+
+def test_lift_equals_its_per_window_definition():
+    checked = 0
+    for y in [power_shift(doubled_loop_period2(), 2), power_shift(cycle_graph(3), 3)] + [
+            inst.power for inst in _split_instances()]:
+        pieces = codes._disjoint_components(y)
+        if pieces is None:
+            continue
+        k = len(pieces)
+        for perm in itertools.permutations(range(k)):
+            for combo in itertools.product(*[enumerate_conjugacies(
+                    pieces[i].shift, pieces[perm[i]].shift, 1) for i in range(k)]):
+                assert lift(y, pieces, perm, combo).rule == _lift_by_windows(
+                    y, pieces, perm, combo), y.states
+                checked += 1
+    y = power_shift(doubled_loop_period2(), 2)
+    pieces = codes._disjoint_components(y)
+    combo = [identity_code(pieces[0].shift), shift_code(pieces[1].shift, 1)]  # radii 0 and 1
+    assert lift(y, pieces, (0, 1), combo).rule == _lift_by_windows(y, pieces, (0, 1), combo)
+    assert checked > 8
+
+
 # -- the split-sequence codes against the construction over the whole of Y --
 
 
