@@ -163,6 +163,13 @@ def _shaped(value, kind: type, what: str):
     raise ParseError(f"{what} must be {names[kind]}")
 
 
+def _field(doc: dict, key: str, where: str):
+    """``doc[key]``, else a ParseError that names the missing key."""
+    if key not in doc:
+        raise ParseError(f"{where} has no {key!r}")
+    return doc[key]
+
+
 def _table_group(doc) -> FiniteGroup:
     """The group of a document {"table": rows, "names": [...], "generators": [...]}."""
     doc = _shaped(doc, dict, "a group document")
@@ -314,16 +321,19 @@ def cmd_wreath_calc(args) -> int:
         base = cyclic_group(_shaped(base_spec["cyclic"], int, "'cyclic'"))
     else:
         base = _table_group(base_spec)
-    ctx = WreathContext(base, _shaped(doc["n"], int, "'n'"))
+    ctx = WreathContext(base, _shaped(_field(doc, "n", "the expression document"), int, "'n'"))
     bindings = {}
     for name, val in _shaped(doc.get("bindings", {}), dict, "'bindings'").items():
         val = _shaped(val, dict, f"binding {name!r}")
-        bindings[name] = ctx.element(_shaped(val["g"], list, "'g'"),
-                                     _shaped(val["sigma"], list, "'sigma'"))
+        bindings[name] = ctx.element(
+            _shaped(_field(val, "g", f"binding {name!r}"), list, "'g'"),
+            _shaped(_field(val, "sigma", f"binding {name!r}"), list, "'sigma'"))
     fixed_arity = {"inv": (wr_inv, 1), "conj": (wr_conj, 2), "comm": (wr_comm, 2)}
 
     def evaluate(node):
         if isinstance(node, str):
+            if node not in bindings:
+                raise ParseError(f"name {node!r} is not bound")
             return bindings[node]
         op, *rest = _shaped(node, list, "an operation") or [None]  # [] names no operation
         operands = [evaluate(x) for x in rest]
@@ -334,7 +344,7 @@ def cmd_wreath_calc(args) -> int:
         raise ParseError(f"operation {op!r} with {len(operands)} operands; the operations are "
                          "mul (one or more), inv (one), conj and comm (two)")
 
-    result = evaluate(doc["expr"])
+    result = evaluate(_field(doc, "expr", "the expression document"))
     _emit(args, {"schema_version": 1, "result": result.to_document(),
                  "name": result.name()})
     return EXIT_OK

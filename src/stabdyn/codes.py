@@ -236,7 +236,7 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
     at the first image word that meets a second centre (``regroup``).  Image
     words that never occur mean f is not surjective.  The candidate g then
     satisfies g.f = id by construction, since it sends the image of every
-    such u to u's centre; f.g = id is verified.
+    such u to u's centre.  f.g = id is verified word by word (``_inverts``).
     """
     r, R = code.radius, inv_radius
     length = 2 * (R + r) + 1
@@ -250,9 +250,21 @@ def find_inverse(code: SlidingBlockCode, inv_radius: int) -> Optional[SlidingBlo
             [u[0] for u in code.domain.language(1)], centres))
     except WordError:
         return None
-    if not compose(code, candidate).is_identity():
-        return None
-    return candidate
+    return candidate if _inverts(code, candidate) else None
+
+
+def _inverts(code: SlidingBlockCode, candidate: SlidingBlockCode) -> bool:
+    """``compose(code, candidate).is_identity()`` without the composite: code's
+    output on candidate's image of each word of ``candidate.domain`` of the
+    composite's width is compared with the word's centre symbol, lazily,
+    up to the first mismatch, so no column is kept and no key computed."""
+    half = code.radius + candidate.radius
+    width = 2 * half + 1
+    symbols = [w[0] for w in candidate.domain.language(1)]
+    outputs = map(code.rule.__getitem__,
+                  _image_ids(candidate, width, code.domain.word_ids(2 * code.radius + 1)))
+    centres = candidate.domain.subwindow_ids(width, 1)[half]
+    return all(map(eq, outputs, map(symbols.__getitem__, centres)))
 
 
 # -- enumeration ----------------------------------------------------------------

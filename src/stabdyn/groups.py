@@ -448,15 +448,17 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[dict]:
     """Exact isomorphism search.  Returns an explicit index bijection or None.
 
     Each generator of g is sent to an element of h with the same (element
-    order, class size); the candidate tuples are tried in
-    ``itertools.product`` order and the first that extends to an injective
-    homomorphism is reported, so the result is deterministic.  A candidate
-    is extended by one pass over g in BFS order (right products by the
-    generators), setting or checking phi(x g_i) = phi(x) images[i], and is
-    rejected at the first conflicting product or repeated image.  A map that
-    respects every such relation is a homomorphism (induction on word
-    length), and an injective one between groups of equal order is a
-    bijection.
+    order, class size); the first candidate tuple in ``itertools.product``
+    order that extends to an injective homomorphism is reported, so the
+    result is deterministic.  Images are extended by one pass over the
+    subgroup their generators generate, in BFS order (right products by
+    them), setting or checking phi(x g_i) = phi(x) images[i], and fail at
+    the first conflicting product or repeated image.  A map that respects
+    every such relation is a homomorphism (induction on word length), and
+    an injective one between groups of equal order is a bijection.  The
+    search is depth first: the images of g_0 ... g_{k-1} are extended on
+    <g_0 ... g_{k-1}> before g_k gets one.  An isomorphism restricts there
+    to exactly that map, so no completion of a failing prefix is tried.
     """
     check(g.order, default_budget(), "group_order", "isomorphism search order")
     if g.order != h.order:
@@ -487,8 +489,14 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[dict]:
                     return None
         return {x: phi[x] for x in queue}
 
-    for images in itertools.product(*candidates):
-        phi = extend(images)
-        if phi is not None:
+    def search(prefix: tuple) -> Optional[dict]:
+        phi = extend(prefix)  # zip(gens, prefix) stops at the prefix
+        if phi is None or len(prefix) == len(gens):
             return phi
-    return None
+        for image in candidates[len(prefix)]:
+            phi = search(prefix + (image,))
+            if phi is not None:
+                return phi
+        return None
+
+    return search(())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .budgets import Budget, check, default_budget
-from .errors import AmbientMismatchError
+from .errors import AmbientMismatchError, StabdynError
 from .groups import (FiniteGroup, all_perms, alternating_subset, compose_perm,
                      identity_perm, invert_perm, klein_subset_sym4, perm_name,
                      perm_orbits, symmetric_group)
@@ -31,6 +31,10 @@ class WreathContext:
     """Ambient data for wreath elements: the base group and the arity."""
     base: FiniteGroup
     n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise StabdynError(f"wreath arity must be at least 0, got {self.n}")
 
     @property
     def order(self) -> int:

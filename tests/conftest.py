@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from stabdyn.groups import FiniteGroup, cyclic_group
 from stabdyn.sft import full_shift, make_edge_shift, mat_pow
 
 
@@ -126,3 +127,10 @@ def intercalate_loop() -> list:
     table = [[(i + j) % 130 for j in range(130)] for i in range(130)]
     table[1][2], table[1][67], table[66][2], table[66][67] = 68, 3, 3, 68
     return table
+
+
+def z4_relabelled() -> FiniteGroup:
+    """Z4 with the elements 1 and 2 swapped: the same element orders, another table."""
+    swap = [0, 2, 1, 3]
+    z4 = cyclic_group(4)
+    return FiniteGroup([[swap[z4.mul(swap[a], swap[b])] for b in range(4)] for a in range(4)])

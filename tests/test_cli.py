@@ -278,28 +278,45 @@ def test_wreath_calc_rejects_bad_elements(tmp_path, capsys, binding):
 RIGIDITY_G = ["rigidity", "--group-g", "DOC", "--n", "2", "--group-h", "cyclic:2", "--m", "3"]
 
 
-@pytest.mark.parametrize("argv, doc", [
+@pytest.mark.parametrize("argv, doc, field", [
     (["wreath-calc", "DOC"], {"n": 2, "bindings": {"x": {"g": 1, "sigma": [1, 0]}},
-                              "expr": "x"}),
+                              "expr": "x"}, "'g'"),
     (["wreath-calc", "DOC"], {"n": 2, "bindings": {"x": {"g": [1, 0], "sigma": [1, 0]}},
-                              "expr": ["inv"]}),
-    (RIGIDITY_G, {"table": [0]}),
-    ([a.replace("DOC", "cyclic:0") for a in RIGIDITY_G], None),
-], ids=["binding-g-not-a-list", "inv-without-operand", "table-row-not-a-list", "cyclic-0"])
-def test_misshapen_documents_are_usage_errors(tmp_path, capsys, argv, doc):
+                              "expr": ["inv"]}, "'inv'"),
+    (RIGIDITY_G, {"table": [0]}, "table row"),
+    ([a.replace("DOC", "cyclic:0") for a in RIGIDITY_G], None, "cyclic group order"),
+    (["wreath-calc", "DOC"], {"n": 2}, "'expr'"),
+    (["wreath-calc", "DOC"], {"expr": "x"}, "'n'"),
+    (["wreath-calc", "DOC"], {"n": 2, "bindings": {"x": {"sigma": [1, 0]}}, "expr": "x"},
+     "'g'"),
+    (["wreath-calc", "DOC"], {"n": 2, "bindings": {"x": {"g": [1, 0]}}, "expr": "x"},
+     "'sigma'"),
+    (["wreath-calc", "DOC"], {"n": 2, "bindings": {"x": {"g": [1, 0], "sigma": [1, 0]}},
+                              "expr": ["mul", "x", "y"]}, "'y'"),
+], ids=["binding-g-not-a-list", "inv-without-operand", "table-row-not-a-list", "cyclic-0",
+        "no-expr", "no-n", "binding-without-g", "binding-without-sigma", "unbound-name"])
+def test_misshapen_documents_are_usage_errors(tmp_path, capsys, argv, doc, field):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    _one_line_error_with_manifest(capsys, [a.replace("DOC", str(path)) for a in argv], tmp_path)
+    err = _one_line_error_with_manifest(capsys, [a.replace("DOC", str(path)) for a in argv],
+                                        tmp_path)
+    assert field in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["example1", "--level", "2", "--check-n", "1", "--depth", "-5"],
-    ["example2", "--level", "2", "--check-n", "1", "--depth", "-5"],
-    ["entropy-ratio", "2", "4", "--tol", "nan"],
-    ["entropy-ratio", "2", "4", "--tol", "inf"],
-], ids=["example1-negative-depth", "example2-negative-depth", "tol-nan", "tol-inf"])
-def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv):
-    _one_line_error_with_manifest(capsys, argv, tmp_path)
+@pytest.mark.parametrize("argv, field", [
+    (["example1", "--level", "2", "--check-n", "1", "--depth", "-5"], "depth"),
+    (["example2", "--level", "2", "--check-n", "1", "--depth", "-5"], "depth"),
+    (["entropy-ratio", "2", "4", "--tol", "nan"], "tolerance"),
+    (["entropy-ratio", "2", "4", "--tol", "inf"], "tolerance"),
+    (["rigidity", "--group-g", "cyclic:2", "--n", "-1", "--group-h", "cyclic:2", "--m", "3"],
+     "arity"),
+    (["rigidity", "--group-g", "cyclic:2", "--n", "3", "--group-h", "cyclic:2", "--m", "-2"],
+     "arity"),
+    (["wreath-calc", json.dumps({"n": -1, "expr": "x"})], "arity"),
+], ids=["example1-negative-depth", "example2-negative-depth", "tol-nan", "tol-inf",
+        "rigidity-negative-n", "rigidity-negative-m", "wreath-calc-negative-n"])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, field):
+    assert field in _one_line_error_with_manifest(capsys, argv, tmp_path)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])

@@ -511,6 +511,31 @@ def test_enumeration_is_the_brute_force_over_every_rule_table():
     assert filtered_out  # the reference filters reject some tables
 
 
+def test_inverse_check_is_the_composite_identity_test(monkeypatch):
+    # every candidate find_inverse checks on every leaf, and each leaf's code
+    # against the first candidate of its search, which mostly is no inverse
+    checked = []
+    inverts = codes._inverts
+    monkeypatch.setattr(codes, "_inverts",
+                        lambda code, candidate: checked.append((code, candidate))
+                        or inverts(code, candidate))
+    verdicts = set()
+    for domain, codomain, r in _brute_force_cases():
+        checked.clear()
+        for table in itertools.product(codomain.alphabet, repeat=len(domain.language(2 * r + 1))):
+            try:
+                find_inverse(SlidingBlockCode(domain, codomain, r, table), 2 * r)
+            except WordError:
+                continue
+        assert checked
+        first = checked[0][1]
+        for code, candidate in checked + [(code, first) for code, _ in checked]:
+            verdict = inverts(code, candidate)
+            assert verdict == compose(code, candidate).is_identity(), (domain.states, code.rule)
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
 def _composed_by_images(f, g) -> tuple:
     """f after g's rule, from the image words of ``images`` (the oracle)."""
     ids = f.domain.word_ids(2 * f.radius + 1)

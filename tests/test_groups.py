@@ -17,7 +17,7 @@ from stabdyn.groups import (FiniteGroup, _invariants, all_perms, alternating_sub
                             transposition, trivial_group)
 from stabdyn.wreath import wreath_group
 
-from conftest import intercalate_loop
+from conftest import intercalate_loop, z4_relabelled
 
 
 def test_cyclic_group_axioms_exhaustive():
@@ -253,6 +253,69 @@ def test_is_isomorphic_matches_the_reference_search():
             found += 1
     # the self-pairs, trivial ~ C1 both ways and D4 ~ C2 wr 2 both ways
     assert found == len(groups) + 2 + 2
+
+
+def _is_isomorphic_product_order(g: FiniteGroup, h: FiniteGroup):
+    """The unpruned search: every complete candidate tuple in
+    ``itertools.product`` order, each extended over the whole of g."""
+    if g.order != h.order:
+        return None
+    signature_g, elements_g = _invariants(g)
+    signature_h, elements_h = _invariants(h)
+    if signature_g != signature_h:
+        return None
+    gens = g.generators
+    candidates = [[y for y in range(h.order) if elements_h[y] == elements_g[gen]]
+                  for gen in gens]
+
+    def extend(images):
+        phi = [None] * g.order
+        used = [False] * h.order
+        phi[g.identity], used[h.identity] = h.identity, True
+        queue = [g.identity]
+        for x in queue:
+            for gen, image in zip(gens, images):
+                y, z = g.mul(x, gen), h.mul(phi[x], image)
+                if phi[y] is None and not used[z]:
+                    phi[y], used[z] = z, True
+                    queue.append(y)
+                elif phi[y] != z:
+                    return None
+        return {x: phi[x] for x in queue}
+
+    for images in itertools.product(*candidates):
+        phi = extend(images)
+        if phi is not None:
+            return phi
+    return None
+
+
+def _assert_same_search(g: FiniteGroup, h: FiniteGroup):
+    expected, phi = _is_isomorphic_product_order(g, h), is_isomorphic(g, h)
+    if expected is None:
+        assert phi is None
+    else:
+        assert phi is not None and list(phi.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("base, n", [(cyclic_group(2), 4), (klein_group(), 3),
+                                     (dihedral_square(), 2), (quaternion_group(), 2)],
+                         ids=["Z2wr4", "V4wr3", "D4wr2", "Q8wr2"])
+def test_pruned_search_matches_product_order_on_wreath_self_pairs(base, n):
+    g = wreath_group(base, n)
+    _assert_same_search(g, g)
+
+
+def test_pruned_search_matches_product_order_on_a_relabelled_base():
+    _assert_same_search(wreath_group(cyclic_group(4), 2), wreath_group(z4_relabelled(), 2))
+
+
+def test_pruned_search_matches_product_order_on_small_groups():
+    groups = ([trivial_group()] + [cyclic_group(n) for n in range(1, 9)]
+              + [klein_group(), dihedral_square(), quaternion_group(), symmetric_group(3),
+                 wreath_group(cyclic_group(2), 2)])
+    for g, h in itertools.product(groups, repeat=2):
+        _assert_same_search(g, h)
 
 
 def test_is_isomorphic_skips_a_non_injective_homomorphism():

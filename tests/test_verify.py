@@ -16,7 +16,7 @@ from stabdyn.codes import (AutomorphismSet, SlidingBlockCode, compose,
                            identity_code, lift, partition_action, restrict,
                            shift_code)
 from stabdyn.errors import StabdynError, VerificationError, ZeroEntropyError
-from stabdyn.groups import (FiniteGroup, cyclic_group, dihedral_square, is_isomorphic,
+from stabdyn.groups import (cyclic_group, dihedral_square, is_isomorphic,
                             klein_group, quaternion_group)
 from stabdyn.sft import entropy, full_shift, parse_edge_shift, power_shift
 from stabdyn.verify import (MAX_KERNEL, MAX_PAIRS, MAX_TUPLES, SplitInstance,
@@ -29,7 +29,7 @@ from stabdyn.wreath import wreath_group
 
 from conftest import (SLOW_STAGES, catalog, cycle_graph,
                       doubled_cycle_period3, doubled_loop_period2,
-                      golden_mean, split_matrix)
+                      golden_mean, split_matrix, z4_relabelled)
 
 SPLIT_MATRIX = split_matrix()
 
@@ -393,13 +393,6 @@ def test_rigidity_klein_versus_z2_order384():
                                    "V4", "Z2")
     assert report.passes
     assert report.isomorphic is False
-
-
-def z4_relabelled() -> FiniteGroup:
-    """Z4 with the elements 1 and 2 swapped: the same element orders, another table."""
-    swap = [0, 2, 1, 3]
-    z4 = cyclic_group(4)
-    return FiniteGroup([[swap[z4.mul(swap[a], swap[b])] for b in range(4)] for a in range(4)])
 
 
 @pytest.mark.parametrize("base_g, n, base_h, m, tables, isomorphic", [
