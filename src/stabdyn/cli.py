@@ -175,7 +175,8 @@ def _table_group(doc) -> FiniteGroup:
     doc = _shaped(doc, dict, "a group document")
     optional = {key: _shaped(doc[key], list, repr(key)) for key in ("names", "generators")
                 if doc.get(key) is not None}
-    rows = [_shaped(row, list, "a table row") for row in _shaped(doc["table"], list, "'table'")]
+    rows = [_shaped(row, list, "a table row") for row in _shaped(
+        _field(doc, "table", "the group document"), list, "'table'")]
     return FiniteGroup(rows, **optional)
 
 

@@ -401,22 +401,26 @@ def _scatter(union: EdgeShift, pieces: Sequence[Piece], width: int) -> list:
     return position
 
 
+def _outputs(src: Piece, dst: Piece, code: SlidingBlockCode, radius: int) -> list:
+    """``code``'s part of a lift: its rule widened to ``radius`` through its
+    centred sub-windows, in the union symbols of ``dst``."""
+    r = code.radius
+    widened = code.rule if r == radius else gather(
+        code.rule, src.shift.subwindow_ids(2 * radius + 1, 2 * r + 1)[radius - r])
+    return list(map(dst.symbols.__getitem__, widened))
+
+
 def lift(union: EdgeShift, pieces: Sequence[Piece], perm: Sequence[int],
          codes: Sequence[SlidingBlockCode]) -> SlidingBlockCode:
     """The code over ``union`` that acts on pieces[i] as codes[i], a code from
     pieces[i] to pieces[perm[i]].  Its radius is the largest of the codes';
-    each code is widened to it through its centred sub-windows.  The rule is
-    the pieces' outputs, concatenated in piece order, gathered once through
+    each code is widened to it (``_outputs``).  The rule is the pieces'
+    outputs, concatenated in piece order, gathered once through
     ``_scatter``."""
     radius = max(code.radius for code in codes)
-    width = 2 * radius + 1
-    outputs = []
-    for src, j, code in zip(pieces, perm, codes):
-        r = code.radius
-        widened = code.rule if r == radius else gather(
-            code.rule, src.shift.subwindow_ids(width, 2 * r + 1)[radius - r])
-        outputs += map(pieces[j].symbols.__getitem__, widened)
-    rule = gather(outputs, _scatter(union, pieces, width))
+    outputs = itertools.chain.from_iterable(
+        _outputs(src, pieces[j], code, radius) for src, j, code in zip(pieces, perm, codes))
+    rule = gather(list(outputs), _scatter(union, pieces, 2 * radius + 1))
     return SlidingBlockCode(union, union, radius, rule, validate=False)
 
 
@@ -447,11 +451,15 @@ class AutomorphismSet:
     Every member is a genuine automorphism, but the set is only a slice of
     the group, not the whole group; it need not be closed under composition:
     ``product(i, j)`` may leave the stage, and then ``key_index.get`` of its
-    canonical key is None.
+    canonical key is None.  A lifted stage keeps its ``pieces``, and the
+    piece permutation of each element in ``perms``: elements[k] maps
+    pieces[i] onto pieces[perms[k][i]].  Both are None on a searched stage.
     """
     shift: EdgeShift
     radius: int
     elements: tuple
+    pieces: Optional[tuple] = field(default=None, compare=False)
+    perms: Optional[tuple] = field(default=None, compare=False)
     _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -504,30 +512,46 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
     The result is sorted canonically; enumeration order never affects the
     output.  For a stage of Aut(sigma^n), pass ``power_shift(sft, n)``.  On a
     disjoint union of components each member permutes the components, so the
-    stage is lifted from the (memoized) conjugacy sets between components;
-    BudgetExceededError is raised before any member is built when there are
-    more than ``budget.enum_nodes`` of them.
+    stage is lifted from the (memoized) conjugacy sets between components,
+    each member's canonical key and piece permutation read off its piece
+    codes; BudgetExceededError is raised before any member is built when
+    there are more than ``budget.enum_nodes`` of them.
     """
     budget = budget or default_budget()
     pieces = _disjoint_components(sft)
     if pieces is None:
         return AutomorphismSet(sft, radius, tuple(
             enumerate_conjugacies(sft, sft, radius, budget=budget)))
+    # each piece code, once per target piece: its canonical radius and form,
+    # and its part of a lift (``_outputs``)
     k = len(pieces)
-    table = {(i, j): enumerate_conjugacies(pieces[i].shift, pieces[j].shift, radius,
-                                           budget=budget)
-             for i in range(k) for j in range(k)}
-    count = sum(math.prod(len(table[(i, pi[i])]) for i in range(k))
-                for pi in itertools.permutations(range(k)))
+    rows = {(i, j): [(code.canonical_radius, code.canonical(),
+                      _outputs(pieces[i], pieces[j], code, radius))
+                     for code in enumerate_conjugacies(pieces[i].shift, pieces[j].shift,
+                                                       radius, budget=budget)]
+            for i in range(k) for j in range(k)}
+    count = sum(math.prod(len(rows[i, j]) for i, j in enumerate(perm))
+                for perm in itertools.permutations(range(k)))
     if count > budget.enum_nodes:
         raise BudgetExceededError(
             f"lifted stage of {count} codes exceeds {budget.enum_nodes} nodes",
             "enum_nodes", budget.enum_nodes, count, "stage")
-    elements = [lift(sft, pieces, pi, combo)
-                for pi in itertools.permutations(range(k))
-                for combo in itertools.product(*[table[(i, pi[i])] for i in range(k)])]
-    elements.sort(key=SlidingBlockCode.canonical_key)
-    return AutomorphismSet(sft, radius, tuple(elements))
+    scatter = _scatter(sft, pieces, 2 * radius + 1)
+    elements, perms = [], []
+    for perm in itertools.permutations(range(k)):
+        for combo in itertools.product(*[rows[i, j] for i, j in enumerate(perm)]):
+            radii, canons, outputs = zip(*combo)
+            code = SlidingBlockCode(sft, sft, radius, gather(
+                list(itertools.chain.from_iterable(outputs)), scatter), validate=False)
+            # a union window and its centred sub-windows lie in one piece: the
+            # canonical form is the lift of the codes' canonical forms
+            low = code if max(radii) == radius else lift(sft, pieces, perm, canons)
+            code._canonical_key = (low.radius, low.rule)
+            elements.append(code)
+            perms.append(perm)
+    order = sorted(range(len(elements)), key=lambda e: elements[e]._canonical_key)
+    return AutomorphismSet(sft, radius, tuple(map(elements.__getitem__, order)),
+                           tuple(pieces), tuple(map(perms.__getitem__, order)))
 
 
 # -- action on cyclic partitions ---------------------------------------------------

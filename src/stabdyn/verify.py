@@ -219,6 +219,23 @@ def _stage_escape(autos: AutomorphismSet) -> Optional[tuple]:
     return None
 
 
+def _pi_from_pieces(autos: AutomorphismSet, inst: SplitInstance) -> Optional[list]:
+    """pi of each member of a lifted stage over ``inst.power``, one tuple per
+    piece permutation, when each piece lies in one partition class and each
+    class holds one piece (else None): a member that maps piece i onto piece
+    perm[i] maps the class of piece i into the class of piece perm[i]."""
+    if autos.perms is None:  # a searched stage
+        return None
+    states, class_of = inst.power.provenance.states, inst.part.class_of
+    owners = [tuple({class_of[states[t]] for t in piece.shift.provenance.states})
+              for piece in autos.pieces]
+    if sorted(owners) != [(c,) for c in range(inst.m)]:
+        return None
+    piece_in = sorted(range(inst.m), key=owners.__getitem__)  # the piece of each class
+    shared = {perm: tuple(owners[perm[i]][0] for i in piece_in) for perm in set(autos.perms)}
+    return list(map(shared.__getitem__, autos.perms))
+
+
 def _check(name: str, failures) -> CheckResult:
     """The check ``name``: passed when the iterator ``failures`` yields no
     message, else failed with the first one (nothing after it runs)."""
@@ -243,19 +260,21 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
                      f"(power-presentation language size)")
     autos = enumerate_automorphisms(inst.power, r_eff)
 
-    # pi on the enumerated stage
-    pi_of: list = []  # by index, up to the first element pi is not defined on
+    # pi on the enumerated stage, by index, up to the first element pi is not
+    # defined on; read off the pieces for every element of a lifted stage
+    pi_of: list = _pi_from_pieces(autos, inst) or []
 
     def pi_failures():
-        for idx, code in enumerate(autos.elements):
+        for idx in range(len(pi_of), len(autos.elements)):
             try:
-                pi_of.append(partition_action(code, inst.part))
+                pi_of.append(partition_action(autos.elements[idx], inst.part))
             except StabdynError as exc:
                 yield f"element {idx}: {exc}"
                 return
 
     checks = [_check("pi_defined_on_stage", pi_failures())]
-    kernel = [idx for idx, p in enumerate(pi_of) if p == identity_perm(m)]
+    identity = identity_perm(m)
+    kernel = [idx for idx, p in enumerate(pi_of) if p == identity]
     image = sorted(set(pi_of))
 
     def pi_of_product(i, j):
@@ -304,7 +323,7 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
     def psi_failures():
         for tup in tuples:
             code = psi_by_indices(tup)
-            if partition_action(code, inst.part) != identity_perm(m):
+            if partition_action(code, inst.part) != identity:
                 yield f"pi(psi{tup}) != id"
             inv_code = inst.psi([comp_autos.inverses[i] for i in tup])
             if not compose(code, inv_code).is_identity():

@@ -293,8 +293,11 @@ RIGIDITY_G = ["rigidity", "--group-g", "DOC", "--n", "2", "--group-h", "cyclic:2
      "'sigma'"),
     (["wreath-calc", "DOC"], {"n": 2, "bindings": {"x": {"g": [1, 0], "sigma": [1, 0]}},
                               "expr": ["mul", "x", "y"]}, "'y'"),
+    (RIGIDITY_G, {"names": ["e"]}, "no 'table'"),
+    (["wreath-calc", "DOC"], {"n": 2, "base": {"names": ["e"]}, "expr": "x"}, "no 'table'"),
 ], ids=["binding-g-not-a-list", "inv-without-operand", "table-row-not-a-list", "cyclic-0",
-        "no-expr", "no-n", "binding-without-g", "binding-without-sigma", "unbound-name"])
+        "no-expr", "no-n", "binding-without-g", "binding-without-sigma", "unbound-name",
+        "group-without-table", "base-without-table"])
 def test_misshapen_documents_are_usage_errors(tmp_path, capsys, argv, doc, field):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -12,7 +12,7 @@ from stabdyn import codes, verify
 
 from stabdyn.cli import rigidity_sweep_pairs
 from stabdyn.codes import (AutomorphismSet, SlidingBlockCode, compose,
-                           enumerate_automorphisms, enumerate_conjugacies,
+                           enumerate_automorphisms, enumerate_conjugacies, factor_key,
                            identity_code, lift, partition_action, restrict,
                            shift_code)
 from stabdyn.errors import StabdynError, VerificationError, ZeroEntropyError
@@ -186,6 +186,82 @@ def test_lift_equals_its_per_window_definition():
     combo = [identity_code(pieces[0].shift), shift_code(pieces[1].shift, 1)]  # radii 0 and 1
     assert lift(y, pieces, (0, 1), combo).rule == _lift_by_windows(y, pieces, (0, 1), combo)
     assert checked > 8
+
+
+def test_lifted_member_key_is_its_factor_key():
+    lifted, radii = 0, set()
+    for y in [power_shift(doubled_loop_period2(), 2), power_shift(cycle_graph(3), 3)] + [
+            inst.power for inst in _split_instances()]:
+        if codes._disjoint_components(y) is None:  # one piece: searched directly
+            continue
+        lifted += 1
+        stage = enumerate_automorphisms(y, 1)
+        for code in stage.elements:
+            assert code._canonical_key is not None  # set when the member is built
+            assert code.canonical_key() == factor_key(y, code.radius, code.rule), y.states
+            radii.add(code.canonical_radius)
+    assert lifted == 8 and radii == {0, 1}
+    # the cycle powers: every member has canonical radius 0, below the stage's
+    stage = enumerate_automorphisms(power_shift(cycle_graph(3), 3), 1)
+    assert stage.radius == 1 and {code.canonical_radius for code in stage.elements} == {0}
+    # piece codes of canonical radii 0 and 1 make a member of canonical radius 1
+    y = power_shift(doubled_loop_period2(), 2)
+    stage = enumerate_automorphisms(y, 1)
+    mixed = lift(y, stage.pieces, (0, 1), [identity_code(stage.pieces[0].shift),
+                                           shift_code(stage.pieces[1].shift, 1)])
+    member = stage.elements[stage.key_index[factor_key(y, 1, mixed.rule)]]
+    assert member.canonical_key() == factor_key(y, 1, member.rule)
+    assert member.canonical_radius == 1 and stage.perms[stage.elements.index(member)] == (0, 1)
+
+
+# the doubled 3-cycle with states 1 and 2 swapped: its pieces, in state order,
+# lie in classes 0, 2 and 1
+RELABELLED_CYCLE = (parse_edge_shift("0 0 2 / 1 0 0 / 0 1 0"), 1, 3, 1)
+
+
+def test_recorded_pi_is_the_partition_action():
+    lifted = 0
+    for inst in _split_instances() + [SplitInstance.build(*RELABELLED_CYCLE[:3])]:
+        stage = enumerate_automorphisms(inst.power, _effective_radius(inst.power, 1))
+        if stage.perms is None:
+            continue
+        lifted += 1
+        assert verify._pi_from_pieces(stage, inst) == [
+            partition_action(code, inst.part) for code in stage.elements], inst.base.states
+    assert lifted == 7
+    # pieces that are not one per class (on the loop's last stage, the
+    # relabelled cycle's): pi is left to partition_action
+    pieces = stage.pieces
+    for other in [pieces[:1] * 3, (codes.Piece.derived(inst.power, [0, 1]), pieces[2])]:
+        assert verify._pi_from_pieces(dataclasses.replace(stage, pieces=other), inst) is None
+
+
+@pytest.mark.parametrize("sft, n, m, radius", SPLIT_MATRIX + [RELABELLED_CYCLE],
+                         ids=[f"{sft.adjacency}-n{n}-m{m}"
+                              for sft, n, m, _ in SPLIT_MATRIX + [RELABELLED_CYCLE]])
+def test_recorded_pi_gives_the_partition_action_report(monkeypatch, sft, n, m, radius):
+    # SPLIT_MATRIX holds the inputs of the bench's nine split instances
+    report = verify_split_sequence(sft, n, m, radius).to_document()
+    stage_of, calls = verify.enumerate_automorphisms, []
+    monkeypatch.setattr(verify, "enumerate_automorphisms", lambda *args, **kwargs:
+                        dataclasses.replace(stage_of(*args, **kwargs), perms=None))
+    monkeypatch.setattr(verify, "partition_action",
+                        lambda code, part: calls.append(code) or partition_action(code, part))
+    assert verify_split_sequence(sft, n, m, radius).to_document() == report
+    assert len(calls) >= report["automorphism_count"]
+
+
+def test_doubled_three_cycle_report_reads_pi_and_keys_off_its_pieces(monkeypatch):
+    # per-member pi and keys made 1,453 and 2,393 calls on this fresh input
+    calls = dict.fromkeys(["partition_action", "factor_key"], 0)
+    for module, name in [(verify, "partition_action"), (codes, "factor_key"),
+                         (verify, "factor_key")]:
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert verify_split_sequence(doubled_cycle_period3(), 1, 3, 1).passes
+    assert calls["partition_action"] <= 200 and calls["factor_key"] <= 1300, calls
 
 
 # -- the split-sequence codes against the construction over the whole of Y --
