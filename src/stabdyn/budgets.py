@@ -11,27 +11,30 @@ also accept an explicit ``budget=`` argument; the rest read
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import BudgetExceededError
+from .records import Record
 
 ENV_VAR = "STABDYN_BUDGET"
 
 
-@dataclass(frozen=True)
-class Budget:
-    word_count: int = 10_000_000      # admissible words per language level
-    path_count: int = 10_000_000      # paths materialized by power shifts
-    group_order: int = 20_000         # largest multiplication table
-    enum_nodes: int = 5_000_000       # search-tree nodes in rule enumeration
-    sym_normal_m: int = 7             # largest Sym(m) for normal-subgroup sweeps
+class Budget(Record):
+    DEFAULTS = {"word_count": 10_000_000,   # admissible words per language level
+                "path_count": 10_000_000,   # paths materialized by power shifts
+                "group_order": 20_000,      # largest multiplication table
+                "enum_nodes": 5_000_000,    # search-tree nodes in rule enumeration
+                "sym_normal_m": 7}          # largest Sym(m) for normal-subgroup sweeps
+    __slots__ = FIELDS = tuple(DEFAULTS)
+
+
+DEFAULT = Budget()  # immutable, so one record serves every caller
 
 
 def default_budget() -> Budget:
     """The default caps, or every cap set to STABDYN_BUDGET when it is set."""
     raw = os.environ.get(ENV_VAR)
     if raw is None:
-        return Budget()
+        return DEFAULT
     try:
         cap = int(raw)
     except ValueError as exc:

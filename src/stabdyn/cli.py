@@ -97,14 +97,21 @@ def _encode(value, newline: str) -> str:
         # empty containers, other keys and other types: json's own encoding
         return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
     inner = newline + "  "
+    kinds = set(map(type, value)) if kind is not dict else ()
+    if len(kinds) == 1 and kinds <= _SCALARS.keys():
+        return "[" + inner + ("," + inner).join(map(_SCALARS[kinds.pop()], value)) + newline + "]"
+    keys = sorted(value) if kind is dict else ()
+    items = list(map(value.__getitem__, keys)) if kind is dict else value
+    if len(set(map(id, items))) == len(items):
+        texts = [_encode(item, inner) for item in items]
+    else:  # an object this container holds more than once is encoded once
+        shared = {}
+        texts = [shared[key] if key in shared else shared.setdefault(key, _encode(item, inner))
+                 for key, item in zip(map(id, items), items)]
     if kind is dict:
-        return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + _encode(value[k], inner)
-            for k in sorted(value)]) + newline + "}"
-    kinds = set(map(type, value))
-    encode = (_SCALARS[kinds.pop()] if len(kinds) == 1 and kinds <= _SCALARS.keys()
-              else functools.partial(_encode, newline=inner))
-    return "[" + inner + ("," + inner).join(map(encode, value)) + newline + "]"
+        texts = map(": ".join, zip(map(encode_basestring_ascii, keys), texts))
+    opening, closing = "{}" if kind is dict else "[]"
+    return opening + inner + ("," + inner).join(texts) + newline + closing
 
 
 def _read_source(arg: str) -> tuple:

@@ -20,13 +20,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from operator import eq
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .budgets import Budget, default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
                      ShiftMismatchError, WordError)
+from .records import Record
 from .sft import (EdgeShift, Word, derived_shift, gather, is_irreducible,
                   strongly_connected_components, word_to_str)
 from .spectral import CyclicPartition
@@ -442,8 +442,7 @@ def _disjoint_components(sft: EdgeShift) -> Optional[list]:
     return [Piece.derived(sft, comp) for comp in comps]
 
 
-@dataclass(frozen=True)
-class AutomorphismSet:
+class AutomorphismSet(Record):
     """A radius-bounded stage of Aut(sigma^n), where n is the step of the
     shift's provenance (1 for a shift that is not derived): the radius-<= r
     codes that have a two-sided inverse of radius <= 2r.
@@ -453,14 +452,16 @@ class AutomorphismSet:
     ``product(i, j)`` may leave the stage, and then ``key_index.get`` of its
     canonical key is None.  A lifted stage keeps its ``pieces``, and the
     piece permutation of each element in ``perms``: elements[k] maps
-    pieces[i] onto pieces[perms[k][i]].  Both are None on a searched stage.
+    pieces[i] onto pieces[perms[k][i]].  Both are None on a searched stage,
+    and neither takes part in comparisons.
     """
-    shift: EdgeShift
-    radius: int
-    elements: tuple
-    pieces: Optional[tuple] = field(default=None, compare=False)
-    perms: Optional[tuple] = field(default=None, compare=False)
-    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    FIELDS = ("shift", "radius", "elements")
+    _products: dict  # (i, j) -> the canonical elements[i] . elements[j], for ``product``
+
+    def __init__(self, shift: EdgeShift, radius: int, elements: tuple,
+                 pieces: Optional[tuple] = None, perms: Optional[tuple] = None):
+        super().__init__(shift, radius, elements)
+        self.set_uncompared(pieces=pieces, perms=perms, _products={})
 
     @property
     def inv_radius(self) -> int:
@@ -599,19 +600,14 @@ def partition_action(code: SlidingBlockCode, part: CyclicPartition) -> tuple:
 # -- word maps: point maps evaluated on finite words ----------------------------
 
 
-@dataclass
-class WordMap:
+class WordMap(Record):
     """A point map evaluated on finite words.
 
     ``fn`` maps an admissible domain word covering positions [0, L) to the
     image point's word on positions [left_loss, L - right_loss); converting to
     a block code tabulates the rule on centered windows.
     """
-    domain: EdgeShift
-    codomain: EdgeShift
-    left_loss: int
-    right_loss: int
-    fn: Callable
+    __slots__ = FIELDS = ("domain", "codomain", "left_loss", "right_loss", "fn")
 
     def apply(self, word: Word) -> Word:
         out = self.fn(tuple(word))

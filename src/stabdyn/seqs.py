@@ -15,10 +15,10 @@ Two finite-depth constructions over small alphabets:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .budgets import check, default_budget
+from .records import Record
 
 MARKER_SYMBOL = "a"
 
@@ -109,17 +109,10 @@ def example2_structure(level: int):
 # -- occurrence scanning -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidueReport:
-    scheme: str
-    marker_level: int
-    modulus: int
-    depth: int
-    occurrences: tuple
-    residues: tuple
-    passes: bool
-    residue: Optional[int]
-    notes: tuple = ()
+class ResidueReport(Record):
+    __slots__ = FIELDS = ("scheme", "marker_level", "modulus", "depth", "occurrences",
+                          "residues", "passes", "residue", "notes")
+    DEFAULTS = {"notes": ()}
 
     def to_document(self) -> dict:
         return {
@@ -201,6 +194,6 @@ def check_example2_markers(n: int, depth: Optional[int] = None) -> ResidueReport
         allowed.update(range(p, p + 3 ** lvl))
     stray = [i for i, ch in enumerate(word) if ch == MARKER_SYMBOL and i not in allowed]
     if stray:
-        return replace(report, passes=False, residue=None,
-                       notes=report.notes + (f"marker symbol off-grid at {stray[:5]}",))
+        return ResidueReport(*report.values[:6], False, None,  # the failed report
+                             report.notes + (f"marker symbol off-grid at {stray[:5]}",))
     return report

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul, truediv
 from types import MappingProxyType
@@ -32,6 +31,7 @@ from typing import Mapping, Optional, Sequence
 from .budgets import Budget, check, default_budget
 from .errors import (EmptyShiftError, IterationCapError, ParseError,
                      ReducibleShiftError, ShiftMismatchError, VerificationError)
+from .records import Record
 
 # Symbols for small alphabets stay single characters so words print compactly.
 _CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -46,14 +46,11 @@ def _edge_symbols(count: int) -> list:
     return [f"e{i}" for i in range(count)]
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     """Where a derived presentation comes from: its state k is the parent
     state ``states[k]``, and each of its edges is a length-``step`` path of
     ``parent`` between those states."""
-    parent: "EdgeShift"
-    states: tuple
-    step: int
+    __slots__ = FIELDS = ("parent", "states", "step")
 
 
 class _Tables:
@@ -491,11 +488,8 @@ def is_mixing(sft: EdgeShift) -> bool:
 # -- entropy ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntropyResult:
-    log_value: float
-    perron_value: float
-    iterations: int
+class EntropyResult(Record):
+    __slots__ = FIELDS = ("log_value", "perron_value", "iterations")
 
 
 def _perron_irreducible(matrix, cap: int):

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (NoSuchEigenvalueError, ReducibleShiftError,
                      VerificationError)
+from .records import Record
 from .sft import (EdgeShift, bfs_levels, derived_shift, is_irreducible, is_mixing,
                   period)
 
@@ -34,19 +34,19 @@ def rational_eigs(sft: EdgeShift) -> frozenset:
     return frozenset(divisors(period(sft)))
 
 
-@dataclass(frozen=True)
-class CyclicPartition:
+class CyclicPartition(Record):
     """Ordered state classes realizing the partition (T^k X_m : 0 <= k < m).
 
     ``class_of[v]`` is the class of state v: its BFS level mod m from the base
     state (the lowest identifier), so the base state always lies in class 0.
     X_m is the union of cylinders over edges leaving class-0 states.
     """
-    size: int
-    class_of: tuple  # state index -> class index
-    shift: EdgeShift
-    # code shift -> (edge symbol -> class), for ``codes.partition_action``
-    symbol_classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    FIELDS = ("size", "class_of", "shift")  # class_of: state index -> class index
+    __slots__ = FIELDS + ("symbol_classes",)
+
+    def __init__(self, size: int, class_of: tuple, shift: EdgeShift):
+        super().__init__(size, class_of, shift)
+        self.set_uncompared(symbol_classes={})  # code shift -> (symbol -> class)
 
     @property
     def classes(self) -> tuple:
@@ -95,14 +95,12 @@ def exhaustive_partition_search(sft: EdgeShift, m: int) -> Optional[tuple]:
 # -- Smale decomposition ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmaleDecomposition:
+class SmaleDecomposition(Record):
     """Splitting into period-many cyclically permuted clopen pieces, each
     mixing for the corresponding shift power.  The component presents the
     class-0 piece under sigma^period; its ``parent_paths`` map each component
     symbol to the parent path it stands for."""
-    period: int
-    component_shift: EdgeShift
+    __slots__ = FIELDS = ("period", "component_shift")
 
 
 def class_restriction(sft: EdgeShift, part: CyclicPartition, power: int) -> EdgeShift:

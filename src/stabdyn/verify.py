@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,17 +26,17 @@ from .errors import (BudgetExceededError, NoSuchEigenvalueError, StabdynError,
                      VerificationError, ZeroEntropyError)
 from .groups import (FiniteGroup, all_perms, compose_perm, cyclic_group,
                      direct_product, identity_perm, invert_perm, is_isomorphic)
-from .sft import EdgeShift, entropy, gather, period, power_shift
-from .spectral import (CyclicPartition, class_restriction, cyclic_partition,
-                       is_power_transitive, rational_eigs, smale)
+from .records import Record
+from .sft import EdgeShift, charpoly_coefficients, entropy, gather, period, power_shift
+from .spectral import (class_restriction, cyclic_partition, is_power_transitive,
+                       rational_eigs, smale)
 from .wreath import WreathContext, order_spectrum, wreath_group
 
 
 # -- presentation geometry -----------------------------------------------------
 
 
-@dataclass
-class SplitInstance:
+class SplitInstance(Record):
     """Shared geometry for one (shift, n, m) split-sequence verification.
 
     The power presentation Y of (X, T^N), N = n*m, is the disjoint union of
@@ -45,18 +44,16 @@ class SplitInstance:
     Y_{c+d}.  The component presentation Z is Y_0 under its own edge names,
     a piece of Y matched by base path.  T^d is ``phase(d)``, the only code
     read off base paths; every other code is a ``lift`` of piece codes read
-    off phases by ``restrict``, such as t_c = T^c from Z onto Y_c."""
-    base: EdgeShift
-    n: int
-    m: int
-    stride: int                  # N = n*m: sigma^N is the acting power
-    part: CyclicPartition
-    power: EdgeShift             # Y: presentation of (X, sigma^N)
-    component: Piece             # Z, presenting (X_m, sigma^N restricted), in Y
-    pieces: tuple                # Y_c for each class c
-    _phases: dict = field(default_factory=dict, repr=False, init=False)
-    _psi_pieces: dict = field(default_factory=dict, repr=False, init=False)
-    _restrictions: dict = field(default_factory=dict, repr=False, init=False)
+    off phases by ``restrict``, such as t_c = T^c from Z onto Y_c.  The fields
+    ``stride``, ``power``, ``component`` and ``pieces`` are N, Y, Z and the Y_c."""
+    FIELDS = ("base", "n", "m", "stride", "part", "power", "component", "pieces")
+    _phases: dict                # d -> T^d, for ``phase``
+    _psi_pieces: dict            # (key, c) -> psi's code on Y_c, for ``psi``
+    _restrictions: dict          # (key, i) -> g_i, for ``restrict_to_component``
+
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named)
+        self.set_uncompared(_phases={}, _psi_pieces={}, _restrictions={})
 
     @staticmethod
     def build(base: EdgeShift, n: int, m: int) -> "SplitInstance":
@@ -126,55 +123,34 @@ class SplitInstance:
 # -- reports ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = FIELDS = ("name", "passed", "detail")
+    DEFAULTS = {"detail": ""}
 
     def to_document(self) -> dict:
-        return asdict(self)
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
-class WreathDecompositionReport:
-    matrix_hash: str
-    n: int
-    m: int
-    radius: int
-    effective_radius: int
-    automorphism_count: int
-    kernel_size: int
-    image_size: int
-    checks: list
-    pi_table: dict
-    rho_table: dict
-    psi_table: dict
-    notes: list = field(default_factory=list)
+class WreathDecompositionReport(Record):
+    __slots__ = FIELDS = ("matrix_hash", "n", "m", "radius", "effective_radius",
+                          "automorphism_count", "kernel_size", "image_size", "checks",
+                          "pi_table", "rho_table", "psi_table", "notes")
+    DEFAULTS = {"notes": ()}
 
     @property
     def passes(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_document(self) -> dict:
-        return {
-            "schema_version": 1,
-            "matrix_hash": self.matrix_hash,
-            "n": self.n,
-            "m": self.m,
-            "radius": self.radius,
-            "inv_radius": 2 * self.radius,
-            "effective_radius": self.effective_radius,
-            "automorphism_count": self.automorphism_count,
-            "kernel_size": self.kernel_size,
-            "image_size": self.image_size,
-            "passes": self.passes,
+        pis = {pi: list(pi) for pi in set(self.pi_table.values())}  # one list per distinct pi
+        return {  # the fields, but the tables and lists written as documents
+            "schema_version": 1, **dict(zip(self.FIELDS, self.values)),
+            "inv_radius": 2 * self.radius, "passes": self.passes,
             "checks": [c.to_document() for c in self.checks],
-            "pi_table": {str(k): list(v) for k, v in sorted(self.pi_table.items())},
+            "pi_table": {str(k): pis[v] for k, v in sorted(self.pi_table.items())},
             "rho_table": {str(k): v for k, v in sorted(self.rho_table.items())},
             "psi_table": {str(k): v for k, v in sorted(self.psi_table.items())},
-            "notes": list(self.notes),
-        }
+            "notes": list(self.notes)}
 
 
 # stages are enumerated with rule tables of at most KEY_CAP windows, and the
@@ -352,8 +328,8 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
         if inst.psi([inst.restrict_to_component(autos.elements[idx], i) for i in range(m)])
         != autos.elements[idx]))
     if result.passed and len(kernel) > len(kernel_checked):
-        result = replace(result, detail=f"checked {len(kernel_checked)} of "
-                                        f"{len(kernel)} kernel elements")
+        result = CheckResult(result.name, True, f"checked {len(kernel_checked)} of "
+                                                f"{len(kernel)} kernel elements")
     checks.append(result)
 
     # the conjugation relation rho(s)^{-1} psi(g) rho(s) = psi(g o s)
@@ -388,34 +364,26 @@ def verify_split_sequence(sft: EdgeShift, n: int, m: int,
     rho_table = {sigma: code.to_document() for sigma, code in rho_of.items()}
     psi_table = {tup: code.to_document() for tup, code in psi_of.items()}
     return WreathDecompositionReport(
-        matrix_hash=sft.matrix_hash(), n=n, m=m, radius=radius, effective_radius=r_eff,
-        automorphism_count=len(autos.elements), kernel_size=len(kernel),
-        image_size=len(image), checks=checks, pi_table=pi_table,
-        rho_table=rho_table, psi_table=psi_table, notes=notes)
+        sft.matrix_hash(), n, m, radius, r_eff, len(autos.elements), len(kernel),
+        len(image), checks, pi_table, rho_table, psi_table, notes)
 
 
 # -- quotient isomorphisms -----------------------------------------------------------
 
 
-@dataclass
-class QuotientReport:
-    matrix_hash: str
-    m: int
-    radius: int
-    status: str                  # "pass", "fail", or "inconclusive"
-    lhs_mod_shift_order: Optional[int]
-    lhs_mod_power_order: Optional[int]
-    rhs_order: Optional[int]
-    item_i_isomorphic: Optional[bool]
-    item_ii_isomorphic: Optional[bool]
-    detail: str = ""
+class QuotientReport(Record):
+    # status: "pass", "fail", or "inconclusive"
+    __slots__ = FIELDS = ("matrix_hash", "m", "radius", "status", "lhs_mod_shift_order",
+                          "lhs_mod_power_order", "rhs_order", "item_i_isomorphic",
+                          "item_ii_isomorphic", "detail")
+    DEFAULTS = {"detail": ""}
 
     @property
     def passes(self) -> bool:
         return self.status != "fail"
 
     def to_document(self) -> dict:
-        return {"schema_version": 1, **asdict(self)}
+        return {"schema_version": 1, **dict(zip(self.FIELDS, self.values))}
 
 
 def shifted_key(code: SlidingBlockCode, j: int, rho: int):
@@ -509,17 +477,11 @@ def verify_quotient_isos(sft: EdgeShift, m: int, radius: int) -> QuotientReport:
 # -- wreath rigidity ------------------------------------------------------------------
 
 
-@dataclass
-class RigidityReport:
-    base_g: str
-    n: int
-    base_h: str
-    m: int
-    order_g: int
-    order_h: int
-    isomorphic: Optional[bool]
-    verdict: str                 # "consistent" or "THEOREM-VIOLATION"
-    detail: str = ""
+class RigidityReport(Record):
+    # verdict: "consistent" or "THEOREM-VIOLATION"
+    __slots__ = FIELDS = ("base_g", "n", "base_h", "m", "order_g", "order_h", "isomorphic",
+                          "verdict", "detail")
+    DEFAULTS = {"detail": ""}
 
     @property
     def passes(self) -> bool:
@@ -591,16 +553,10 @@ def compare_rational_eigs(x: EdgeShift, y: EdgeShift) -> dict:
 # -- entropy ratio --------------------------------------------------------------------------
 
 
-@dataclass
-class EntropyRatioReport:
-    entropy_x: float
-    entropy_y: float
-    ratio: float
-    best_numerator: int
-    best_denominator: int
-    residual: float
-    verdict: str                 # "rational-within-tolerance" or "inconclusive"
-    exact_integer_relation: Optional[bool]
+class EntropyRatioReport(Record):
+    # verdict: "rational-within-tolerance" or "inconclusive"
+    __slots__ = FIELDS = ("entropy_x", "entropy_y", "ratio", "best_numerator",
+                          "best_denominator", "residual", "verdict", "exact_integer_relation")
 
     def to_document(self) -> dict:
         return {
@@ -623,8 +579,9 @@ def entropy_ratio(x: EdgeShift, y: EdgeShift, max_denominator: int = 50,
     Entropies are cross-checked through the Smale pieces (component entropy
     must equal period * entropy).  The verdict is never a claim of
     irrationality: it is "rational-within-tolerance" or "inconclusive".  When
-    both Perron values are integers the relation lambda_x^q = lambda_y^p is
-    additionally confirmed exactly.
+    both Perron values are integers k, each a root of its exact characteristic
+    polynomial, the relation k_x^q = k_y^p is additionally decided exactly;
+    otherwise ``exact_integer_relation`` is None.
     """
     if not (math.isfinite(tol) and tol >= 1e-12):
         raise StabdynError("tolerance must be finite and >= 1e-12")
@@ -647,10 +604,14 @@ def entropy_ratio(x: EdgeShift, y: EdgeShift, max_denominator: int = 50,
     err = abs(ratio - float(frac))
     verdict = "rational-within-tolerance" if err <= tol else "inconclusive"
     exact = None
-    lam_x, lam_y = ent_x.perron_value, ent_y.perron_value
-    if abs(lam_x - round(lam_x)) < 1e-9 and abs(lam_y - round(lam_y)) < 1e-9 \
-            and verdict == "rational-within-tolerance" and frac.numerator > 0:
-        exact = (round(lam_x) ** frac.denominator == round(lam_y) ** frac.numerator)
+    # an integer k = round(lambda) is a root of the exact charpoly (integer Horner)
+    kx, ky = round(ent_x.perron_value), round(ent_y.perron_value)
+    if verdict == "rational-within-tolerance" and frac.numerator > 0 \
+            and abs(ent_x.perron_value - kx) < 1e-9 and abs(ent_y.perron_value - ky) < 1e-9 \
+            and all(functools.reduce(lambda acc, c: acc * k + c,
+                                     reversed(charpoly_coefficients(shift.adjacency))) == 0
+                    for shift, k in ((x, kx), (y, ky))):
+        exact = kx ** frac.denominator == ky ** frac.numerator
         if not exact:
             verdict = "inconclusive"
     return EntropyRatioReport(hx, hy, ratio, frac.numerator, frac.denominator,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .budgets import Budget, check, default_budget
@@ -24,17 +23,17 @@ from .errors import AmbientMismatchError, StabdynError
 from .groups import (FiniteGroup, all_perms, alternating_subset, compose_perm,
                      identity_perm, invert_perm, klein_subset_sym4, perm_name,
                      perm_orbits, symmetric_group)
+from .records import Record
 
 
-@dataclass(frozen=True)
-class WreathContext:
+class WreathContext(Record):
     """Ambient data for wreath elements: the base group and the arity."""
-    base: FiniteGroup
-    n: int
+    __slots__ = FIELDS = ("base", "n")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise StabdynError(f"wreath arity must be at least 0, got {self.n}")
+    def __init__(self, base: FiniteGroup, n: int):
+        if n < 0:
+            raise StabdynError(f"wreath arity must be at least 0, got {n}")
+        super().__init__(base, n)
 
     @property
     def order(self) -> int:
@@ -63,16 +62,14 @@ class WreathContext:
         return [WreathElement(self, v, s) for v in vecs for s in perms]
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(Record):
     """(g-vector, permutation) in G^n x Sym(n)."""
-    context: WreathContext
-    g_vec: tuple
-    sigma: tuple
+    __slots__ = FIELDS = ("context", "g_vec", "sigma")
 
-    def __post_init__(self):
-        if len(self.g_vec) != self.context.n or len(self.sigma) != self.context.n:
+    def __init__(self, context: WreathContext, g_vec: tuple, sigma: tuple):
+        if len(g_vec) != context.n or len(sigma) != context.n:
             raise AmbientMismatchError("component length differs from ambient arity")
+        super().__init__(context, g_vec, sigma)
 
     def to_document(self) -> dict:
         return {"g": list(self.g_vec), "sigma": list(self.sigma)}

@@ -466,7 +466,11 @@ def test_sweep_runs_clean(capsys):
     assert any(i.startswith("split:") for i in instances)
 
 
+SHARED_ITEMS = [[0, 1, 2], {"b": [1], "a": None}, 7, "s"]
 EDGE_DOCUMENTS = [
+    # the same objects repeated in a dict, in a list and at two depths
+    {"table": {str(k): SHARED_ITEMS[k % 4] for k in range(40)},
+     "rows": SHARED_ITEMS * 3 + [SHARED_ITEMS], "pair": [SHARED_ITEMS[0]] * 2},
     {"nan": float("nan"), "inf": [float("inf"), -float("inf"), -0.0, 1e300, 0.1]},
     {"text": ["h\u00e9\n\"", "", "\u2603"], "flags": [True, False, None], "big": 10 ** 30},
     {"mixed": [1, "a", None, [True, 2.5], (1, 2), {}], "empty": [[], {}, ()]},
@@ -487,6 +491,17 @@ def test_dumps_is_json_dumps_on_every_bench_and_schema_document(monkeypatch, cap
     assert len(docs) == len(argvs)
     for doc in docs + EDGE_DOCUMENTS:
         assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_encodes_a_repeated_object_once_per_container(monkeypatch):
+    encode, encoded = cli._encode, []
+    monkeypatch.setattr(cli, "_encode", lambda value, newline:
+                        encoded.append(value) or encode(value, newline))
+    doc = EDGE_DOCUMENTS[0]
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # [0, 1, 2] sits 10 times in "table", 3 times in "rows", once in the
+    # SHARED_ITEMS nested in "rows" and twice in "pair": one encoding per container
+    assert sum(value is SHARED_ITEMS[0] for value in encoded) == 4
 
 
 @pytest.mark.parametrize("budget,argv,expected", [

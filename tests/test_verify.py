@@ -3,8 +3,8 @@ comparison, entropy ratios."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import math
 
 import pytest
 
@@ -18,7 +18,7 @@ from stabdyn.codes import (AutomorphismSet, SlidingBlockCode, compose,
 from stabdyn.errors import StabdynError, VerificationError, ZeroEntropyError
 from stabdyn.groups import (cyclic_group, dihedral_square, is_isomorphic,
                             klein_group, quaternion_group)
-from stabdyn.sft import entropy, full_shift, parse_edge_shift, power_shift
+from stabdyn.sft import EntropyResult, entropy, full_shift, parse_edge_shift, power_shift
 from stabdyn.verify import (MAX_KERNEL, MAX_PAIRS, MAX_TUPLES, SplitInstance,
                             _effective_radius, _quotient_group,
                             _sampled_pairs, _stage_escape,
@@ -233,7 +233,8 @@ def test_recorded_pi_is_the_partition_action():
     # relabelled cycle's): pi is left to partition_action
     pieces = stage.pieces
     for other in [pieces[:1] * 3, (codes.Piece.derived(inst.power, [0, 1]), pieces[2])]:
-        assert verify._pi_from_pieces(dataclasses.replace(stage, pieces=other), inst) is None
+        restaged = AutomorphismSet(stage.shift, stage.radius, stage.elements, other, stage.perms)
+        assert verify._pi_from_pieces(restaged, inst) is None
 
 
 @pytest.mark.parametrize("sft, n, m, radius", SPLIT_MATRIX + [RELABELLED_CYCLE],
@@ -243,8 +244,12 @@ def test_recorded_pi_gives_the_partition_action_report(monkeypatch, sft, n, m, r
     # SPLIT_MATRIX holds the inputs of the bench's nine split instances
     report = verify_split_sequence(sft, n, m, radius).to_document()
     stage_of, calls = verify.enumerate_automorphisms, []
-    monkeypatch.setattr(verify, "enumerate_automorphisms", lambda *args, **kwargs:
-                        dataclasses.replace(stage_of(*args, **kwargs), perms=None))
+
+    def unrecorded_stage(*args, **kwargs):
+        stage = stage_of(*args, **kwargs)
+        return AutomorphismSet(stage.shift, stage.radius, stage.elements, stage.pieces)
+
+    monkeypatch.setattr(verify, "enumerate_automorphisms", unrecorded_stage)
     monkeypatch.setattr(verify, "partition_action",
                         lambda code, part: calls.append(code) or partition_action(code, part))
     assert verify_split_sequence(sft, n, m, radius).to_document() == report
@@ -545,6 +550,24 @@ def test_entropy_ratio_two_vs_four():
     assert report.exact_integer_relation is True
 
 
+def test_entropy_ratio_confirms_integer_perron_values_on_the_charpoly(monkeypatch):
+    # the golden mean's lambda read as 2 + 1e-10 passes the float test against
+    # the full 4-shift (2^2 = 4^1), but its charpoly x^2 - x - 1 is 1 at 2
+    lam = 2 + 1e-10
+
+    def near_two(shift):
+        result = entropy(shift)
+        if shift != golden_mean():
+            return result
+        return EntropyResult(math.log(lam), lam, result.iterations)
+
+    monkeypatch.setattr(verify, "entropy", near_two)
+    report = entropy_ratio(golden_mean(), full_shift(4))
+    assert report.verdict == "rational-within-tolerance"
+    assert (report.best_numerator, report.best_denominator) == (1, 2)
+    assert report.exact_integer_relation is None
+
+
 def test_entropy_ratio_two_vs_eight():
     report = entropy_ratio(full_shift(2), full_shift(8))
     assert (report.best_numerator, report.best_denominator) == (1, 3)
@@ -593,7 +616,7 @@ def _entropy_skewing_components(monkeypatch) -> list:
         result = entropy(shift)
         if shift.provenance is None:
             return result
-        return dataclasses.replace(result, log_value=result.log_value + 0.1)
+        return EntropyResult(result.log_value + 0.1, result.perron_value, result.iterations)
 
     monkeypatch.setattr(verify, "entropy", skewed)
     return calls
