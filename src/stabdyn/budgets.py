@@ -1,11 +1,11 @@
 """Hard enumeration budgets.
 
 Every potentially exponential operation checks a cap before it starts and
-raises BudgetExceededError instead of silently truncating.  The environment
-variable STABDYN_BUDGET (a positive integer) overrides every numeric cap at
-once.  Language, power-shift, wreath, Sym(n) and rule-enumeration operations
-also accept an explicit ``budget=`` argument; the rest read
-``default_budget()`` where they check their cap.
+raises BudgetExceededError instead of silently truncating.  A run has one
+budget, ``default_budget()``: the defaults, or every numeric cap set to the
+environment variable STABDYN_BUDGET (a positive integer).  No function takes
+a budget argument, so a cap set for the run reaches every search nested
+under a call.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ DEFAULT = Budget()  # immutable, so one record serves every caller
 
 
 def default_budget() -> Budget:
-    """The default caps, or every cap set to STABDYN_BUDGET when it is set."""
+    """The run's budget: the default caps, or every cap set to STABDYN_BUDGET."""
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return DEFAULT
@@ -45,9 +45,8 @@ def default_budget() -> Budget:
                   enum_nodes=cap, sym_normal_m=max(2, min(cap, 8)))
 
 
-def check(value: int, budget: Budget, cap: str, what: str) -> None:
-    """Raise BudgetExceededError when ``value`` exceeds the field ``cap`` of
-    ``budget``."""
-    limit = getattr(budget, cap)
+def check(value: int, cap: str, what: str) -> None:
+    """Raise BudgetExceededError when ``value`` exceeds the run's ``cap``."""
+    limit = getattr(default_budget(), cap)
     if value > limit:
         raise BudgetExceededError(f"{what}: {value} exceeds budget {limit}", cap, limit, value)

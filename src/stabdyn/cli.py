@@ -155,6 +155,8 @@ def _load_group(args, key: str) -> tuple:
         args._hashes[key] = _hash(spec)
         if lowered in GROUP_SHORTHANDS:
             return GROUP_SHORTHANDS[lowered](), spec
+        if not size.removeprefix("-").isdecimal():
+            raise ParseError(f"group {spec!r}: the size after ':' must be an integer")
         return (cyclic_group if kind == "cyclic" else symmetric_group)(int(size)), spec
     text, origin = _read_source(spec)
     args._hashes[key] = _hash(text)

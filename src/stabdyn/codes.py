@@ -23,9 +23,9 @@ import math
 from operator import eq
 from typing import Iterable, Optional, Sequence
 
-from .budgets import Budget, default_budget
+from .budgets import default_budget
 from .errors import (BudgetExceededError, ImageSplitsClassesError,
-                     ShiftMismatchError, WordError)
+                     InvalidArgumentError, ShiftMismatchError, WordError)
 from .records import Record
 from .sft import (EdgeShift, Word, derived_shift, gather, is_irreducible,
                   strongly_connected_components, word_to_str)
@@ -216,7 +216,7 @@ def commutes_with_power(code: SlidingBlockCode, n: int) -> bool:
     so on a sliding block code this is a consistency check.
     """
     if n < 1:
-        raise ValueError("power must be >= 1")
+        raise InvalidArgumentError("power must be >= 1")
     for w in code.domain.language(2 * code.radius + n + 1):
         if code.apply(w[n:]) != code.apply(w)[n:]:
             return False
@@ -270,8 +270,7 @@ def _inverts(code: SlidingBlockCode, candidate: SlidingBlockCode) -> bool:
 # -- enumeration ----------------------------------------------------------------
 
 
-def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *,
-                          budget: Optional[Budget] = None) -> list:
+def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int) -> list:
     """All radius-``radius`` codes domain -> codomain that carry the language
     into the language and have a two-sided inverse of radius <= 2 * radius,
     sorted canonically.
@@ -286,12 +285,12 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     presentations of its input, by (codomain adjacency, radius); a repeat
     raises BudgetExceededError exactly when the deterministic search would.
     """
-    budget = budget or default_budget()
+    limit = default_budget().enum_nodes
     memo, key = domain.tables.stages, (codomain.adjacency, radius)
     if key in memo:
         rules, nodes = memo[key]
-        if nodes > budget.enum_nodes:
-            raise _over_nodes(budget)
+        if nodes > limit:
+            raise _over_nodes(limit)
         return [SlidingBlockCode(domain, codomain, radius, r, validate=False) for r in rules]
     width = 2 * radius + 1
     size = len(domain.language(width))
@@ -315,8 +314,8 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
             return
         for symbol in alphabet:
             nodes += 1
-            if nodes > budget.enum_nodes:
-                raise _over_nodes(budget)
+            if nodes > limit:
+                raise _over_nodes(limit)
             if count[symbol] == cap:
                 continue
             out[pos] = symbol
@@ -332,9 +331,8 @@ def enumerate_conjugacies(domain: EdgeShift, codomain: EdgeShift, radius: int, *
     return found
 
 
-def _over_nodes(budget: Budget) -> BudgetExceededError:
+def _over_nodes(limit: int) -> BudgetExceededError:
     """The error of a rule search stopped at its first node past the cap."""
-    limit = budget.enum_nodes
     return BudgetExceededError(f"rule enumeration exceeded {limit} nodes",
                                "enum_nodes", limit, limit + 1, "stage")
 
@@ -505,8 +503,7 @@ class AutomorphismSet(Record):
         }
 
 
-def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
-                            budget: Optional[Budget] = None) -> AutomorphismSet:
+def enumerate_automorphisms(sft: EdgeShift, radius: int) -> AutomorphismSet:
     """The stage of radius ``radius``: all radius-<= r rules that preserve
     the language and have an inverse of radius <= 2r.
 
@@ -516,27 +513,26 @@ def enumerate_automorphisms(sft: EdgeShift, radius: int, *,
     stage is lifted from the (memoized) conjugacy sets between components,
     each member's canonical key and piece permutation read off its piece
     codes; BudgetExceededError is raised before any member is built when
-    there are more than ``budget.enum_nodes`` of them.
+    there are more than the ``enum_nodes`` cap of them.
     """
-    budget = budget or default_budget()
+    if radius < 0:
+        raise InvalidArgumentError(f"radius must be >= 0, got {radius}")
     pieces = _disjoint_components(sft)
     if pieces is None:
-        return AutomorphismSet(sft, radius, tuple(
-            enumerate_conjugacies(sft, sft, radius, budget=budget)))
+        return AutomorphismSet(sft, radius, tuple(enumerate_conjugacies(sft, sft, radius)))
     # each piece code, once per target piece: its canonical radius and form,
     # and its part of a lift (``_outputs``)
     k = len(pieces)
     rows = {(i, j): [(code.canonical_radius, code.canonical(),
                       _outputs(pieces[i], pieces[j], code, radius))
-                     for code in enumerate_conjugacies(pieces[i].shift, pieces[j].shift,
-                                                       radius, budget=budget)]
+                     for code in enumerate_conjugacies(pieces[i].shift, pieces[j].shift, radius)]
             for i in range(k) for j in range(k)}
     count = sum(math.prod(len(rows[i, j]) for i, j in enumerate(perm))
                 for perm in itertools.permutations(range(k)))
-    if count > budget.enum_nodes:
-        raise BudgetExceededError(
-            f"lifted stage of {count} codes exceeds {budget.enum_nodes} nodes",
-            "enum_nodes", budget.enum_nodes, count, "stage")
+    limit = default_budget().enum_nodes
+    if count > limit:
+        raise BudgetExceededError(f"lifted stage of {count} codes exceeds {limit} nodes",
+                                  "enum_nodes", limit, count, "stage")
     scatter = _scatter(sft, pieces, 2 * radius + 1)
     elements, perms = [], []
     for perm in itertools.permutations(range(k)):

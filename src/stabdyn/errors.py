@@ -7,6 +7,10 @@ class StabdynError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgumentError(StabdynError, ValueError):
+    """An argument is out of range, as a negative radius; also a ValueError."""
+
+
 class ParseError(StabdynError):
     """Input text or document does not encode a valid edge shift or group."""
 

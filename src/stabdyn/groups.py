@@ -12,7 +12,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .budgets import Budget, check, default_budget
+from .budgets import check
 from .errors import ParseError
 
 # -- permutations (tuples of images) -----------------------------------------
@@ -328,11 +328,12 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, names=[str(i) for i in range(n)], generators=[1 % n])
 
 
-def symmetric_group(n: int, budget: Optional[Budget] = None) -> FiniteGroup:
+def symmetric_group(n: int) -> FiniteGroup:
     """Sym(n) on the permutations in ``all_perms(n)`` order, generated by the
     Coxeter transpositions (the identity for n <= 1)."""
-    budget = budget or default_budget()
-    check(math.factorial(n), budget, "group_order", "symmetric group order")
+    if n < 0:
+        raise ParseError(f"symmetric group degree must be at least 0, got {n}")
+    check(math.factorial(n), "group_order", "symmetric group order")
     return from_permutations([transposition(n, i, i + 1) for i in range(n - 1)]
                              or [identity_perm(n)])
 
@@ -460,7 +461,7 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Optional[dict]:
     <g_0 ... g_{k-1}> before g_k gets one.  An isomorphism restricts there
     to exactly that map, so no completion of a failing prefix is tried.
     """
-    check(g.order, default_budget(), "group_order", "isomorphism search order")
+    check(g.order, "group_order", "isomorphism search order")
     if g.order != h.order:
         return None
     signature_g, elements_g = _invariants(g)

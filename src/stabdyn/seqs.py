@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .budgets import check, default_budget
+from .budgets import check
+from .errors import InvalidArgumentError
 from .records import Record
 
 MARKER_SYMBOL = "a"
@@ -29,15 +30,15 @@ MARKER_SYMBOL = "a"
 def example1_marker(n: int) -> str:
     """b_n = 1 followed by 2^n - 1 zeros."""
     if n < 1:
-        raise ValueError("marker level must be >= 1")
+        raise InvalidArgumentError("marker level must be >= 1")
     return "1" + "0" * (2 ** n - 1)
 
 
 def example1_word(level: int) -> str:
     """A_level with A_0 = "" and A_n = A_{n-1} A_{n-1} b_n; len = level*2^level."""
     if level < 0:
-        raise ValueError("level must be >= 0")
-    check(2 ** (level + 2), default_budget(), "word_count", "scheme-1 word length")
+        raise InvalidArgumentError("level must be >= 0")
+    check(2 ** (level + 2), "word_count", "scheme-1 word length")
     word = ""
     for n in range(1, level + 1):
         word = word + word + example1_marker(n)
@@ -60,8 +61,8 @@ def sturmian_symbol(i: int) -> int:
 def sturmian_prefix(length: int) -> str:
     """The mechanical word s(1) s(2) ... s(length); starts "10110"."""
     if length < 0:
-        raise ValueError("length must be >= 0")
-    check(length, default_budget(), "word_count", "Sturmian prefix length")
+        raise InvalidArgumentError("length must be >= 0")
+    check(length, "word_count", "Sturmian prefix length")
     return "".join(str(sturmian_symbol(i)) for i in range(1, length + 1))
 
 
@@ -71,7 +72,7 @@ def sturmian_prefix(length: int) -> str:
 def example2_marker(n: int) -> str:
     """b_n = a F[1..3^n-2] a, length exactly 3^n."""
     if n < 1:
-        raise ValueError("marker level must be >= 1")
+        raise InvalidArgumentError("marker level must be >= 1")
     return MARKER_SYMBOL + sturmian_prefix(3 ** n - 2) + MARKER_SYMBOL
 
 
@@ -82,8 +83,8 @@ def example2_word(level: int) -> str:
     which is asserted on every level.
     """
     if level < 0:
-        raise ValueError("level must be >= 0")
-    check(3 ** (level + 2), default_budget(), "word_count", "scheme-2 word length")
+        raise InvalidArgumentError("level must be >= 0")
+    check(3 ** (level + 2), "word_count", "scheme-2 word length")
     word = MARKER_SYMBOL * 3
     for n in range(level):
         word = word + example2_marker(n + 1) + word
@@ -156,9 +157,9 @@ def _prefix(word_of, n: int, level: int, depth: Optional[int]) -> tuple:
     level by level until it reaches ``depth`` and then cut to it (uncut when
     depth is None)."""
     if n < 1:
-        raise ValueError("marker level must be >= 1")
+        raise InvalidArgumentError("marker level must be >= 1")
     if depth is not None and depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise InvalidArgumentError("depth must be >= 0")
     word = word_of(level)
     while depth is not None and len(word) < depth:
         level += 1

@@ -28,7 +28,7 @@ from operator import add, itemgetter, mul, truediv
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .budgets import Budget, check, default_budget
+from .budgets import check
 from .errors import (EmptyShiftError, IterationCapError, ParseError,
                      ReducibleShiftError, ShiftMismatchError, VerificationError)
 from .records import Record
@@ -36,6 +36,7 @@ from .records import Record
 # Symbols for small alphabets stay single characters so words print compactly.
 _CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 ENTROPY_TOL, CHARPOLY_TOL = 1e-12, 1e-13  # power iteration gap, root bracket
+ENTROPY_ITERATION_CAP = 200_000  # power iteration steps before IterationCapError
 
 Word = tuple  # tuple of edge symbols (strings)
 
@@ -492,7 +493,7 @@ class EntropyResult(Record):
     __slots__ = FIELDS = ("log_value", "perron_value", "iterations")
 
 
-def _perron_irreducible(matrix, cap: int):
+def _perron_irreducible(matrix):
     """Perron value of an irreducible nonnegative matrix by float power
     iteration on A + I, to Collatz-Wielandt bounds within relative ENTROPY_TOL.
     Each row sum is the sequential IEEE adds ((t0 + t1) + t2) ... over the
@@ -522,7 +523,7 @@ def _perron_irreducible(matrix, cap: int):
     tail = [(i, j, c) for i, row in enumerate(rows) for j, c in row[depth:]]
     v = [1.0] * n
     a = b = 0
-    for it in range(1, cap + 1):
+    for it in range(1, ENTROPY_ITERATION_CAP + 1):
         w = None
         for get, coef in cols:
             t = get(v) if coef is None else map(mul, coef, get(v))
@@ -538,10 +539,10 @@ def _perron_irreducible(matrix, cap: int):
                 return (lo + hi) / 2.0 - 1.0, it
             a, b = ratios.index(lo), ratios.index(hi)
         v = list(map(truediv, w, repeat(max(w), n)))
-    raise IterationCapError(f"power iteration did not converge in {cap} steps")
+    raise IterationCapError(f"power iteration did not converge in {ENTROPY_ITERATION_CAP} steps")
 
 
-def entropy(sft: EdgeShift, iteration_cap: int = 200_000) -> EntropyResult:
+def entropy(sft: EdgeShift) -> EntropyResult:
     """log of the Perron eigenvalue of the adjacency matrix (to ENTROPY_TOL).
 
     For reducible shifts the value is the maximum over strongly connected
@@ -554,7 +555,7 @@ def entropy(sft: EdgeShift, iteration_cap: int = 200_000) -> EntropyResult:
         sub = [[sft.adjacency[i][j] for j in comp] for i in comp]
         if len(comp) == 1 and sub[0][0] == 0:
             continue
-        lam, it = _perron_irreducible(sub, iteration_cap)
+        lam, it = _perron_irreducible(sub)
         its += it
         best = max(best, lam)
     if best <= 0.0:
@@ -649,24 +650,22 @@ def derived_shift(parent: EdgeShift, states: Sequence[int], step: int) -> EdgeSh
                      provenance=Provenance(parent, states, step))
 
 
-def power_shift(sft: EdgeShift, n: int, budget: Optional[Budget] = None) -> EdgeShift:
+def power_shift(sft: EdgeShift, n: int) -> EdgeShift:
     """Present (X, sigma^n): same states, edges are the length-n paths, each
     mapping back to the parent path it encodes (``parent_paths``)."""
     if n < 1:
         raise ParseError("power must be >= 1")
-    budget = budget or default_budget()
     power = derived_shift(sft, range(sft.n_states), n)
-    check(sum(map(sum, power.adjacency)), budget, "path_count", "power shift path count")
+    check(sum(map(sum, power.adjacency)), "path_count", "power shift path count")
     return power
 
 
 # -- language enumeration ---------------------------------------------------
 
 
-def words_of_length(sft: EdgeShift, length: int,
-                    budget: Optional[Budget] = None) -> tuple:
+def words_of_length(sft: EdgeShift, length: int) -> tuple:
     """All admissible words of the given length, in lexicographic order.
-    The level's exact count is checked against ``budget`` first; a level
+    The level's exact count is checked against the budget first; a level
     not yet built is then built from the level below it, which this
     function builds first when it is missing (counts never decrease on an
     essential graph, so no lower level trips the cap first)."""
@@ -675,11 +674,11 @@ def words_of_length(sft: EdgeShift, length: int,
     if length == 0:
         return ((),)
     tables = sft.tables
-    check(tables.word_count(length), budget or default_budget(), "word_count", "word count")
+    check(tables.word_count(length), "word_count", "word count")
     if length in tables.languages:
         return tables.languages[length]
     if length - 1 not in tables.languages:
-        words_of_length(sft, length - 1, budget)
+        words_of_length(sft, length - 1)
     return tables.extend(length)
 
 

@@ -14,8 +14,8 @@ import itertools
 import math
 from typing import Optional
 
-from .errors import (NoSuchEigenvalueError, ReducibleShiftError,
-                     VerificationError)
+from .errors import (InvalidArgumentError, NoSuchEigenvalueError,
+                     ReducibleShiftError, VerificationError)
 from .records import Record
 from .sft import (EdgeShift, bfs_levels, derived_shift, is_irreducible, is_mixing,
                   period)
@@ -129,5 +129,5 @@ def smale(sft: EdgeShift) -> SmaleDecomposition:
 def is_power_transitive(sft: EdgeShift, n: int) -> bool:
     """True iff sigma^n acts transitively, i.e. gcd(n, period) = 1."""
     if n < 1:
-        raise ValueError("power must be >= 1")
+        raise InvalidArgumentError("power must be >= 1")
     return math.gcd(n, period(sft)) == 1

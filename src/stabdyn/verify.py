@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .budgets import check, default_budget
+from .budgets import check
 from .codes import (AutomorphismSet, Piece, SlidingBlockCode, compose,
                     enumerate_automorphisms, factor_key, lift,
                     partition_action, regroup, restrict)
@@ -508,10 +508,9 @@ def check_wreath_rigidity(base_g: FiniteGroup, n: int, base_h: FiniteGroup, m: i
     one its None gives.  Otherwise both groups are materialized and searched.
     A found isomorphism with n != m, or n = m >= 4 with non-isomorphic bases,
     contradicts wreath rigidity and is flagged THEOREM-VIOLATION."""
-    budget = default_budget()
     order_g, order_h = WreathContext(base_g, n).order, WreathContext(base_h, m).order
-    check(order_g, budget, "group_order", "wreath group order")
-    check(order_h, budget, "group_order", "wreath group order")
+    check(order_g, "group_order", "wreath group order")
+    check(order_h, "group_order", "wreath group order")
     report = functools.partial(RigidityReport, name_g, n, name_h, m, order_g, order_h)
     if order_g != order_h:
         return report(None, "consistent", "orders differ; no isomorphism possible")

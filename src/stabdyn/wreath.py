@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .budgets import Budget, check, default_budget
-from .errors import AmbientMismatchError, StabdynError
+from .budgets import check
+from .errors import AmbientMismatchError, StabdynError, VerificationError
 from .groups import (FiniteGroup, all_perms, alternating_subset, compose_perm,
                      identity_perm, invert_perm, klein_subset_sym4, perm_name,
                      perm_orbits, symmetric_group)
@@ -216,7 +216,7 @@ def order_spectrum(base: FiniteGroup, n: int) -> list:
 # -- materialized wreath groups ---------------------------------------------------
 
 
-def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> FiniteGroup:
+def wreath_group(base: FiniteGroup, n: int) -> FiniteGroup:
     """G wr Sym(n) as an explicit multiplication table.
 
     Element (g, s) has the flat index ``v * n! + p``, where v is the index of
@@ -237,12 +237,11 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
     Generators: the base group's generators in coordinate 0, plus the Coxeter
     transpositions.
     """
-    budget = budget or default_budget()
     ctx = WreathContext(base, n)
-    check(ctx.order, budget, "group_order", "wreath group order")
+    check(ctx.order, "group_order", "wreath group order")
     vecs = list(itertools.product(range(base.order), repeat=n))
     vindex = {v: k for k, v in enumerate(vecs)}
-    sym = symmetric_group(n, budget)
+    sym = symmetric_group(n)
     nf = sym.order
     permuted = [[vindex[tuple(g[i] for i in t)] for g in vecs] for t in all_perms(n)]
     vmul = [[0]]  # products in G^w for w = 0 .. n; a prepended coordinate is worth |G|^w
@@ -272,13 +271,12 @@ def wreath_group(base: FiniteGroup, n: int, budget: Optional[Budget] = None) -> 
 # -- normal subgroups of Sym(m) ------------------------------------------------------
 
 
-def normal_subgroups_sym(m: int, budget: Optional[Budget] = None) -> list:
+def normal_subgroups_sym(m: int) -> list:
     """Exhaustively computed list of normal subgroups of Sym(m), sorted by
     size.  Raises if the result disagrees with the known classification
     ({1}, A_m, Sym(m), plus the Klein subgroup V exactly at m = 4).
     Acceptance 03 checks the normal subgroup structure with it."""
-    budget = budget or default_budget()
-    check(m, budget, "sym_normal_m", "normal subgroup sweep degree")
+    check(m, "sym_normal_m", "normal subgroup sweep degree")
     sym = symmetric_group(m)
     found = sym.normal_subgroups()
     expected = {frozenset({sym.identity}), alternating_subset(m),
@@ -286,6 +284,6 @@ def normal_subgroups_sym(m: int, budget: Optional[Budget] = None) -> list:
     if m == 4:
         expected.add(klein_subset_sym4())
     if set(found) != expected:
-        raise AssertionError(
+        raise VerificationError(
             f"normal subgroups of Sym({m}) do not match the classification")
     return found

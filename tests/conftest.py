@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from stabdyn import budgets
 from stabdyn.groups import FiniteGroup, cyclic_group
 from stabdyn.sft import full_shift, make_edge_shift, mat_pow
 
@@ -118,6 +119,15 @@ SLOW_STAGES = ("full3", "doubled_cycle_p2")
 @pytest.fixture(scope="session")
 def graph_catalog():
     return catalog()
+
+
+@pytest.fixture
+def run_budget(monkeypatch):
+    """Sets the run's budget for one test: ``run_budget(word_count=4)`` makes
+    the default caps, with that one changed, the budget that every search
+    reads, and unsets STABDYN_BUDGET.  A later call replaces the earlier."""
+    monkeypatch.delenv(budgets.ENV_VAR, raising=False)
+    return lambda **caps: monkeypatch.setattr(budgets, "DEFAULT", budgets.Budget(**caps))
 
 
 def intercalate_loop() -> list:

@@ -316,8 +316,24 @@ def test_misshapen_documents_are_usage_errors(tmp_path, capsys, argv, doc, field
     (["rigidity", "--group-g", "cyclic:2", "--n", "3", "--group-h", "cyclic:2", "--m", "-2"],
      "arity"),
     (["wreath-calc", json.dumps({"n": -1, "expr": "x"})], "arity"),
+    (["autos", "2", "--radius", "-1"], "radius must be >= 0, got -1"),
+    (["verify-wreath", "0 2 / 1 0", "--n", "1", "--m", "2", "--radius", "-1"],
+     "radius must be >= 0, got -1"),
+    (["quotients", "0 2 / 1 0", "--m", "2", "--radius", "-1"], "radius must be >= 0, got -1"),
+    (["sweep", "--radius", "-1"], "radius must be >= 0, got -1"),
+    ([a.replace("DOC", "cyclic:x") for a in RIGIDITY_G],
+     "group 'cyclic:x': the size after ':' must be an integer"),
+    ([a.replace("DOC", "cyclic:") for a in RIGIDITY_G],
+     "group 'cyclic:': the size after ':' must be an integer"),
+    ([a.replace("DOC", "sym:x") for a in RIGIDITY_G],
+     "group 'sym:x': the size after ':' must be an integer"),
+    ([a.replace("DOC", "sym:-1") for a in RIGIDITY_G],
+     "symmetric group degree must be at least 0, got -1"),
 ], ids=["example1-negative-depth", "example2-negative-depth", "tol-nan", "tol-inf",
-        "rigidity-negative-n", "rigidity-negative-m", "wreath-calc-negative-n"])
+        "rigidity-negative-n", "rigidity-negative-m", "wreath-calc-negative-n",
+        "autos-negative-radius", "verify-wreath-negative-radius", "quotients-negative-radius",
+        "sweep-negative-radius", "group-cyclic-x", "group-cyclic-empty", "group-sym-x",
+        "group-sym-negative"])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, field):
     assert field in _one_line_error_with_manifest(capsys, argv, tmp_path)
 

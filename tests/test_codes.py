@@ -9,7 +9,6 @@ import random
 import pytest
 
 from stabdyn import codes
-from stabdyn.budgets import Budget
 from stabdyn.cli import main
 from stabdyn.errors import (BudgetExceededError, ImageSplitsClassesError,
                             ShiftMismatchError, WordError)
@@ -296,7 +295,7 @@ def test_find_inverse_is_the_full_list_route_on_every_radius1_table():
     assert found == 6
 
 
-def test_find_inverse_reads_few_image_words_per_rejected_table(monkeypatch):
+def test_find_inverse_reads_few_image_words_per_rejected_table(monkeypatch, run_budget):
     # a radius-2 table of the full 2-shift has 8,192 13-words to check at
     # inverse radius 4; a table without an inverse shows a conflict early,
     # and an accepted one (the search reaches sigma^-2) reads them all
@@ -320,8 +319,9 @@ def test_find_inverse_reads_few_image_words_per_rejected_table(monkeypatch):
 
     monkeypatch.setattr(codes, "regroup", counting)
     monkeypatch.setattr(codes, "find_inverse", recording)
+    run_budget(enum_nodes=2000)
     with pytest.raises(BudgetExceededError):
-        enumerate_automorphisms(full_shift(2), 2, budget=Budget(enum_nodes=2000))
+        enumerate_automorphisms(full_shift(2), 2)
     assert read[False] and max(read[False]) <= 512
     assert read[True] and set(read[True]) == {8192}
 
@@ -414,12 +414,13 @@ def test_transient_edge_stage_is_searched_directly():
     assert shift_code(sft, 1) in enumerate_automorphisms(sft, 1).elements
 
 
-def test_lifted_stage_respects_the_node_budget():
+def test_lifted_stage_respects_the_node_budget(run_budget):
     # four 2-symbol pieces: each piece search needs 362 nodes, but the lifted
     # stage has 4! * 6^4 = 31,104 members, and none is built
     y = power_shift(parse_edge_shift("0 2 0 0 / 0 0 1 0 / 0 0 0 1 / 1 0 0 0"), 4)
+    run_budget(enum_nodes=600)
     with pytest.raises(BudgetExceededError):
-        enumerate_automorphisms(y, 1, budget=Budget(enum_nodes=600))
+        enumerate_automorphisms(y, 1)
 
 
 def test_enumerate_power_presentation_components():
@@ -635,16 +636,17 @@ def test_stage_memo_hit_is_the_fresh_search(graph_catalog):
     assert [len(enumerate_conjugacies(full2, y, 1)) for y in (full2, block)] == [6, 4]
 
 
-def test_stage_memo_hit_keeps_the_node_budget():
+def test_stage_memo_hit_keeps_the_node_budget(run_budget):
     sft = full_shift(2)
     stage = enumerate_conjugacies(sft, sft, 1)
     (_, nodes), = sft.tables.stages.values()
+    run_budget(enum_nodes=nodes - 1)
     with pytest.raises(BudgetExceededError):  # the search itself stops at N - 1
-        enumerate_conjugacies(full_shift(2), full_shift(2), 1,
-                              budget=Budget(enum_nodes=nodes - 1))
+        enumerate_conjugacies(full_shift(2), full_shift(2), 1)
     with pytest.raises(BudgetExceededError):
-        enumerate_conjugacies(sft, sft, 1, budget=Budget(enum_nodes=nodes - 1))
-    hit = enumerate_conjugacies(sft, sft, 1, budget=Budget(enum_nodes=nodes))
+        enumerate_conjugacies(sft, sft, 1)
+    run_budget(enum_nodes=nodes)
+    hit = enumerate_conjugacies(sft, sft, 1)
     assert [c.rule for c in hit] == [c.rule for c in stage]
 
 

@@ -7,7 +7,6 @@ import itertools
 import pytest
 
 from stabdyn import groups
-from stabdyn.budgets import Budget
 from stabdyn.errors import BudgetExceededError, ParseError
 from stabdyn.groups import (FiniteGroup, _invariants, all_perms, alternating_subset,
                             compose_perm, cyclic_group, dihedral_square,
@@ -79,10 +78,11 @@ def test_symmetric_group_matches_direct_construction(n):
     assert got.generators == want.generators
 
 
-def test_symmetric_group_budget_applies_to_cached_groups():
+def test_symmetric_group_budget_applies_to_cached_groups(run_budget):
     assert symmetric_group(4).order == 24  # a repeated call checks the budget too
+    run_budget(group_order=10)
     with pytest.raises(BudgetExceededError):
-        symmetric_group(4, Budget(group_order=10))
+        symmetric_group(4)
 
 
 def test_element_orders_sym3():

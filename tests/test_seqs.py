@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import pytest
 
+from stabdyn.codes import commutes_with_power, identity_code
+from stabdyn.errors import InvalidArgumentError, StabdynError
 from stabdyn.seqs import (check_example1_residues, check_example2_markers,
                           example1_marker, example1_word, example2_marker,
                           example2_structure, example2_word, find_occurrences,
                           marker_residues, sturmian_prefix)
+from stabdyn.sft import full_shift
+from stabdyn.spectral import is_power_transitive
 
 
 # -- scheme 1 ----------------------------------------------------------------
@@ -154,3 +158,21 @@ def test_markers_reject_bad_levels():
         example1_marker(0)
     with pytest.raises(ValueError):
         check_example2_markers(0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: example1_marker(0), "marker level must be >= 1"),
+    (lambda: example1_word(-1), "level must be >= 0"),
+    (lambda: sturmian_prefix(-1), "length must be >= 0"),
+    (lambda: example2_marker(0), "marker level must be >= 1"),
+    (lambda: example2_word(-1), "level must be >= 0"),
+    (lambda: check_example1_residues(0), "marker level must be >= 1"),
+    (lambda: check_example2_markers(1, -1), "depth must be >= 0"),
+    (lambda: commutes_with_power(identity_code(full_shift(2)), 0), "power must be >= 1"),
+    (lambda: is_power_transitive(full_shift(2), 0), "power must be >= 1"),
+], ids=["example1-marker", "example1-word", "sturmian-prefix", "example2-marker",
+        "example2-word", "marker-level", "depth", "commutes-with-power", "power-transitive"])
+def test_bad_arguments_raise_a_package_error_that_is_a_value_error(call, message):
+    with pytest.raises(InvalidArgumentError, match=message) as info:
+        call()
+    assert isinstance(info.value, StabdynError) and isinstance(info.value, ValueError)

@@ -10,7 +10,6 @@ from collections import Counter
 import pytest
 
 from stabdyn import sft as sft_mod
-from stabdyn.budgets import Budget
 from stabdyn.cli import main
 from stabdyn.errors import (BudgetExceededError, EmptyShiftError, ParseError,
                             ReducibleShiftError, VerificationError)
@@ -94,22 +93,23 @@ def test_edge_tables_follow_the_edge_order(graph_catalog):
                    for sym, tail, head in edges)
 
 
-def _path_budget_fails():
+def _path_budget_fails(run_budget):
+    run_budget(path_count=4)
     with pytest.raises(BudgetExceededError):
-        power_shift(full_shift(2), 3, budget=Budget(path_count=4))  # 8 paths > 4
+        power_shift(full_shift(2), 3)  # 8 paths > 4
 
 
 @pytest.mark.parametrize("run", [
-    lambda: main(["analyze", "1000000"]),
-    lambda: main(["entropy-ratio", "0 1000 / 1000 0", "2"]),
+    lambda _: main(["analyze", "1000000"]),
+    lambda _: main(["entropy-ratio", "0 1000 / 1000 0", "2"]),
     _path_budget_fails,
 ], ids=["analyze", "entropy-ratio", "path-budget"])
-def test_adjacency_work_names_no_edge(monkeypatch, capsys, run):
+def test_adjacency_work_names_no_edge(monkeypatch, capsys, run_budget, run):
     # entropy, period, Smale pieces and budget checks read the adjacency
     # only, so they build no edge table, however many edges the matrix has
     real, counts = sft_mod._edge_symbols, []
     monkeypatch.setattr(sft_mod, "_edge_symbols", lambda n: counts.append(n) or real(n))
-    run()
+    run(run_budget)
     assert counts == []
 
 
@@ -254,10 +254,11 @@ def test_language_layer_matches_sorted_paths_and_sliced_windows():
         _assert_language_layer(sft, name)
 
 
-def test_word_count_cap_is_checked_on_the_requested_level_first():
+def test_word_count_cap_is_checked_on_the_requested_level_first(run_budget):
     shift = full_shift(2)
+    run_budget(word_count=100)
     with pytest.raises(BudgetExceededError) as info:
-        words_of_length(shift, 7, budget=Budget(word_count=100))
+        words_of_length(shift, 7)
     error = info.value
     assert (error.cap, error.limit, error.used) == ("word_count", 100, 128)
     assert list(shift.tables.languages) == [0]  # no level built before the check
@@ -659,7 +660,8 @@ def test_period_of_power_components(graph_catalog):
                 assert period(restricted) == expected, (name, n)
 
 
-def test_entropy_iteration_cap_is_enforced():
+def test_entropy_iteration_cap_is_enforced(monkeypatch):
     from stabdyn.errors import IterationCapError
+    monkeypatch.setattr(sft_mod, "ENTROPY_ITERATION_CAP", 2)
     with pytest.raises(IterationCapError):
-        entropy(golden_mean(), iteration_cap=2)
+        entropy(golden_mean())

@@ -10,7 +10,9 @@ from collections import Counter
 
 import pytest
 
+from stabdyn import wreath
 from stabdyn.cli import rigidity_catalog
+from stabdyn.errors import StabdynError, VerificationError
 from stabdyn.groups import (alternating_subset, compose_perm, cyclic_group,
                             dihedral_square, identity_perm, invert_perm,
                             is_isomorphic, is_transitive_perm_set, klein_group,
@@ -357,6 +359,14 @@ def test_normal_subgroups_sym_3_4_5():
     # V consists of the identity and the three double transpositions
     names = sorted(s4.names[i] for i in v)
     assert names == ["()", "(0 1)(2 3)", "(0 2)(1 3)", "(0 3)(1 2)"]
+
+
+def test_normal_subgroups_sym_mismatch_is_a_verification_error(monkeypatch):
+    # a wrong expected Klein subgroup makes the exhaustive list disagree
+    monkeypatch.setattr(wreath, "klein_subset_sym4", lambda: frozenset({0}))
+    with pytest.raises(VerificationError, match="classification"):
+        normal_subgroups_sym(4)
+    assert issubclass(VerificationError, StabdynError)
 
 
 # -- subgroup-lattice lemma properties -------------------------------------------------
