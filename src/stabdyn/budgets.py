@@ -46,7 +46,13 @@ def default_budget() -> Budget:
 
 
 def check(value: int, cap: str, what: str) -> None:
-    """Raise BudgetExceededError when ``value`` exceeds the run's ``cap``."""
+    """Raise BudgetExceededError when ``value`` exceeds the run's ``cap``.  A
+    value from 10**18 on is reported as a string such as "3.316e+5735", so
+    the message stays short, an int ``used`` fits an int64, and str() never
+    meets an int past its 4,300-digit limit (the order of Sym(2000))."""
     limit = getattr(default_budget(), cap)
     if value > limit:
+        if value >= 10 ** 18:
+            from decimal import Decimal
+            value = format(Decimal(value), ".3e")
         raise BudgetExceededError(f"{what}: {value} exceeds budget {limit}", cap, limit, value)

@@ -30,12 +30,13 @@ class NoSuchEigenvalueError(StabdynError):
 class BudgetExceededError(StabdynError):
     """A configured enumeration budget would be exceeded.  ``cap`` names the
     ``Budget`` field that stopped the run, ``limit`` is its value and
-    ``used`` the count that went past it; ``search`` says which rule search
+    ``used`` the count that went past it (from 10**18 on, a string such as
+    "3.316e+5735", see ``budgets.check``); ``search`` says which rule search
     hit an ``enum_nodes`` cap ("stage" or "component stage").  They are None
     where they do not apply, as for an invalid budget setting."""
 
     def __init__(self, message: str, cap: str = None, limit: int = None,
-                 used: int = None, search: str = None):
+                 used: int | str = None, search: str = None):
         super().__init__(message)
         self.cap, self.limit, self.used, self.search = cap, limit, used, search
 

@@ -4,18 +4,20 @@ adjacency matrices on a finite directed multigraph.
 Edges are the alphabet.  A derived presentation (a power shift, a class
 restriction, a component) records its provenance: parent shift, parent states
 and step.  All values are immutable after construction and every operation is
-a pure function, so the module is safe for concurrent use.  What one
-adjacency determines lives in one tables object, ``EdgeShift.tables``, made
-once per (input presentation, adjacency) and shared by every presentation
-derived from that input with that adjacency: successor lists, then, on first
-read, the edge tables (alphabet, out-edges, tails, heads) and the SCCs and
-BFS levels, and per key the languages, word indices, sub-window tables,
-automorphism stages, the image-id columns of ``codes.compose`` and the
-scatter tables of ``codes.lift``.  So a shift costs its matrix, not its edge
-count, until something reads its edges.  Each language level is the level
-below it extended, already in lexicographic order, and its words carry
-integer prefix and suffix links, through which the sub-window tables are
-gathered (``_Tables.extend``, ``EdgeShift.subwindow_ids``).
+a pure function, so the module is safe for concurrent use.  Intake reads
+every matrix cell in C-level passes only (parse, check, essential part, copy),
+then only the nonzero cells.  What one adjacency determines lives in one
+tables object, ``EdgeShift.tables``, made once per (input presentation,
+adjacency) and shared by every presentation derived from that input with that
+adjacency (a step-1 derivation on all states also shares the adjacency rows):
+successor lists, then, on first read, the edge tables (alphabet, out-edges,
+tails, heads) and the SCCs and BFS levels, and per key the languages, word
+indices, sub-window tables, automorphism stages, the image-id columns of
+``codes.compose`` and the scatter tables of ``codes.lift``.  So a shift costs
+its matrix, not its edge count, until something reads its edges.  Each
+language level is the level below it extended, already in lexicographic
+order, and its words carry integer prefix and suffix links, through which the
+sub-window tables are gathered (``_Tables.extend``, ``EdgeShift.subwindow_ids``).
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import accumulate, chain, repeat
-from operator import add, itemgetter, mul, truediv
+from itertools import accumulate, chain, compress, repeat
+from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .budgets import check
-from .errors import (EmptyShiftError, IterationCapError, ParseError,
+from .errors import (EmptyShiftError, InvalidArgumentError, IterationCapError, ParseError,
                      ReducibleShiftError, ShiftMismatchError, VerificationError)
 from .records import Record
 
@@ -148,7 +150,7 @@ class _Tables:
         """(sccs, levels): SCCs sorted, in ascending order of minimum; levels
         are BFS distances from state 0 (-1 when unreachable)."""
         succ, n = self.succ, len(self.succ)
-        pred = _successors(zip(*self.adjacency))
+        pred = _successors(tuple(zip(*self.adjacency)))
         remaining, comps = set(range(n)), []
         while remaining:
             s = min(remaining)
@@ -189,11 +191,11 @@ class EdgeShift:
     def __init__(self, states: Sequence[str], adjacency: Sequence[Sequence[int]],
                  normalization_log: Sequence[str] = (),
                  provenance: Optional[Provenance] = None):
-        states = tuple(str(s) for s in states)
+        states = tuple(map(str, states))
         if not states:
             raise EmptyShiftError("empty graph")
         self.states = states
-        self.adjacency = tuple(tuple(map(int, row)) for row in adjacency)
+        self.adjacency = tuple(map(tuple, adjacency))
         self.normalization_log = tuple(normalization_log)
         self.provenance = provenance
         self._path_tables = None
@@ -320,7 +322,7 @@ class EdgeShift:
 
 def _essential_part(states: Sequence[str], adjacency: Sequence[Sequence[int]]):
     """Iteratively drop states without outgoing or incoming edges."""
-    states, adj, removed = list(states), [list(row) for row in adjacency], []
+    states, adj, removed = list(states), adjacency, []
     while states:
         essential = [bool(sum(row) and sum(column)) for row, column in zip(adj, zip(*adj))]
         if all(essential):
@@ -338,10 +340,10 @@ def make_edge_shift(states: Sequence[str], adjacency: Sequence[Sequence[int]]) -
     n = len(states)
     if len(adjacency) != n or any(len(row) != n for row in adjacency):
         raise ParseError("adjacency matrix is not square of size |states|")
-    for row in adjacency:
-        for a in row:
-            if type(a) is not int or a < 0:
-                raise ParseError(f"adjacency entries must be nonnegative integers, got {a!r}")
+    cells = list(chain.from_iterable(adjacency))
+    if set(map(type, cells)) - {int} or min(cells, default=0) < 0:
+        bad = next(a for a in cells if type(a) is not int or a < 0)
+        raise ParseError(f"adjacency entries must be nonnegative integers, got {bad!r}")
     if len(set(map(str, states))) != n:
         raise ParseError("state identifiers are not distinct")
     kept, adj, removed = _essential_part(states, adjacency)
@@ -363,7 +365,7 @@ def parse_edge_shift(text: str) -> EdgeShift:
     matrix = []
     for r in rows:
         try:
-            matrix.append([int(x) for x in r.split()])
+            matrix.append(list(map(int, r.split())))
         except ValueError as exc:
             raise ParseError(f"non-integer entry in row {r!r}") from exc
     widths = {len(r) for r in matrix}
@@ -421,9 +423,9 @@ def mat_pow(a, n: int):
 def _successors(adjacency) -> tuple:
     """Each state's distinct successors in ascending order (its predecessors
     when given the transposed adjacency).  They are read off the nonzero
-    entries, so parallel edges cost nothing (a power shift can have hundreds
-    of thousands of them)."""
-    return tuple(tuple(j for j, a in enumerate(row) if a) for row in adjacency)
+    entries by ``compress``, so parallel edges cost nothing (a power shift
+    can have hundreds of thousands of them)."""
+    return tuple(map(tuple, map(compress, repeat(range(len(adjacency))), adjacency)))
 
 
 def _reachable(nbrs, start: int) -> set:
@@ -511,8 +513,8 @@ def _perron_irreducible(matrix):
     rounding is monotone, so fl(hi - lo) >= |ra - rb| and fl(TOL lo) <=
     fl(TOL min(ra, rb)); so a step the pretest rejects fails the full test."""
     n = len(matrix)
-    rows = [[(j, float(a) + (1.0 if i == j else 0.0))
-             for j, a in enumerate(row) if a or i == j]
+    rows = [[(j, float(row[j]) + (1.0 if i == j else 0.0))
+             for j in sorted({i, *compress(range(n), row)})]
             for i, row in enumerate(matrix)]
     depth = min(map(len, rows))
     cols = []
@@ -538,7 +540,8 @@ def _perron_irreducible(matrix):
             if hi - lo <= ENTROPY_TOL * lo:
                 return (lo + hi) / 2.0 - 1.0, it
             a, b = ratios.index(lo), ratios.index(hi)
-        v = list(map(truediv, w, repeat(max(w), n)))
+        top = max(w)
+        v = [x / top for x in w]
     raise IterationCapError(f"power iteration did not converge in {ENTROPY_ITERATION_CAP} steps")
 
 
@@ -548,11 +551,11 @@ def entropy(sft: EdgeShift) -> EntropyResult:
     For reducible shifts the value is the maximum over strongly connected
     components (the spectral radius of the full matrix).
     """
-    comps = sft.tables.sccs
+    comps, adj = sft.tables.sccs, sft.adjacency
     best = 0.0
     its = 0
     for comp in comps:
-        sub = [[sft.adjacency[i][j] for j in comp] for i in comp]
+        sub = adj if len(comp) == len(adj) else [[adj[i][j] for j in comp] for i in comp]
         if len(comp) == 1 and sub[0][0] == 0:
             continue
         lam, it = _perron_irreducible(sub)
@@ -640,13 +643,14 @@ def derived_shift(parent: EdgeShift, states: Sequence[int], step: int) -> EdgeSh
     paths between them, so the adjacency is A^step restricted to ``states``.
     Every such path must stay inside ``states``."""
     states = tuple(states)
-    an = mat_pow(parent.adjacency, step)
+    an = parent.adjacency if step == 1 else mat_pow(parent.adjacency, step)
     chosen = set(states)
     if len(chosen) < parent.n_states and \
             any(an[i][j] for i in states for j in range(parent.n_states) if j not in chosen):
         raise VerificationError(f"length-{step} path escaped the chosen states")
-    return EdgeShift([parent.states[i] for i in states],
-                     [[an[i][j] for j in states] for i in states],
+    if states != tuple(range(parent.n_states)):
+        an = [[an[i][j] for j in states] for i in states]
+    return EdgeShift([parent.states[i] for i in states], an,
                      provenance=Provenance(parent, states, step))
 
 
@@ -654,7 +658,7 @@ def power_shift(sft: EdgeShift, n: int) -> EdgeShift:
     """Present (X, sigma^n): same states, edges are the length-n paths, each
     mapping back to the parent path it encodes (``parent_paths``)."""
     if n < 1:
-        raise ParseError("power must be >= 1")
+        raise InvalidArgumentError("power must be >= 1")
     power = derived_shift(sft, range(sft.n_states), n)
     check(sum(map(sum, power.adjacency)), "path_count", "power shift path count")
     return power
@@ -670,7 +674,7 @@ def words_of_length(sft: EdgeShift, length: int) -> tuple:
     function builds first when it is missing (counts never decrease on an
     essential graph, so no lower level trips the cap first)."""
     if length < 0:
-        raise ParseError("length must be >= 0")
+        raise InvalidArgumentError("length must be >= 0")
     if length == 0:
         return ((),)
     tables = sft.tables

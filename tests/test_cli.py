@@ -532,8 +532,14 @@ def test_dumps_encodes_a_repeated_object_once_per_container(monkeypatch):
              "--m", "3"], ("group_order", 100, 384, None)),
     ("100", ["rigidity", "--group-g", "cyclic:2", "--n", "2", "--group-h", "cyclic:3",
              "--m", "3"], ("group_order", 100, 162, None)),
+    # orders past 4,300 digits, given by their first digits and exponent
+    ("100", ["rigidity", "--group-g", "sym:2000", "--n", "2", "--group-h", "cyclic:2",
+             "--m", "3"], ("group_order", 100, "3.316e+5735", None)),
+    ("100", ["rigidity", "--group-g", "cyclic:2", "--n", "1500", "--group-h", "cyclic:2",
+             "--m", "3"], ("group_order", 100, "1.688e+4566", None)),
 ], ids=["stage", "quotients-component", "split-component", "word-count",
-        "rigidity-spectra-differ", "rigidity-orders-differ"])
+        "rigidity-spectra-differ", "rigidity-orders-differ", "sym-order-digits",
+        "wreath-order-digits"])
 def test_budget_exit_manifest_names_the_cap(tmp_path, capsys, monkeypatch, budget, argv,
                                             expected):
     # the radius-1 full-2-shift search takes 362 nodes, its inverse check

@@ -11,7 +11,7 @@ from stabdyn.seqs import (check_example1_residues, check_example2_markers,
                           example1_marker, example1_word, example2_marker,
                           example2_structure, example2_word, find_occurrences,
                           marker_residues, sturmian_prefix)
-from stabdyn.sft import full_shift
+from stabdyn.sft import full_shift, power_shift, words_of_length
 from stabdyn.spectral import is_power_transitive
 
 
@@ -170,8 +170,11 @@ def test_markers_reject_bad_levels():
     (lambda: check_example2_markers(1, -1), "depth must be >= 0"),
     (lambda: commutes_with_power(identity_code(full_shift(2)), 0), "power must be >= 1"),
     (lambda: is_power_transitive(full_shift(2), 0), "power must be >= 1"),
+    (lambda: power_shift(full_shift(2), 0), "power must be >= 1"),
+    (lambda: words_of_length(full_shift(2), -1), "length must be >= 0"),
 ], ids=["example1-marker", "example1-word", "sturmian-prefix", "example2-marker",
-        "example2-word", "marker-level", "depth", "commutes-with-power", "power-transitive"])
+        "example2-word", "marker-level", "depth", "commutes-with-power", "power-transitive",
+        "power-shift", "words-of-length"])
 def test_bad_arguments_raise_a_package_error_that_is_a_value_error(call, message):
     with pytest.raises(InvalidArgumentError, match=message) as info:
         call()

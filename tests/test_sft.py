@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -14,17 +16,32 @@ from stabdyn.cli import main
 from stabdyn.errors import (BudgetExceededError, EmptyShiftError, ParseError,
                             ReducibleShiftError, VerificationError)
 from stabdyn.sft import (EdgeShift, bfs_levels, charpoly_coefficients, derived_shift,
-                         entropy, full_shift, is_irreducible, is_mixing,
-                         make_edge_shift, mat_mul, parse_edge_shift, period, period_by_cycles,
-                         perron_root_by_charpoly, power_shift,
+                         edge_shift_from_document, entropy, full_shift, is_irreducible,
+                         is_mixing, make_edge_shift, mat_mul, parse_edge_shift, period,
+                         period_by_cycles, perron_root_by_charpoly, power_shift,
                          strongly_connected_components, words_of_length)
 
 from stabdyn.spectral import class_restriction, cyclic_partition, divisors, smale
 
 from conftest import (catalog, cycle_graph, doubled_cycle_period3, doubled_loop_period2,
                       golden_mean, period3_six_states, word_count)
-from test_bench_digests import WORKLOADS
+from test_bench_digests import BENCH, WORKLOADS
 
+
+def _pass_run():
+    """``bench/pass_run.py`` as a module; the bench directory it puts on
+    ``sys.path`` to import its neighbours is taken off again."""
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("bench_pass_run", BENCH / "pass_run.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
+PASS_RUN = _pass_run()
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
@@ -50,14 +67,17 @@ def test_parse_degenerate_graph_is_empty():
 
 
 def test_parse_rejects_bad_matrices():
+    entries = "adjacency entries must be nonnegative integers, got "
     with pytest.raises(ParseError):
         parse_edge_shift("1 2 / 3")
-    with pytest.raises(ParseError):
-        parse_edge_shift("1 -1 / 1 1")
+    with pytest.raises(ParseError, match=f"^{entries}-1$"):  # the first in row-major order
+        parse_edge_shift("1 -1 / -2 1")
     with pytest.raises(ParseError):
         parse_edge_shift("x y / 1 1")
-    with pytest.raises(ParseError):  # JSON true is no edge count
-        parse_edge_shift('{"states": ["a"], "adjacency": [[true]]}')
+    with pytest.raises(ParseError, match=f"^{entries}True$"):  # JSON true is no edge count
+        parse_edge_shift('{"states": ["a", "b"], "adjacency": [[1, true], [-1, 1]]}')
+    with pytest.raises(ParseError, match=f"^{entries}2.5$"):
+        edge_shift_from_document({"states": ["a", "b"], "adjacency": [[1, 0], [2.5, -1]]})
     with pytest.raises(ParseError):  # two states named "a"
         parse_edge_shift('{"states": ["a", "a"], "adjacency": [[0, 1], [1, 0]]}')
     for doc in ('{"states": ["a"], "adjacency": 5}', '{"states": ["a"], "adjacency": [5]}',
@@ -465,6 +485,18 @@ def test_entropy_is_the_dense_iteration_past_the_narrowest_row():
         assert (result.perron_value, result.iterations) == _dense_perron(adj, 1e-12, 200_000)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bench_dual_route_graphs_agree(seed):
+    # the spectral part's relabelled graphs, its only inputs with states
+    # permuted, through the two checks the bench runs on them
+    duals = [inst for inst in WORKLOADS.instances("spectral", seed) if inst.matrix]
+    assert sorted(inst.id for inst in duals if inst.charpoly) == [
+        "spectral:dual:c0", "spectral:dual:c1"]
+    assert len(duals) == 6
+    for inst in duals:
+        assert PASS_RUN.dual_routes(inst) == "", inst.id
+
+
 def test_perron_step_adds_only_the_dense_columns(monkeypatch):
     # widest row n, narrowest 2: a step adds one dense column to the first
     # (n adds) and finishes the hub row in place; columns padded to the
@@ -632,11 +664,6 @@ def test_derived_presentations_provenance(graph_catalog):
                 chosen = sorted(part.classes[0])
                 _check_provenance(sft, class_restriction(sft, part, m * step),
                                   chosen, m * step)
-
-
-def test_power_shift_rejects_zero():
-    with pytest.raises(ParseError):
-        power_shift(full_shift(2), 0)
 
 
 def test_entropy_of_power_scales(graph_catalog):
