@@ -19,8 +19,7 @@ ENV_VAR = "STABDYN_BUDGET"
 
 
 class Budget(Record):
-    DEFAULTS = {"word_count": 10_000_000,   # admissible words per language level
-                "path_count": 10_000_000,   # paths materialized by power shifts
+    DEFAULTS = {"word_count": 10_000_000,   # words per language level, a power shift's edges
                 "group_order": 20_000,      # largest multiplication table
                 "enum_nodes": 5_000_000,    # search-tree nodes in rule enumeration
                 "sym_normal_m": 7}          # largest Sym(m) for normal-subgroup sweeps
@@ -41,8 +40,8 @@ def default_budget() -> Budget:
         raise BudgetExceededError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
     if cap <= 0:
         raise BudgetExceededError(f"{ENV_VAR} must be positive, got {cap}")
-    return Budget(word_count=cap, path_count=cap, group_order=cap,
-                  enum_nodes=cap, sym_normal_m=max(2, min(cap, 8)))
+    return Budget(word_count=cap, group_order=cap, enum_nodes=cap,
+                  sym_normal_m=max(2, min(cap, 8)))
 
 
 def check(value: int, cap: str, what: str) -> None:

@@ -18,6 +18,7 @@ its matrix, not its edge count, until something reads its edges.  Each
 language level is the level below it extended, already in lexicographic
 order, and its words carry integer prefix and suffix links, through which the
 sub-window tables are gathered (``_Tables.extend``, ``EdgeShift.subwindow_ids``).
+Derived presentations read their edges' parent paths off those levels too.
 """
 
 from __future__ import annotations
@@ -199,9 +200,9 @@ class EdgeShift:
         self.normalization_log = tuple(normalization_log)
         self.provenance = provenance
         self._path_tables = None
-        # adjacency -> tables: one dict per input, shared by what derives from it
+        # adjacency -> tables: one new dict per input, searched by what derives from it
         self._shared = {} if provenance is None else provenance.parent._shared
-        self.tables = self._shared.get(self.adjacency)
+        self.tables = None if provenance is None else self._shared.get(self.adjacency)
         if self.tables is None:
             self.tables = self._shared[self.adjacency] = _Tables(states, self.adjacency)
 
@@ -212,17 +213,18 @@ class EdgeShift:
 
     def _path_maps(self) -> tuple:
         """(edge symbol -> parent path, parent path -> edge symbol), built on
-        first use.  Parallel edges take their paths in sorted word order."""
+        first use: the parent's level-``step`` words that leave a chosen state,
+        in (tail, head) order and then in word order, pair with the edges."""
         if self._path_tables is None:
             prov = self.provenance
             if prov is None:
                 raise ShiftMismatchError("shift has no parent presentation")
-            pos = {s: k for k, s in enumerate(prov.states)}
-            found = sorted((pos[tail], pos[head], word) for tail, word, head
-                           in _paths_from(prov.parent, prov.states, prov.step))
-            to_path = {sym: word for sym, (_, _, word) in zip(self.alphabet, found)}
-            to_edge = {word: sym for sym, word in to_path.items()}
-            self._path_tables = (to_path, to_edge)
+            words, heads = prov.parent.language(prov.step), prov.parent.tables.links[prov.step][0]
+            tails, pos = prov.parent.tables.tails, dict(zip(prov.states, range(len(prov.states))))
+            ids = sorted((i for i, w in enumerate(words) if tails[w[0]] in pos),  # stable sort
+                         key=lambda i: (pos[tails[words[i][0]]], pos[heads[i]]))
+            to_path = dict(zip(self.alphabet, gather(words, ids)))
+            self._path_tables = (to_path, dict(zip(to_path.values(), to_path)))
         return self._path_tables
 
     @property
@@ -626,17 +628,6 @@ def perron_root_by_charpoly(matrix) -> float:
 # -- derived presentations -------------------------------------------------
 
 
-def _paths_from(sft: EdgeShift, starts, length: int) -> list:
-    """Every path of ``length`` edges leaving a state in ``starts``, as
-    (tail state, word, head state), by frontier expansion."""
-    moves = [list(zip(out, map(sft.tables.heads.__getitem__, out))) for out in sft.out_edges]
-    frontier = [(start, (), start) for start in starts]
-    for _ in range(length):
-        frontier = [(tail, word + (sym,), head)
-                    for tail, word, at in frontier for sym, head in moves[at]]
-    return frontier
-
-
 def derived_shift(parent: EdgeShift, states: Sequence[int], step: int) -> EdgeShift:
     """Present (paths through ``states``, sigma^step): the states are the
     given parent states, in order, and the edges are the parent's length-step
@@ -660,7 +651,7 @@ def power_shift(sft: EdgeShift, n: int) -> EdgeShift:
     if n < 1:
         raise InvalidArgumentError("power must be >= 1")
     power = derived_shift(sft, range(sft.n_states), n)
-    check(sum(map(sum, power.adjacency)), "path_count", "power shift path count")
+    check(sum(map(sum, power.adjacency)), "word_count", "power shift path count")
     return power
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from stabdyn.budgets import ENV_VAR, default_budget
+from stabdyn.budgets import ENV_VAR, Budget, default_budget
 from stabdyn.errors import BudgetExceededError
 from stabdyn.codes import enumerate_automorphisms
 from stabdyn.sft import full_shift, power_shift, words_of_length
@@ -18,6 +18,12 @@ def test_env_override(monkeypatch):
     budget = default_budget()
     assert budget.word_count == 123
     assert budget.group_order == 123
+
+
+def test_env_override_sets_all_four_caps(monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "123")
+    assert Budget.FIELDS == ("word_count", "group_order", "enum_nodes", "sym_normal_m")
+    assert default_budget().values == (123, 123, 123, 8)
 
 
 def test_env_override_rejects_garbage(monkeypatch):
@@ -36,7 +42,7 @@ def test_word_budget_is_hard(run_budget):
 
 
 def test_path_budget_guards_power_shift(run_budget):
-    run_budget(path_count=4)
+    run_budget(word_count=4)
     with pytest.raises(BudgetExceededError):
         power_shift(full_shift(2), 3)  # 8 paths > 4
 

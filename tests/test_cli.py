@@ -241,12 +241,18 @@ def _one_line_error_with_manifest(capsys, argv, tmp_path):
     return err
 
 
-@pytest.mark.parametrize("extra", [{"generators": [7]}, {"names": ["e"]}])
-def test_rigidity_rejects_group_table_indices(tmp_path, capsys, extra):
+@pytest.mark.parametrize("extra,message", [
+    ({"generators": [7]}, "generators must be integers in range(2)"),
+    ({"names": ["e"]}, "1 names for a group of order 2"),
+    ({"generators": [0]}, "declared generators do not generate the group"),
+    ({"table": [[0, 1], [0, 1]]}, "not a Latin square: a row or column repeats an entry"),
+], ids=["extra0", "extra1", "generators-miss", "entries-repeat"])
+def test_rigidity_rejects_group_table_indices(tmp_path, capsys, extra, message):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"table": [[0, 1], [1, 0]], **extra}))
-    _one_line_error_with_manifest(capsys, ["rigidity", "--group-g", str(path), "--n", "2",
-                                           "--group-h", "cyclic:2", "--m", "3"], tmp_path)
+    err = _one_line_error_with_manifest(capsys, ["rigidity", "--group-g", str(path), "--n", "2",
+                                                 "--group-h", "cyclic:2", "--m", "3"], tmp_path)
+    assert message in err
 
 
 @pytest.mark.parametrize("table", [
@@ -527,6 +533,8 @@ def test_dumps_encodes_a_repeated_object_once_per_container(monkeypatch):
     ("200", ["verify-wreath", "0 2 / 1 0", "--n", "1", "--m", "2", "--radius", "0"],
      ("enum_nodes", 200, 201, "component stage")),
     ("100", ["autos", "2", "--radius", "1"], ("word_count", 100, 128, None)),
+    # a power shift's edges are its parent's words of that length: 2^7 > 100
+    ("100", ["autos", "2", "--power", "7"], ("word_count", 100, 128, None)),
     # both wreath orders meet the budget before unequal orders or spectra decide the pair
     ("100", ["rigidity", "--group-g", "cyclic:2", "--n", "4", "--group-h", "cyclic:4",
              "--m", "3"], ("group_order", 100, 384, None)),
@@ -537,7 +545,7 @@ def test_dumps_encodes_a_repeated_object_once_per_container(monkeypatch):
              "--m", "3"], ("group_order", 100, "3.316e+5735", None)),
     ("100", ["rigidity", "--group-g", "cyclic:2", "--n", "1500", "--group-h", "cyclic:2",
              "--m", "3"], ("group_order", 100, "1.688e+4566", None)),
-], ids=["stage", "quotients-component", "split-component", "word-count",
+], ids=["stage", "quotients-component", "split-component", "word-count", "power-edges",
         "rigidity-spectra-differ", "rigidity-orders-differ", "sym-order-digits",
         "wreath-order-digits"])
 def test_budget_exit_manifest_names_the_cap(tmp_path, capsys, monkeypatch, budget, argv,

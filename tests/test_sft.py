@@ -84,6 +84,12 @@ def test_parse_rejects_bad_matrices():
                 '{"states": 3, "adjacency": [[1]]}'):
         with pytest.raises(ParseError):
             parse_edge_shift(doc)
+    with pytest.raises(ParseError, match="^empty input$"):
+        parse_edge_shift(" \n\t ")
+    with pytest.raises(ParseError, match="^document must contain 'states' and 'adjacency'$"):
+        parse_edge_shift('{"states": ["a"]}')
+    with pytest.raises(ParseError, match=r"^adjacency matrix is not square of size \|states\|$"):
+        parse_edge_shift('{"states": ["a", "b"], "adjacency": [[1, 1]]}')
 
 
 def test_parse_structured_document():
@@ -114,7 +120,7 @@ def test_edge_tables_follow_the_edge_order(graph_catalog):
 
 
 def _path_budget_fails(run_budget):
-    run_budget(path_count=4)
+    run_budget(word_count=4)
     with pytest.raises(BudgetExceededError):
         power_shift(full_shift(2), 3)  # 8 paths > 4
 

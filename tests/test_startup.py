@@ -91,8 +91,8 @@ def test_frozen_records_keep_equality_hashing_and_read_only_fields(make, same, o
 
 
 def test_records_take_their_fields_in_order_or_by_name():
-    assert Budget(enum_nodes=3) == Budget(10_000_000, 10_000_000, 20_000, 3, 7)
-    assert Budget(enum_nodes=3).values == (10_000_000, 10_000_000, 20_000, 3, 7)
+    assert Budget(enum_nodes=3) == Budget(10_000_000, 20_000, 3, 7)
+    assert Budget(enum_nodes=3).values == (10_000_000, 20_000, 3, 7)
     assert CheckResult("c", True).detail == ""
     assert CheckResult(detail="d", name="c", passed=False) == CheckResult("c", False, "d")
     assert repr(CheckResult("c", True)) == "CheckResult(name='c', passed=True, detail='')"

@@ -62,6 +62,18 @@ def test_split_sequence_doubled_three_cycle():
     assert report.automorphism_count == report.kernel_size * report.image_size
 
 
+def test_split_sequence_notes_a_rotations_only_image():
+    # classes {0, 1}, {2, 3}, {4}; the cube's pieces, A^3 on each class, are
+    # [[2, 2], [1, 1]], [[1, 2], [1, 2]] and [[3]]: no two are isomorphic
+    # graphs, so pi maps the radius-0 stage onto the identity alone
+    sft = parse_edge_shift("0 0 1 1 0 / 0 0 0 1 0 / 0 0 0 0 1 / 0 0 0 0 1 / 1 1 0 0 0")
+    report = verify_split_sequence(sft, 1, 3, 0)
+    assert report.passes, [c for c in report.checks if not c.passed]
+    assert (report.automorphism_count, report.image_size) == (96, 1)
+    assert [note.split(";")[0] for note in report.notes] == [
+        "pi image of the enumerated stage contains rotations only"]
+
+
 def test_split_sequence_degenerate_m1():
     report = verify_split_sequence(full_shift(2), 1, 1, 1)
     assert report.passes
@@ -566,6 +578,14 @@ def test_entropy_ratio_confirms_integer_perron_values_on_the_charpoly(monkeypatc
     assert report.verdict == "rational-within-tolerance"
     assert (report.best_numerator, report.best_denominator) == (1, 2)
     assert report.exact_integer_relation is None
+
+
+def test_entropy_ratio_exact_check_overturns_a_float_match():
+    # log 2 / log 3 is within 0.01 of 29/46, but 2^46 != 3^29
+    report = entropy_ratio(full_shift(2), full_shift(3), tol=0.01)
+    assert (report.best_numerator, report.best_denominator) == (29, 46)
+    assert report.exact_integer_relation is False
+    assert report.verdict == "inconclusive"
 
 
 def test_entropy_ratio_two_vs_eight():
